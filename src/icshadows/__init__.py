@@ -64,6 +64,7 @@ from .povm import (
 from .sampling import (
     Dataset,
     MarginalTable,
+    SamplingPlan,
     joint_probabilities,
     marginal_counts,
     sample_shots,

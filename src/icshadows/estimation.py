@@ -1,10 +1,17 @@
 """Unbiased observable estimation from shot data and its exact variance.
 
-The single-shot estimate of an observable is a product over partition
-groups of dual-operator traces; means over shots are unbiased whenever
-the dual frames pass the duality check. Exact first and second moments
-of that estimator are computed by group factorization, avoiding any
-enumeration over the full joint outcome space.
+The single-shot estimate of an observable is a sum over terms of
+products over partition groups of dual-operator traces; means over shots
+are unbiased whenever the dual frames pass the duality check.
+
+Up to ``sampling.JOINT_TENSOR_QUBIT_LIMIT`` qubits the estimator is
+tabulated once over every joint outcome (one GEMM, see
+:meth:`CoefficientCache.table`): shots are then table lookups, and the
+exact moments are sums of the table against the joint Born tensor the
+sampler plans with. Above the limit the table would not fit, so shots
+are scored term by term and the exact moments are computed by group
+factorization, one state contraction per term pair, never enumerating
+the joint outcome space.
 """
 
 from __future__ import annotations
@@ -13,11 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sampling
 from .algebra import kron_all
 from .frames import GlobalDuals
 from .observables import PAULI_MATRICES, PauliObservable
 from .povm import ProductPOVM
-from .sampling import Dataset, flat_codes, sample_shots
+from .sampling import Dataset, SamplingPlan, flat_codes, joint_probability_tensor, sample_shots
 from .states import BlockProductState, DensityMatrix, PureState, reduced_density
 
 __all__ = [
@@ -51,12 +59,15 @@ class CoefficientCache:
     """Per-(group, Pauli substring) trace vectors Tr[D_m P].
 
     Shot evaluation reduces to gathering one cached vector per group and
-    multiplying, so the 10^6-shot loop never touches operators.
+    multiplying, so the 10^6-shot loop never touches operators. The
+    whole-outcome tables of :meth:`table` are cached here too, one per
+    observable.
     """
 
     def __init__(self, duals: GlobalDuals):
         self.duals = duals
         self._vectors: dict[tuple[int, str], np.ndarray] = {}
+        self._tables: dict[PauliObservable, tuple[np.ndarray, list[int]]] = {}
         dims = []
         for frame, group in zip(duals.frames, duals.partition.groups):
             dims.append(int(round(frame.outcomes ** (1.0 / len(group)))))
@@ -73,6 +84,37 @@ class CoefficientCache:
                 "mab,ba->m", frame.duals, pmat
             ).real.copy()
         return self._vectors[key]
+
+    def _block_matrix(self, group_indices, obs: PauliObservable) -> np.ndarray:
+        """V with column t the Kronecker product of the listed groups' vectors."""
+        groups = self.duals.partition.groups
+        V = np.ones((1, len(obs.terms)))
+        for gi in group_indices:
+            G = np.stack(
+                [self.vector(gi, _substring(word, groups[gi])) for _, word in obs.terms], axis=1
+            )
+            V = (V[:, None, :] * G[None, :, :]).reshape(-1, V.shape[1])
+        return V
+
+    def table(self, obs: PauliObservable) -> tuple[np.ndarray, list[int]]:
+        """Single-shot estimate of ``obs`` at every joint outcome.
+
+        The groups are split, in order, into two blocks A and B whose
+        outcome spaces are as close in size as possible, and the table
+        is ``W = (V_A diag c) V_B^T``. Returns W, shape
+        ``(d^|A|, d^|B|)``, and the qubit order of its row-major flat
+        index (A's qubits, then B's, each group in listed order).
+        """
+        if obs not in self._tables:
+            groups = self.duals.partition.groups
+            sizes = np.cumsum([0] + [len(g) for g in groups])
+            split = int(np.argmin(np.abs(2 * sizes - sizes[-1])))
+            coeffs = np.array([c for c, _ in obs.terms])
+            va = self._block_matrix(range(split), obs) * coeffs
+            vb = self._block_matrix(range(split, len(groups)), obs)
+            order = [q for g in groups for q in g]
+            self._tables[obs] = (va @ vb.T, order)
+        return self._tables[obs]
 
 
 def _substring(word: str, group) -> str:
@@ -121,9 +163,14 @@ def estimate(
         raise ValueError("qubit counts disagree")
     if cache is None:
         cache = CoefficientCache(duals)
-    om = _omega_all(ds, duals, obs, cache)
+    if ds.n <= sampling.JOINT_TENSOR_QUBIT_LIMIT:
+        table, order = cache.table(obs)
+        om = table.reshape(-1)[flat_codes(ds, order)]
+    else:
+        om = _omega_all(ds, duals, obs, cache)
     mean = float(om.mean())
-    var = max(float((om * om).mean() - mean * mean), 0.0)
+    # two passes: E[x^2] - E[x]^2 cancels catastrophically under a large offset
+    var = float(np.mean((om - mean) ** 2))
     return EstimateReport(
         mean=mean,
         sample_variance=var,
@@ -196,11 +243,13 @@ def exact_moments(
 ) -> tuple[float, float]:
     """Exact E[omega] and E[omega^2] of the single-shot estimator.
 
-    Both moments factorize over groups: per term pair, each group
-    contributes the operator Σ_m effect_m · Tr[D_m P] · Tr[D_m Q], and
-    the moment is the state's expectation of their tensor product. The
-    first moment uses the single-trace analogue, so unbiasedness is
-    measured rather than assumed.
+    Up to the joint-tensor limit both are sums over every joint outcome
+    of the Born probability times the tabulated estimate (squared).
+    Above it, both moments factorize over groups: per term pair, each
+    group contributes the operator Σ_m effect_m · Tr[D_m P] · Tr[D_m Q],
+    and the moment is the state's expectation of their tensor product.
+    The first moment uses the single-trace analogue. Either way
+    unbiasedness is measured rather than assumed.
     """
     groups = duals.partition.groups
     terms = obs.terms
@@ -209,6 +258,17 @@ def exact_moments(
         raise ValueError(f"{n_pairs} term pairs exceed the cap {pair_cap}")
 
     cache = CoefficientCache(duals)
+    if obs.n <= sampling.JOINT_TENSOR_QUBIT_LIMIT:
+        # p first, so the table is not yet alive at p's larger build peak
+        p = joint_probability_tensor(state, povm)
+        table, order = cache.table(obs)
+        w = table.reshape((cache.d,) * obs.n)
+        p_axes = "".join(chr(ord("a") + q) for q in range(obs.n))
+        w_axes = "".join(chr(ord("a") + q) for q in order)
+        mean = np.einsum(f"{p_axes},{w_axes}->", p, w)
+        second = np.einsum(f"{p_axes},{w_axes},{w_axes}->", p, w, w)
+        return float(mean), float(second)
+
     effects = [frame.effects for frame in duals.frames]
 
     if isinstance(state, PureState):
@@ -279,9 +339,11 @@ def rmse_experiment(
 
     Repetition r draws its dataset from a child seed spawned off
     ``seed``, so the harness is reproducible and repetitions are
-    statistically independent.
+    statistically independent. The sampler is planned once, and the
+    estimator table is built once in the shared cache.
     """
     truth = exact_expectation(state, obs)
+    plan = SamplingPlan(state, povm)
     cache = CoefficientCache(duals)
     sq = 0.0
     for r in range(R):
@@ -290,7 +352,7 @@ def rmse_experiment(
                 1, np.uint64
             )[0]
         )
-        ds = sample_shots(state, povm, S, child)
+        ds = sample_shots(plan, povm, S, child)
         rep = estimate(ds, duals, obs, cache=cache)
         sq += (rep.mean - truth) ** 2
     return float(np.sqrt(sq / R))

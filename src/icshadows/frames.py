@@ -76,8 +76,10 @@ class DualFrame:
         du = np.asarray(self.duals, dtype=complex)
         if eff.shape != du.shape or eff.ndim != 3:
             raise ValueError("effects and duals must be matching (M, dim, dim) stacks")
+        if not (np.isfinite(eff).all() and np.isfinite(du).all()):
+            raise ValueError("effects and duals must be finite")
         resid = duality_residual(du, eff)
-        if resid > DUALITY_TOL:
+        if not resid <= DUALITY_TOL:
             raise ValueError(f"duality residual {resid:.3e} exceeds {DUALITY_TOL}")
         object.__setattr__(self, "effects", eff)
         object.__setattr__(self, "duals", du)
@@ -135,9 +137,7 @@ def frame_operator(effects: np.ndarray, weights) -> FrameOperator:
 def duality_residual(duals: np.ndarray, effects: np.ndarray) -> float:
     """Max-entry deviation of Σ_m |dual_m⟩⟩⟨⟨effect_m| from the identity."""
     M, dim = effects.shape[0], effects.shape[1]
-    s = np.einsum(
-        "mi,mj->ij", duals.reshape(M, -1), effects.reshape(M, -1).conj()
-    )
+    s = duals.reshape(M, -1).T @ effects.reshape(M, -1).conj()
     return float(np.abs(s - np.eye(dim * dim)).max())
 
 

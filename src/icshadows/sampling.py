@@ -22,8 +22,10 @@ __all__ = [
     "Dataset",
     "MarginalTable",
     "shot_uniforms",
+    "SamplingPlan",
     "sample_shots",
     "joint_probabilities",
+    "joint_probability_tensor",
     "marginal_counts",
 ]
 
@@ -84,6 +86,26 @@ def shot_uniforms(seed: int, start: int, count: int, n: int) -> np.ndarray:
     bitgen.advance(start * (words // 4))
     u = np.random.Generator(bitgen).random((count, words))
     return u[:, :n]
+
+
+def _density_matrix(state) -> np.ndarray:
+    """Dense density matrix of a pure or mixed state, qubits ascending."""
+    if isinstance(state, PureState):
+        return np.outer(state.amplitudes, state.amplitudes.conj())
+    if isinstance(state, DensityMatrix):
+        return state.matrix
+    return reduced_density(state, range(state.n)).matrix
+
+
+def joint_probability_tensor(state, povm: ProductPOVM) -> np.ndarray:
+    """Born probabilities of the full joint outcome, one axis per qubit.
+
+    Axes run in ascending qubit order; this is the tensor the sampler
+    plans with, so it needs ``state.n <= JOINT_TENSOR_QUBIT_LIMIT``.
+    """
+    if state.n > JOINT_TENSOR_QUBIT_LIMIT:
+        raise ValueError("state too large for the joint probability tensor")
+    return _joint_probability_tensor(_density_matrix(state), povm, range(state.n))
 
 
 def _joint_probability_tensor(rho: np.ndarray, povm: ProductPOVM, qubits) -> np.ndarray:
@@ -171,6 +193,64 @@ def _sample_pure_sequential(state: PureState, povm: ProductPOVM, u: np.ndarray) 
     return out
 
 
+class SamplingPlan:
+    """Born-rule sampler of one (state, POVM) pair, planned once.
+
+    Within the joint-tensor limit, planning builds the conditional prefix
+    tensors (per block for a block-product state) and :meth:`draw` only
+    walks them, so repeated draws from one state, as in an RMSE harness,
+    pay the planning cost once. Larger pure states keep the per-shot
+    collapse, which has nothing to plan.
+    """
+
+    def __init__(self, state, povm: ProductPOVM):
+        n = povm.n
+        if getattr(state, "n", None) != n:
+            raise ValueError("state and POVM qubit counts differ")
+        dims = povm.dims
+        if any(dd != dims[0] for dd in dims):
+            raise ValueError("datasets require a uniform outcome count per qubit")
+        self.povm = povm
+        self.n, self.d = n, dims[0]
+        self._state = None  # set only for the per-shot collapse path
+        self._blocks = []  # (columns, outcome counts, prefix tensors) per block
+        if isinstance(state, BlockProductState):
+            for g, b in zip(state.partition.groups, state.blocks):
+                if b.n > JOINT_TENSOR_QUBIT_LIMIT:
+                    raise ValueError("block too large for the joint-tensor sampler")
+                joint = _joint_probability_tensor(b.matrix, povm, g)
+                self._blocks.append((list(g), [dims[q] for q in g], _prefix_tensors(joint)))
+        elif isinstance(state, (PureState, DensityMatrix)) and n <= JOINT_TENSOR_QUBIT_LIMIT:
+            joint = _joint_probability_tensor(_density_matrix(state), povm, range(n))
+            self._blocks = [(slice(None), list(dims), _prefix_tensors(joint))]
+        elif isinstance(state, PureState):
+            self._state = state
+        else:
+            raise ValueError("density matrices above the joint-tensor limit are not samplable")
+
+    def _run_chunk(self, seed: int, start: int, cnt: int, out: np.ndarray) -> None:
+        u = shot_uniforms(seed, start, cnt, self.n)
+        if self._state is not None:
+            out[start : start + cnt] = _sample_pure_sequential(self._state, self.povm, u)
+            return
+        for cols, dims, prefixes in self._blocks:
+            out[start : start + cnt, cols] = _walk_chunk(prefixes, dims, u[:, cols])
+
+    def draw(self, S: int, seed: int, workers: int = 1, chunk: int = DEFAULT_CHUNK) -> Dataset:
+        """Draw S shots; the records depend on neither ``workers`` nor ``chunk``."""
+        records = np.empty((S, self.n), dtype=np.uint8)
+        spans = [(s, min(chunk, S - s)) for s in range(0, S, chunk)]
+        if workers > 1 and len(spans) > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                list(pool.map(lambda sp: self._run_chunk(seed, sp[0], sp[1], records), spans))
+        else:
+            for start, cnt in spans:
+                self._run_chunk(seed, start, cnt, records)
+        return Dataset(
+            n=self.n, d=self.d, S=S, records=records, seed=seed, povm_id=self.povm.identifier
+        )
+
+
 def sample_shots(
     state,
     povm: ProductPOVM,
@@ -179,58 +259,18 @@ def sample_shots(
     workers: int = 1,
     chunk: int = DEFAULT_CHUNK,
 ) -> Dataset:
-    """Draw S shots from the Born distribution of the product POVM."""
-    n = povm.n
-    if getattr(state, "n", None) != n:
-        raise ValueError("state and POVM qubit counts differ")
-    dims = povm.dims
-    d = dims[0]
-    if any(dd != d for dd in dims):
-        raise ValueError("datasets require a uniform outcome count per qubit")
+    """Draw S shots from the Born distribution of the product POVM.
 
-    if isinstance(state, BlockProductState):
-        block_plans = []
-        for g, b in zip(state.partition.groups, state.blocks):
-            if b.n > JOINT_TENSOR_QUBIT_LIMIT:
-                raise ValueError("block too large for the joint-tensor sampler")
-            joint = _joint_probability_tensor(b.matrix, povm, g)
-            block_plans.append((g, _prefix_tensors(joint)))
-
-        def run_chunk(start: int, cnt: int, out: np.ndarray):
-            u = shot_uniforms(seed, start, cnt, n)
-            for g, prefixes in block_plans:
-                cols = _walk_chunk(prefixes, [dims[q] for q in g], u[:, list(g)])
-                out[start : start + cnt, list(g)] = cols
-
-    elif isinstance(state, (PureState, DensityMatrix)) and n <= JOINT_TENSOR_QUBIT_LIMIT:
-        if isinstance(state, PureState):
-            rho = np.outer(state.amplitudes, state.amplitudes.conj())
-        else:
-            rho = state.matrix
-        prefixes = _prefix_tensors(_joint_probability_tensor(rho, povm, range(n)))
-
-        def run_chunk(start: int, cnt: int, out: np.ndarray):
-            u = shot_uniforms(seed, start, cnt, n)
-            out[start : start + cnt] = _walk_chunk(prefixes, dims, u)
-
-    elif isinstance(state, PureState):
-
-        def run_chunk(start: int, cnt: int, out: np.ndarray):
-            u = shot_uniforms(seed, start, cnt, n)
-            out[start : start + cnt] = _sample_pure_sequential(state, povm, u)
-
+    ``state`` may also be a :class:`SamplingPlan` built for ``povm``,
+    which skips planning.
+    """
+    if isinstance(state, SamplingPlan):
+        if state.povm != povm:
+            raise ValueError("sampling plan was built for another POVM")
+        plan = state
     else:
-        raise ValueError("density matrices above the joint-tensor limit are not samplable")
-
-    records = np.empty((S, n), dtype=np.uint8)
-    spans = [(s, min(chunk, S - s)) for s in range(0, S, chunk)]
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda sp: run_chunk(sp[0], sp[1], records), spans))
-    else:
-        for start, cnt in spans:
-            run_chunk(start, cnt, records)
-    return Dataset(n=n, d=d, S=S, records=records, seed=seed, povm_id=povm.identifier)
+        plan = SamplingPlan(state, povm)
+    return plan.draw(S, seed, workers=workers, chunk=chunk)
 
 
 def flat_codes(ds: Dataset, group) -> np.ndarray:

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from icshadows import (
+    BlockProductState,
     CoefficientCache,
     DensityMatrix,
     EstimateReport,
     Partition,
     PauliObservable,
+    PureState,
     bell_pair_chain,
     bell_state,
     canonical_global,
@@ -23,10 +25,25 @@ from icshadows import (
     rmse_experiment,
     sample_shots,
 )
+from icshadows import sampling
 from icshadows.frames import GlobalDuals
 from icshadows.povm import outcome_probabilities
 
 from .conftest import random_density
+
+
+def estimator_paths(monkeypatch):
+    """Run a loop body on the outcome-table path, then on the fallback.
+
+    The fallback (per-term shot loop, per-pair exact moments) is what
+    runs above the joint-tensor limit; forcing the limit to 0 selects it
+    at any size, so each path checks the other.
+    """
+    default = sampling.JOINT_TENSOR_QUBIT_LIMIT
+    for name, limit in (("table", default), ("fallback", 0)):
+        monkeypatch.setattr(sampling, "JOINT_TENSOR_QUBIT_LIMIT", limit)
+        yield name
+    monkeypatch.setattr(sampling, "JOINT_TENSOR_QUBIT_LIMIT", default)
 
 
 def _random_observable(rng, n, n_terms):
@@ -86,16 +103,30 @@ def test_omega_cache_matches_uncached(canonical2):
         )
 
 
-def test_estimate_is_population_statistics(canonical2, povm2):
+def test_estimate_is_population_statistics(canonical2, povm2, monkeypatch):
     ds = sample_shots(bell_state(), povm2, 400, seed=41)
     obs = PauliObservable.from_terms([(1.0, "ZZ"), (0.5, "XI")])
-    rep = estimate(ds, canonical2, obs)
     oms = np.array([omega(tuple(r), canonical2, obs) for r in ds.records])
-    assert rep.mean == pytest.approx(oms.mean())
-    assert rep.sample_variance == pytest.approx(oms.var())
-    assert rep.std_error == pytest.approx(np.sqrt(oms.var() / 400))
-    assert rep.shots == 400
-    assert rep.duals_provenance == "canonical"
+    for _ in estimator_paths(monkeypatch):
+        rep = estimate(ds, canonical2, obs)
+        assert rep.mean == pytest.approx(oms.mean())
+        assert rep.sample_variance == pytest.approx(oms.var())
+        assert rep.std_error == pytest.approx(np.sqrt(oms.var() / 400))
+        assert rep.shots == 400
+        assert rep.duals_provenance == "canonical"
+
+
+def test_estimate_variance_survives_large_identity_offset(canonical2, povm2, monkeypatch):
+    # canonical duals score the identity exactly, so the offset moves every
+    # shot by the same amount and must leave the sample variance unchanged;
+    # E[x^2] - E[x]^2 at x ~ 1e9 keeps no correct digit of a variance ~ 10
+    ds = sample_shots(bell_state(), povm2, 400, seed=41)
+    base = PauliObservable.from_terms([(1.0, "ZZ"), (0.5, "XI")])
+    shifted = PauliObservable.from_terms(list(base.terms) + [(1e9, "II")])
+    for _ in estimator_paths(monkeypatch):
+        want = estimate(ds, canonical2, base).sample_variance
+        got = estimate(ds, canonical2, shifted).sample_variance
+        assert got == pytest.approx(want, rel=1e-6)
 
 
 def test_estimate_validates_inputs(canonical2, povm2):
@@ -114,17 +145,23 @@ def test_estimate_report_rejects_negative_variance():
         EstimateReport(0.0, -1e-3, 0.0, 10, "canonical")
 
 
-def test_bell_zz_canonical_variance_is_eight(canonical2, povm2):
+def test_bell_zz_canonical_variance_is_eight(canonical2, povm2, monkeypatch):
     zz = PauliObservable.single("ZZ")
-    mean, second = exact_moments(bell_state(), povm2, canonical2, zz)
-    assert mean == pytest.approx(1.0, abs=1e-12)
-    assert second == pytest.approx(9.0, abs=1e-10)
-    assert exact_variance(bell_state(), povm2, canonical2, zz) == pytest.approx(
-        8.0, abs=1e-10
-    )
+    for _ in estimator_paths(monkeypatch):
+        mean, second = exact_moments(bell_state(), povm2, canonical2, zz)
+        assert mean == pytest.approx(1.0, abs=1e-12)
+        assert second == pytest.approx(9.0, abs=1e-10)
+        assert exact_variance(bell_state(), povm2, canonical2, zz) == pytest.approx(
+            8.0, abs=1e-10
+        )
 
 
-def test_exact_moments_match_brute_force_enumeration(povm2):
+def test_exact_moments_match_brute_force_enumeration(povm2, monkeypatch):
+    for _ in estimator_paths(monkeypatch):
+        _check_exact_moments_against_brute_force(povm2)
+
+
+def _check_exact_moments_against_brute_force(povm2):
     rng = np.random.default_rng(99)
     for _ in range(5):
         rho = random_density(rng, 4)
@@ -148,32 +185,35 @@ def test_exact_moments_match_brute_force_enumeration(povm2):
             assert second == pytest.approx(bsecond, abs=1e-10)
 
 
-def test_exact_mean_is_unbiased(povm2, canonical2):
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        state = DensityMatrix(2, random_density(rng, 4))
-        obs = _random_observable(rng, 2, 4)
-        mean, _ = exact_moments(state, povm2, canonical2, obs)
-        assert mean == pytest.approx(exact_expectation(state, obs), abs=1e-10)
+def test_exact_mean_is_unbiased(povm2, canonical2, monkeypatch):
+    for _ in estimator_paths(monkeypatch):
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            state = DensityMatrix(2, random_density(rng, 4))
+            obs = _random_observable(rng, 2, 4)
+            mean, _ = exact_moments(state, povm2, canonical2, obs)
+            assert mean == pytest.approx(exact_expectation(state, obs), abs=1e-10)
 
 
-def test_identity_shift_moves_mean_only(povm2, canonical2):
+def test_identity_shift_moves_mean_only(povm2, canonical2, monkeypatch):
     state = bell_state()
     base = PauliObservable.from_terms([(1.0, "ZZ"), (0.3, "XX")])
     shifted = PauliObservable.from_terms(list(base.terms) + [(2.5, "II")])
-    m0, s0 = exact_moments(state, povm2, canonical2, base)
-    m1, _ = exact_moments(state, povm2, canonical2, shifted)
-    assert m1 == pytest.approx(m0 + 2.5, abs=1e-10)
-    v0 = exact_variance(state, povm2, canonical2, base)
-    v1 = exact_variance(state, povm2, canonical2, shifted)
-    # canonical duals have unit trace, so the shift is exact per shot
-    assert v1 == pytest.approx(v0, abs=1e-9)
+    for _ in estimator_paths(monkeypatch):
+        m0, s0 = exact_moments(state, povm2, canonical2, base)
+        m1, _ = exact_moments(state, povm2, canonical2, shifted)
+        assert m1 == pytest.approx(m0 + 2.5, abs=1e-10)
+        v0 = exact_variance(state, povm2, canonical2, base)
+        v1 = exact_variance(state, povm2, canonical2, shifted)
+        # canonical duals have unit trace, so the shift is exact per shot
+        assert v1 == pytest.approx(v0, abs=1e-9)
 
 
-def test_exact_moments_pair_cap(povm2, canonical2):
+def test_exact_moments_pair_cap(povm2, canonical2, monkeypatch):
     obs = _random_observable(np.random.default_rng(0), 2, 40)
-    with pytest.raises(ValueError, match="cap"):
-        exact_moments(bell_state(), povm2, canonical2, obs, pair_cap=100)
+    for _ in estimator_paths(monkeypatch):
+        with pytest.raises(ValueError, match="cap"):
+            exact_moments(bell_state(), povm2, canonical2, obs, pair_cap=100)
 
 
 def test_exact_expectation_routes_agree():
@@ -194,24 +234,77 @@ def test_exact_expectation_routes_agree():
         exact_expectation("bell", obs3)
 
 
-def test_grouped_product_state_matches_density_route(povm4):
+def test_grouped_product_state_matches_density_route(povm4, monkeypatch):
     # estimator moments on a block product equal those on its dense matrix
     state = bell_pair_chain(2)
     duals = canonical_global(povm4, Partition(((0, 1), (2, 3))))
     obs = PauliObservable.from_terms([(1.0, "ZZZZ"), (0.4, "XIIX")])
     dense = reduced_density(state, range(4))
-    m_block, s_block = exact_moments(state, povm4, duals, obs)
-    m_dense, s_dense = exact_moments(dense, povm4, duals, obs)
-    assert m_block == pytest.approx(m_dense, abs=1e-10)
-    assert s_block == pytest.approx(s_dense, abs=1e-10)
+    for _ in estimator_paths(monkeypatch):
+        m_block, s_block = exact_moments(state, povm4, duals, obs)
+        m_dense, s_dense = exact_moments(dense, povm4, duals, obs)
+        assert m_block == pytest.approx(m_dense, abs=1e-10)
+        assert s_block == pytest.approx(s_dense, abs=1e-10)
 
 
-def test_h2_ground_state_canonical_variance(h2_4q, h2_4q_ground, povm4):
+def test_h2_ground_state_canonical_variance(h2_4q, h2_4q_ground, povm4, monkeypatch):
     energy, psi = h2_4q_ground
     duals = canonical_global(povm4)
-    mean, second = exact_moments(psi, povm4, duals, h2_4q)
-    assert mean == pytest.approx(energy, abs=1e-9)
-    assert second - mean * mean == pytest.approx(1.959003, abs=2e-5)
+    for _ in estimator_paths(monkeypatch):
+        mean, second = exact_moments(psi, povm4, duals, h2_4q)
+        assert mean == pytest.approx(energy, abs=1e-9)
+        assert second - mean * mean == pytest.approx(1.959003, abs=2e-5)
+
+
+def _random_state(kind, n, rng):
+    if kind == "pure":
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        return PureState(n, amps / np.linalg.norm(amps))
+    if kind == "density":
+        return DensityMatrix(n, random_density(rng, 2**n))
+    # blocks of at most two qubits, cut differently from the duals' groups
+    part = Partition(tuple(tuple(range(q, min(q + 2, n))) for q in range(0, n, 2)))
+    return BlockProductState(
+        part, tuple(DensityMatrix(len(g), random_density(rng, 2 ** len(g))) for g in part.groups)
+    )
+
+
+def _optimal_global(state, partition):
+    povm = pauli6_product(partition.n)
+    frames = []
+    for g in partition.groups:
+        effects = povm.group_effects(g)
+        probs = outcome_probabilities(effects, reduced_density(state, g).matrix)
+        frames.append(optimal_duals(probs, effects, group=g))
+    return GlobalDuals(partition, tuple(frames))
+
+
+UNEVEN_PARTITIONS = {
+    "3+1+4": Partition(((0, 2, 5), (7,), (1, 3, 4, 6))),
+    "one-group": Partition(((0, 1, 2),)),
+    "odd-n": Partition(((1, 4), (0,), (2, 3))),
+}
+
+
+@pytest.mark.parametrize("kind", ["pure", "density", "block"])
+@pytest.mark.parametrize("label", sorted(UNEVEN_PARTITIONS))
+def test_outcome_table_matches_fallback(label, kind, monkeypatch):
+    # non-factorizing optimal duals on groups that interleave qubits, so the
+    # table's block split and its outcome ordering are both exercised
+    partition = UNEVEN_PARTITIONS[label]
+    n = partition.n
+    rng = np.random.default_rng(2024)
+    state = _random_state(kind, n, rng)
+    povm = pauli6_product(n)
+    duals = _optimal_global(state, partition)
+    obs = _random_observable(rng, n, 6)
+    ds = sample_shots(state, povm, 2000, seed=3)
+    got = {}
+    for path in estimator_paths(monkeypatch):
+        rep = estimate(ds, duals, obs)
+        got[path] = (*exact_moments(state, povm, duals, obs), rep.mean, rep.sample_variance)
+    assert got["table"] == pytest.approx(got["fallback"], rel=1e-10, abs=1e-12)
+    assert got["table"][0] == pytest.approx(exact_expectation(state, obs), abs=1e-10)
 
 
 def test_rmse_experiment_reproducible(povm2, canonical2):

@@ -107,6 +107,17 @@ def test_dual_frame_rejects_broken_duality():
         DualFrame(group=(0,), effects=frame.effects, duals=broken)
 
 
+def test_dual_frame_rejects_non_finite_entries():
+    # a NaN residual compares False against any tolerance, so it must be
+    # rejected on its own rather than slip through the duality check
+    frame = canonical_duals(pauli6_product(1).group_effects((0,)))
+    for name in ("duals", "effects"):
+        poisoned = {"duals": frame.duals.copy(), "effects": frame.effects.copy()}
+        poisoned[name][2, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            DualFrame(group=(0,), **poisoned)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(min_value=0.05, max_value=20.0), min_size=36, max_size=36))
 def test_weighted_duals_always_satisfy_duality(ws):

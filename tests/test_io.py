@@ -167,6 +167,18 @@ def test_duals_format_errors(tmp_path):
         read_duals(bad)
 
 
+def test_read_duals_rejects_nan_payload(tmp_path):
+    gd = canonical_global(pauli6_product(2))
+    path = tmp_path / "frames.icdl"
+    write_duals(path, gd)
+    blob = bytearray(path.read_bytes())
+    # the last frame's payload ends the file; poison its final real part
+    blob[-16:-8] = np.array([np.nan]).tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="finite"):
+        read_duals(path)
+
+
 def test_write_duals_rejects_foreign_effects(tmp_path):
     from icshadows.frames import DualFrame, GlobalDuals, canonical_duals
 

@@ -5,6 +5,7 @@ from icshadows import (
     Dataset,
     DensityMatrix,
     PureState,
+    SamplingPlan,
     bell_pair_chain,
     bell_state,
     ghz_state,
@@ -55,6 +56,32 @@ def test_sample_shots_deterministic_across_workers_and_chunks():
     c = sample_shots(psi, povm, 3000, seed=9, workers=1, chunk=3000)
     assert np.array_equal(a.records, b.records)
     assert np.array_equal(a.records, c.records)
+
+
+@pytest.mark.parametrize("kind", ["pure", "density", "block", "sequential"])
+def test_sampling_plan_draw_matches_sample_shots(kind, monkeypatch):
+    from icshadows import sampling
+
+    rng = np.random.default_rng(21)
+    povm = pauli6_product(4)
+    state = {
+        "pure": ghz_state(4),
+        "density": DensityMatrix(4, random_density(rng, 16)),
+        "block": bell_pair_chain(2),
+        "sequential": ghz_state(4),
+    }[kind]
+    if kind == "sequential":
+        monkeypatch.setattr(sampling, "JOINT_TENSOR_QUBIT_LIMIT", 0)
+    plan = SamplingPlan(state, povm)
+    # one plan serves every draw; a draw with a prebuilt plan equals a fresh one
+    for workers, chunk in [(1, 256), (4, 256), (1, 1000), (2, 333)]:
+        want = sample_shots(state, povm, 1000, seed=8, workers=workers, chunk=chunk)
+        got = plan.draw(1000, seed=8, workers=workers, chunk=chunk)
+        assert got.records.tobytes() == want.records.tobytes()
+        again = sample_shots(plan, povm, 1000, seed=8, workers=workers, chunk=chunk)
+        assert again.records.tobytes() == want.records.tobytes()
+    with pytest.raises(ValueError, match="another POVM"):
+        sample_shots(plan, pauli6_product(5), 10, seed=8)
 
 
 def test_sample_shots_pure_and_density_agree():
