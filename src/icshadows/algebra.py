@@ -31,8 +31,10 @@ HERMITICITY_TOL = 1e-9
 def hermitianize(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """Return (A + A^dag)/2, rejecting matrices that are not nearly Hermitian."""
     a = np.asarray(a, dtype=complex)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
     asym = np.abs(a - a.conj().T).max() if a.size else 0.0
-    if asym > tol:
+    if not asym <= tol:
         raise ValueError(f"matrix is not Hermitian within {tol:g} (asymmetry {asym:g})")
     return 0.5 * (a + a.conj().T)
 

@@ -65,6 +65,8 @@ class RunConfig:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.k < 1 or self.S < 0 or self.workers < 1:
             raise ValueError("k and workers must be >= 1 and S >= 0")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed {self.seed} is outside [0, 2^64)")
 
     def resolved_S_bias(self, d: int) -> float:
         return float(d**self.k) if self.S_bias is None else float(self.S_bias)

@@ -5,6 +5,17 @@ Reproducibility contract: shot ``s`` of a run is a pure function of
 qubit, drawn from a counter-based generator advanced to that shot's own
 block, so datasets are byte-identical whether generated serially, in
 chunks, or by several workers.
+
+Two samplers keep that contract. Up to ``JOINT_TENSOR_QUBIT_LIMIT``
+qubits (or per block of a block-product state) the joint Born tensor is
+built once and each shot walks its conditional prefix sums. Pure states
+above the limit are collapsed qubit by qubit down a prefix tree: at depth
+q the shots of a batch share one branch state per distinct outcome
+prefix, so the work is about ``sum_q min(S, d^q) 2^(n-q)`` amplitudes
+instead of ``S n d 2^n``. Chunks are collapsed in fixed sub-batches of
+``_COLLAPSE_AMPLITUDES >> n`` shots, which bounds the live branch states
+by a few times ``_COLLAPSE_AMPLITUDES`` amplitudes however large S or the
+chunk is.
 """
 
 from __future__ import annotations
@@ -32,6 +43,13 @@ __all__ = [
 JOINT_TENSOR_QUBIT_LIMIT = 8
 MARGINAL_GROUP_CAP = 8
 DEFAULT_CHUNK = 65536
+
+# Amplitude budget of one collapse sub-batch (4 MiB of complex128). A
+# sub-batch has ``_COLLAPSE_AMPLITUDES >> n`` shots, and no branch array
+# at any depth holds more than (shots x 2^n) amplitudes.
+_COLLAPSE_AMPLITUDES = 1 << 18
+# eigenvalues of a local effect at or below this count as zero rank
+_KRAUS_RANK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -81,6 +99,8 @@ def shot_uniforms(seed: int, start: int, count: int, n: int) -> np.ndarray:
     blocks so that advancing the generator lands exactly on a shot
     boundary for any start.
     """
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed {seed} is outside [0, 2^64)")
     words = 4 * ((n + 3) // 4)
     bitgen = np.random.Philox(key=np.uint64(seed))
     bitgen.advance(start * (words // 4))
@@ -164,32 +184,79 @@ def _prefix_tensors(joint: np.ndarray) -> list[np.ndarray]:
     return prefixes
 
 
-def _sqrt_effect(eff: np.ndarray) -> np.ndarray:
-    lam, vecs = np.linalg.eigh(eff)
-    return (vecs * np.sqrt(np.clip(lam, 0.0, None))) @ vecs.conj().T
+def _kraus_factors(effects: np.ndarray) -> np.ndarray:
+    """Factors ``K`` of shape ``(d, r, 2)`` with ``K[m]^H K[m] = effects[m]``.
+
+    ``r`` is the largest effect rank; an effect of lower rank is padded
+    with zero rows.
+    """
+    lam, vecs = np.linalg.eigh(effects)  # ascending eigenvalues per effect
+    r = max(1, int((lam > _KRAUS_RANK_TOL).sum(axis=1).max()))
+    lam, vecs = np.clip(lam[:, -r:], 0.0, None), vecs[:, :, -r:]
+    return np.sqrt(lam)[:, :, None] * vecs.conj().transpose(0, 2, 1)
 
 
-def _sample_pure_sequential(state: PureState, povm: ProductPOVM, u: np.ndarray) -> np.ndarray:
-    """Per-shot collapse fallback for statevectors above the tensor limit."""
-    n = state.n
-    roots = [np.stack([_sqrt_effect(e) for e in povm.locals[q].effects]) for q in range(n)]
-    cnt = u.shape[0]
+def _children(a0: np.ndarray, a1: np.ndarray, parent: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Collapsed children ``out[c, :, j] = k[c, j, 0] a0[parent[c]] + k[c, j, 1] a1[parent[c]]``.
+
+    ``a0``/``a1`` hold the parents' amplitudes with qubit q at 0 and 1, and
+    ``k`` (children, r, 2) the scaled Kraus rows. The parents are gathered
+    through one reused buffer, so the step holds a single child-sized
+    temporary besides its output.
+    """
+    out = np.empty((len(parent), a0.shape[1], k.shape[1]), dtype=complex)
+    buf = np.empty(out.shape[:2], dtype=complex)
+    for j in range(k.shape[1]):
+        np.take(a0, parent, axis=0, out=buf, mode="clip")  # "clip": no index-check copy
+        np.multiply(buf, k[:, j, 0, None], out=out[:, :, j])
+        np.take(a1, parent, axis=0, out=buf, mode="clip")
+        buf *= k[:, j, 1, None]
+        out[:, :, j] += buf
+    return out
+
+
+def _collapse(amps: np.ndarray, effects, factors, u: np.ndarray) -> np.ndarray:
+    """Prefix-tree collapse of a pure state for a batch of shots.
+
+    At depth q every shot sits on the branch of its outcome prefix. A
+    branch is a stack of ``R`` unnormalized vectors on qubits q..n-1 (the
+    Kraus indices of earlier collapses, innermost), laid out with qubit q
+    leading. Each branch's outcome probabilities come from its 2x2 reduced
+    state on qubit q; each shot draws with its own uniform, and only the
+    chosen children are collapsed and renormalized. Every step acts on one
+    branch at a time, so a shot's outcome does not depend on which other
+    shots share its batch.
+    """
+    cnt, n = u.shape
     out = np.empty((cnt, n), dtype=np.uint8)
-    for s in range(cnt):
-        t = state.amplitudes.reshape((2,) * n)
-        for q in range(n):
-            branches = np.tensordot(roots[q], t, axes=([2], [q]))
-            branches = np.moveaxis(branches, 1, q + 1)
-            flat = branches.reshape(branches.shape[0], -1)
-            probs = np.einsum("mi,mi->m", flat, flat.conj()).real
-            cdf = np.cumsum(probs)
-            m = int((cdf <= u[s, q] * cdf[-1]).sum())
-            m = min(m, probs.size - 1)
-            norm = np.sqrt(probs[m])
-            if norm <= 0:
-                raise ValueError("zero-norm collapse (numerically invalid state)")
-            t = branches[m] / norm
-            out[s, q] = m
+    branches = amps.reshape(1, -1)
+    branch = np.zeros(cnt, dtype=np.intp)  # each shot's branch
+    for q in range(n):
+        eff, d = effects[q], len(effects[q])
+        half = branches.reshape(len(branches), 2, -1)
+        a0, a1 = half[:, 0], half[:, 1]
+        r00 = (a0.real**2 + a0.imag**2).sum(axis=1)
+        r11 = (a1.real**2 + a1.imag**2).sum(axis=1)
+        r01 = (a0 * a1.conj()).sum(axis=1)
+        # Tr[E_m rho] for a Hermitian E_m and rho
+        probs = (
+            eff[:, 0, 0].real * r00[:, None]
+            + eff[:, 1, 1].real * r11[:, None]
+            + 2.0 * (eff[:, 1, 0] * r01[:, None]).real
+        )
+        cdf = np.cumsum(probs, axis=1)[branch]
+        m = (cdf <= u[:, q, None] * cdf[:, -1:]).sum(axis=1)
+        np.minimum(m, d - 1, out=m)
+        out[:, q] = m
+        keys, branch = np.unique(branch * d + m, return_inverse=True)
+        parent, child = np.divmod(keys, d)
+        norm2 = probs[parent, child]
+        if not (norm2 > 0).all():
+            raise ValueError("zero-norm collapse (numerically invalid state)")
+        if q == n - 1:
+            break
+        k = factors[q][child] / np.sqrt(norm2)[:, None, None]
+        branches = _children(a0, a1, parent, k).reshape(len(keys), -1)
     return out
 
 
@@ -199,8 +266,11 @@ class SamplingPlan:
     Within the joint-tensor limit, planning builds the conditional prefix
     tensors (per block for a block-product state) and :meth:`draw` only
     walks them, so repeated draws from one state, as in an RMSE harness,
-    pay the planning cost once. Larger pure states keep the per-shot
-    collapse, which has nothing to plan.
+    pay the planning cost once. Pure states above the limit are planned
+    as per-qubit Kraus factors ``K`` of shape ``(d, r, 2)``, one per local
+    POVM, with ``E_m = K_m^H K_m`` and ``r`` the largest effect rank
+    (1 for Pauli-6); :meth:`draw` collapses them down the outcome prefix
+    tree in sub-batches of bounded memory.
     """
 
     def __init__(self, state, povm: ProductPOVM):
@@ -212,7 +282,7 @@ class SamplingPlan:
             raise ValueError("datasets require a uniform outcome count per qubit")
         self.povm = povm
         self.n, self.d = n, dims[0]
-        self._state = None  # set only for the per-shot collapse path
+        self._pure = None  # (amplitudes, effects, Kraus factors) above the limit
         self._blocks = []  # (columns, outcome counts, prefix tensors) per block
         if isinstance(state, BlockProductState):
             for g, b in zip(state.partition.groups, state.blocks):
@@ -224,14 +294,19 @@ class SamplingPlan:
             joint = _joint_probability_tensor(_density_matrix(state), povm, range(n))
             self._blocks = [(slice(None), list(dims), _prefix_tensors(joint))]
         elif isinstance(state, PureState):
-            self._state = state
+            effects = [p.effects for p in povm.locals]
+            factors = [_kraus_factors(e) for e in effects]
+            self._pure = (state.amplitudes, effects, factors)
         else:
             raise ValueError("density matrices above the joint-tensor limit are not samplable")
 
     def _run_chunk(self, seed: int, start: int, cnt: int, out: np.ndarray) -> None:
         u = shot_uniforms(seed, start, cnt, self.n)
-        if self._state is not None:
-            out[start : start + cnt] = _sample_pure_sequential(self._state, self.povm, u)
+        if self._pure is not None:
+            step = max(1, _COLLAPSE_AMPLITUDES >> self.n)
+            for lo in range(0, cnt, step):
+                sub = u[lo : lo + step]
+                out[start + lo : start + lo + len(sub)] = _collapse(*self._pure, sub)
             return
         for cols, dims, prefixes in self._blocks:
             out[start : start + cnt, cols] = _walk_chunk(prefixes, dims, u[:, cols])

@@ -55,7 +55,7 @@ class PureState:
             raise ValueError(f"{self.n} qubits exceeds the statevector cap")
         if amps.size != 2**self.n:
             raise ValueError("amplitude length is not 2^n")
-        if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
+        if not abs(np.linalg.norm(amps) - 1.0) <= NORM_TOL:
             raise ValueError("state is not normalized")
         object.__setattr__(self, "amplitudes", amps)
         self.amplitudes.setflags(write=False)
@@ -77,9 +77,10 @@ class DensityMatrix:
             raise ValueError(f"{self.n} qubits exceeds the density cap")
         if mat.shape != (2**self.n, 2**self.n):
             raise ValueError("matrix dimension is not 2^n")
-        if abs(np.trace(mat).real - 1.0) > NORM_TOL:
+        # written so that a NaN fails the check instead of passing it
+        if not abs(np.trace(mat).real - 1.0) <= NORM_TOL:
             raise ValueError("trace is not 1")
-        if np.linalg.eigvalsh(mat).min() < -PSD_TOL:
+        if not np.linalg.eigvalsh(mat).min() >= -PSD_TOL:
             raise ValueError("matrix is not PSD")
         object.__setattr__(self, "matrix", mat)
         self.matrix.setflags(write=False)

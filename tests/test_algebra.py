@@ -29,6 +29,13 @@ def test_hermitianize_rejects_genuinely_asymmetric():
         hermitianize(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_hermitianize_rejects_non_finite(bad):
+    # a symmetric non-finite matrix used to pass: NaN > tol is False
+    with pytest.raises(ValueError, match="non-finite"):
+        hermitianize(np.full((2, 2), bad, dtype=complex))
+
+
 def test_kron_all_matches_chained_kron():
     rng = np.random.default_rng(0)
     ops = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3)]

@@ -218,6 +218,17 @@ def test_cli_reports_errors_with_exit_one(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_sample_rejects_out_of_range_seed(tmp_path, capsys, seed):
+    out = tmp_path / "ds.icsd"
+    argv = ["sample", "ground-state-of:bundled:h2_sto3g_4q.txt", "-S", 10, "--seed", seed]
+    assert run(argv + ["--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_reruns_are_byte_identical(tmp_path):
     ham = write_zz(tmp_path)
     ds_path = tmp_path / "ds.icsd"

@@ -211,6 +211,15 @@ def test_run_config_validation_and_backends():
         RunConfig(workers=0)
 
 
+def test_run_config_rejects_out_of_range_seeds():
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            RunConfig(seed=seed)
+    # the check adds no field: digests of valid configs keep their values
+    assert RunConfig().hash() == "5278c5465555"
+    assert RunConfig(seed=2**64 - 1).hash() == "676e818dae0e"
+
+
 def test_config_hash_stability():
     cfg = RunConfig()
     h = cfg.hash()

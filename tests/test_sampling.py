@@ -177,3 +177,138 @@ def test_marginal_counts_rejects_bad_group():
 def test_sample_shots_qubit_mismatch():
     with pytest.raises(ValueError, match="differ"):
         sample_shots(bell_state(), pauli6_product(3), 10, seed=0)
+
+
+def random_pure(rng, n):
+    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return PureState(n, v / np.linalg.norm(v))
+
+
+def assert_within_sampling_error(freq, probs, S):
+    # each cell within 5 binomial standard deviations (plus one count)
+    tol = 5.0 * np.sqrt(probs * (1.0 - probs) / S) + 1.0 / S
+    assert np.all(np.abs(freq - probs) <= tol)
+
+
+def test_shot_uniforms_reject_out_of_range_seed():
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            shot_uniforms(seed=seed, start=0, count=1, n=2)
+    assert shot_uniforms(seed=2**64 - 1, start=0, count=1, n=2).shape == (1, 2)
+
+
+def test_prefix_tree_collapse_matches_joint_marginals(monkeypatch):
+    from icshadows import sampling
+
+    # a random 6-qubit state is entangled across every cut
+    psi = random_pure(np.random.default_rng(31), 6)
+    povm = pauli6_product(6)
+    monkeypatch.setattr(sampling, "JOINT_TENSOR_QUBIT_LIMIT", 0)
+    S = 60_000
+    ds = sample_shots(psi, povm, S, seed=12)
+    for group in [(4, 1), (0, 5, 2)]:
+        freq = marginal_counts(ds, group).frequencies
+        assert_within_sampling_error(freq, joint_probabilities(psi, povm, group), S)
+
+
+def test_prefix_tree_collapse_rank_two_effects(monkeypatch):
+    from icshadows import sampling
+    from icshadows.povm import LocalPOVM, ProductPOVM, pauli6
+
+    # depolarized Pauli-6: every effect has full rank 2
+    noisy = LocalPOVM(0.8 * pauli6().effects + 0.2 * np.eye(2) / 6)
+    factors = sampling._kraus_factors(noisy.effects)
+    assert factors.shape == (6, 2, 2)
+    assert np.allclose(np.einsum("mja,mjb->mab", factors.conj(), factors), noisy.effects)
+    n = 4
+    povm = ProductPOVM((noisy,) * n)
+    psi = random_pure(np.random.default_rng(32), n)
+    S = 40_000
+    tensor = sample_shots(psi, povm, S, seed=13)
+    monkeypatch.setattr(sampling, "JOINT_TENSOR_QUBIT_LIMIT", 0)
+    collapse = sample_shots(psi, povm, S, seed=13)
+    # same uniforms, same distribution: records may differ only where
+    # rounding moves an inverse-CDF boundary
+    assert (tensor.records == collapse.records).all(axis=1).mean() >= 0.999
+    for group in [(0, 3), (1, 2, 3)]:
+        freq = marginal_counts(collapse, group).frequencies
+        assert_within_sampling_error(freq, joint_probabilities(psi, povm, group), S)
+
+
+def per_shot_collapse(psi, povm, u):
+    """Reference sampler: collapse one shot at a time through sqrt(E_m)."""
+
+    def sqrt_psd(e):
+        lam, vecs = np.linalg.eigh(e)
+        return (vecs * np.sqrt(np.clip(lam, 0.0, None))) @ vecs.conj().T
+
+    n = psi.n
+    roots = [np.stack([sqrt_psd(e) for e in povm.locals[q].effects]) for q in range(n)]
+    out = np.empty(u.shape, dtype=np.uint8)
+    for s in range(len(u)):
+        t = psi.amplitudes.reshape((2,) * n)
+        for q in range(n):
+            branches = np.moveaxis(np.tensordot(roots[q], t, axes=([2], [q])), 1, q + 1)
+            flat = branches.reshape(len(branches), -1)
+            probs = np.einsum("mi,mi->m", flat, flat.conj()).real
+            cdf = np.cumsum(probs)
+            m = min(int((cdf <= u[s, q] * cdf[-1]).sum()), len(cdf) - 1)
+            t = branches[m] / np.sqrt(probs[m])
+            out[s, q] = m
+    return out
+
+
+def test_prefix_tree_collapse_matches_per_shot_reference():
+    n, S = 10, 300
+    psi = random_pure(np.random.default_rng(35), n)
+    povm = pauli6_product(n)
+    want = per_shot_collapse(psi, povm, shot_uniforms(seed=16, start=0, count=S, n=n))
+    got = sample_shots(psi, povm, S, seed=16).records
+    # the two sum probabilities in different orders, so a draw may flip
+    # where its uniform lies within rounding of a CDF boundary
+    assert (got == want).all(axis=1).mean() >= 0.99
+
+
+def test_prefix_tree_collapse_layout_invariant_at_ten_qubits():
+    from icshadows import sampling
+
+    psi = random_pure(np.random.default_rng(33), 10)
+    plan = SamplingPlan(psi, pauli6_product(10))
+    step = sampling._COLLAPSE_AMPLITUDES >> 10
+    layouts = [(1, 5000), (2, 777), (1, 333)]
+    assert all(chunk % step for _, chunk in layouts)
+    want = plan.draw(5000, seed=14, workers=1, chunk=5000).records.tobytes()
+    for workers, chunk in layouts[1:]:
+        got = plan.draw(5000, seed=14, workers=workers, chunk=chunk)
+        assert got.records.tobytes() == want
+
+
+@pytest.mark.parametrize("fill", [0.0, np.nan])
+def test_prefix_tree_collapse_rejects_zero_norm(fill):
+    # PureState validation would refuse this vector, so bypass it
+    psi = object.__new__(PureState)
+    object.__setattr__(psi, "n", 10)
+    object.__setattr__(psi, "amplitudes", np.full(2**10, fill, dtype=complex))
+    plan = SamplingPlan(psi, pauli6_product(10))
+    with pytest.raises(ValueError, match="zero-norm"):
+        plan.draw(10, seed=0)
+
+
+def test_prefix_tree_collapse_memory_does_not_grow_with_shots():
+    import tracemalloc
+
+    n = 10
+    plan = SamplingPlan(random_pure(np.random.default_rng(34), n), pauli6_product(n))
+    # O(S n) that any sampler holds: uniforms padded to 4-word blocks, records
+    per_shot = 8 * 4 * ((n + 3) // 4) + n
+    work = []
+    for S in (2000, 20_000):
+        tracemalloc.start()
+        try:
+            plan.draw(S, seed=15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        work.append(peak - S * per_shot)
+    # tolerance: sub-batches differ in their count of distinct prefixes
+    assert work[1] <= work[0] + 256 * 1024

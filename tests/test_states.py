@@ -30,6 +30,8 @@ def test_pure_state_validation():
         PureState(1, np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="not 2\\^n"):
         PureState(2, np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="not normalized"):
+        PureState(1, np.array([np.nan, 0.0]))
 
 
 def test_density_validation():
@@ -37,6 +39,13 @@ def test_density_validation():
         DensityMatrix(1, 2.0 * np.eye(2))
     with pytest.raises(ValueError, match="PSD"):
         DensityMatrix(1, np.diag([1.5, -0.5]).astype(complex))
+
+
+def test_density_rejects_non_finite():
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix(1, np.full((2, 2), np.nan))
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix(1, np.diag([np.inf, 0.0]))
 
 
 def test_bell_and_ghz_amplitudes():
