@@ -194,14 +194,11 @@ def exact_expectation(state, obs: PauliObservable) -> float:
             total += val
         return float(total)
     if isinstance(state, DensityMatrix):
-        n = state.n
+        # Tr[rho P] = sum_j phase[j] rho[j, j XOR x], in the observable's mask form
+        rows = np.arange(2**state.n)
         total = 0.0
-        for coeff, word in obs.terms:
-            t = state.matrix.reshape((2,) * (2 * n))
-            for i, ch in enumerate(word):
-                # contract this qubit's (row, col) pair against the letter
-                t = np.tensordot(t, PAULI_MATRICES[ch], axes=([0, n - i], [1, 0]))
-            total += coeff * t.real
+        for coeff, x, _, phase in obs._mask_terms:
+            total += coeff * np.dot(state.matrix[rows, rows ^ x], phase).real
         return float(total)
     raise TypeError(f"unsupported state type {type(state).__name__}")
 

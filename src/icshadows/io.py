@@ -92,7 +92,8 @@ def config_hash(mapping: dict) -> str:
 
 def read_hamiltonian(path) -> PauliObservable:
     terms = []
-    with open(path) as fh:
+    # an undecodable byte becomes U+FFFD, which fails below with its line number
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -106,6 +107,8 @@ def read_hamiltonian(path) -> PauliObservable:
                 coeff = float(parts[0])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: bad coefficient {parts[0]!r}") from None
+            if not np.isfinite(coeff):
+                raise ValueError(f"{path}:{lineno}: non-finite coefficient {parts[0]!r}")
             word = parts[1].upper()
             if any(ch not in "IXYZ" for ch in word):
                 raise ValueError(f"{path}:{lineno}: bad Pauli word {parts[1]!r}")

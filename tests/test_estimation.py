@@ -216,6 +216,15 @@ def test_exact_moments_pair_cap(povm2, canonical2, monkeypatch):
             exact_moments(bell_state(), povm2, canonical2, obs, pair_cap=100)
 
 
+def test_exact_expectation_density_matches_trace():
+    rng = np.random.default_rng(8)
+    rho = random_density(rng, 8)
+    # XYI and YYY hold an odd number of Y letters, so their phases are imaginary
+    obs = PauliObservable(3, ((0.3, "XYI"), (-1.2, "ZIZ"), (0.7, "YYY"), (0.4, "YXY")))
+    want = np.trace(rho @ obs.matrix()).real
+    assert exact_expectation(DensityMatrix(3, rho), obs) == pytest.approx(want, abs=1e-12)
+
+
 def test_exact_expectation_routes_agree():
     state = bell_pair_chain(2)
     obs = PauliObservable.from_terms(

@@ -1,5 +1,9 @@
+from importlib import resources
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from icshadows import (
     Partition,
@@ -53,6 +57,44 @@ def test_read_hamiltonian_error_positions(tmp_path):
     path.write_text("# only a comment\n\n")
     with pytest.raises(ValueError, match="no Hamiltonian terms"):
         read_hamiltonian(path)
+    path.write_bytes(b"0.5 XZ\n0.25 Z\xffZ\n")
+    with pytest.raises(ValueError, match="bad.txt:2: bad Pauli word"):
+        read_hamiltonian(path)
+
+
+@pytest.mark.parametrize("coeff", ["nan", "inf", "-Infinity", "1e999"])
+def test_read_hamiltonian_rejects_non_finite_coefficient(tmp_path, coeff):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"0.5 XZ\n{coeff} ZZ\n")
+    with pytest.raises(ValueError, match=f"bad.txt:2: non-finite coefficient '{coeff}'"):
+        read_hamiltonian(path)
+
+
+H2_4Q_BYTES = resources.files("icshadows.data").joinpath("h2_sto3g_4q.txt").read_bytes()
+
+
+@st.composite
+def corrupted_hamiltonian_files(draw):
+    """The bundled 4-qubit file, truncated and with some bits flipped."""
+    blob = bytearray(H2_4Q_BYTES[: draw(st.integers(0, len(H2_4Q_BYTES)))])
+    for _ in range(draw(st.integers(0, 4))):
+        if blob:
+            pos = draw(st.integers(0, len(blob) - 1))
+            blob[pos] ^= 1 << draw(st.integers(0, 7))
+    return bytes(blob)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(blob=corrupted_hamiltonian_files())
+def test_read_hamiltonian_fuzz_rejects_or_parses_cleanly(tmp_path, blob):
+    path = tmp_path / "h.txt"
+    path.write_bytes(blob)
+    try:
+        obs = read_hamiltonian(path)
+    except ValueError as exc:
+        assert str(exc).startswith(str(path))
+        return
+    assert all(np.isfinite(c) and len(w) == obs.n for c, w in obs.terms)
 
 
 def test_read_hamiltonian_accepts_lowercase_and_comments(tmp_path):

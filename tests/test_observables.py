@@ -6,9 +6,18 @@ from hypothesis import strategies as st
 from icshadows import PauliObservable
 from icshadows.observables import PAULI_MATRICES
 
-from .conftest import random_density
+from .oracles import kron_matrix, same_bits, tensordot_apply
 
 words2 = st.text(alphabet="IXYZ", min_size=2, max_size=2)
+
+
+@st.composite
+def pauli_sums(draw):
+    """Pauli sums on 1 to 5 qubits; words may repeat."""
+    n = draw(st.integers(1, 5))
+    words = st.text(alphabet="IXYZ", min_size=n, max_size=n)
+    terms = draw(st.lists(st.tuples(st.floats(-3, 3), words), min_size=1, max_size=8))
+    return PauliObservable(n, tuple(terms))
 
 
 def test_duplicate_words_merge_in_first_seen_order():
@@ -28,6 +37,9 @@ def test_rejects_bad_letter_and_wrong_length():
         PauliObservable(2, ((1.0, "X"),))
     with pytest.raises(ValueError, match="non-finite"):
         PauliObservable(1, ((float("nan"), "X"),))
+    # finite terms whose merged sum overflows
+    with pytest.raises(ValueError, match="non-finite"):
+        PauliObservable(1, ((1e308, "X"), (1e308, "X")))
 
 
 def test_from_terms_requires_terms():
@@ -59,9 +71,25 @@ def test_apply_agrees_with_matrix(terms):
     assert np.allclose(obs.apply(vec), obs.matrix() @ vec, atol=1e-12)
 
 
-def test_expectation_matches_trace():
-    rng = np.random.default_rng(8)
-    rho = random_density(rng, 4)
-    obs = PauliObservable(2, ((0.3, "XY"), (-1.2, "ZI")))
-    want = np.trace(rho @ obs.matrix()).real
-    assert obs.expectation(rho) == pytest.approx(want, abs=1e-12)
+def test_mask_form_of_a_word():
+    # qubit 0 is the most significant bit; Y sets both masks
+    (term,) = PauliObservable.single("XYZI", 0.5)._mask_terms
+    assert (term.coeff, term.x, term.z) == (0.5, 0b1100, 0b0110)
+    want = np.diag(kron_matrix(PauliObservable.single("XYZI"))[np.arange(16) ^ 0b1100])
+    assert np.array_equal(term.phase, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pauli_sums(), st.integers(0, 2**32 - 1))
+def test_matrix_and_apply_are_bit_identical_to_kron_oracle(obs, seed):
+    assert same_bits(obs.matrix(), kron_matrix(obs))
+    rng = np.random.default_rng(seed)
+    vec = rng.normal(size=2**obs.n) + 1j * rng.normal(size=2**obs.n)
+    assert same_bits(obs.apply(vec), tensordot_apply(obs, vec))
+
+
+@pytest.mark.parametrize("length", [7, 9])
+def test_apply_rejects_wrong_length(length):
+    obs = PauliObservable.from_terms([(1.0, "XYZ"), (0.5, "ZZI")])
+    with pytest.raises(ValueError, match="length-8"):
+        obs.apply(np.ones(length, dtype=complex))

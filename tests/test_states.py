@@ -9,6 +9,7 @@ from icshadows import (
     PureState,
     bell_pair_chain,
     bell_state,
+    bundled_hamiltonian,
     ghz_state,
     ground_state,
     grouped_product_state,
@@ -23,6 +24,7 @@ from icshadows.algebra import partial_trace
 from icshadows.states import reorder_qubits
 
 from .conftest import random_density
+from .oracles import kron_matrix, same_bits, tfim_ring
 
 
 def test_pure_state_validation():
@@ -155,3 +157,19 @@ def test_bell_pair_chain_structure():
 def test_statevector_cap_enforced():
     with pytest.raises(ValueError, match="cap"):
         PureState(15, np.zeros(2**15))
+
+
+def test_ground_state_of_bundled_8q_equals_oracle_eigh():
+    obs = bundled_hamiltonian("h2_631g_8q.txt")
+    evals, evecs = np.linalg.eigh(kron_matrix(obs))
+    energy, psi = ground_state(obs)
+    assert energy == float(evals[0])
+    assert same_bits(psi.amplitudes, evecs[:, 0])
+
+
+def test_ground_state_above_dense_limit_matches_oracle_eigh():
+    obs = tfim_ring(10, seed=3)
+    evals, evecs = np.linalg.eigh(kron_matrix(obs))
+    energy, psi = ground_state(obs)
+    assert energy == pytest.approx(evals[0], abs=1e-10)
+    assert abs(np.vdot(evecs[:, 0], psi.amplitudes)) >= 1 - 1e-10
