@@ -25,13 +25,11 @@ from .estimation import (
 )
 from .frames import (
     DualFrame,
-    FrameOperator,
     GlobalDuals,
     canonical_duals,
     canonical_global,
     duality_residual,
     duals_from_weights,
-    frame_operator,
     klo_duals,
     optimal_duals,
     optimize_product_duals,
@@ -92,7 +90,6 @@ from .tomography import (
     LinearInversionPSD,
     ReconstructionReport,
     linear_inversion,
-    predicted_probabilities,
     reconstruct,
 )
 

@@ -6,6 +6,9 @@ Conventions used throughout the package:
 * Vectorization is row-major, ``|O>> = sum_ij O[i, j] |i, j>``, so the
   induced inner product ``<<A|B>> = Tr[A^dag B]`` is the plain ``vdot``
   of the flattened arrays.
+* A stack of M operators is an ``(M, dim, dim)`` array. Traces against
+  a stack and weighted sums over it go through :func:`stack_traces` and
+  :func:`stack_sum`, each one BLAS product on the ``(M, dim^2)`` view.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ __all__ = [
     "project_to_density",
     "hermitian_eig",
     "simplex_project",
+    "stack_traces",
+    "stack_sum",
 ]
 
 # asymmetry beyond this is a bug in the caller, not float drift
@@ -50,6 +55,19 @@ def kron_all(ops) -> np.ndarray:
     for op in ops:
         out = np.kron(out, np.asarray(op, dtype=complex))
     return out
+
+
+def stack_traces(stack: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """Tr[A_m B] for every operator A_m of a stack, as one matrix-vector product."""
+    stack = np.asarray(stack)
+    return stack.reshape(stack.shape[0], -1) @ np.asarray(op).T.reshape(-1)
+
+
+def stack_sum(weights, stack: np.ndarray) -> np.ndarray:
+    """Σ_m w_m A_m over a stack, as one vector-matrix product."""
+    stack = np.asarray(stack)
+    M, dim = stack.shape[0], stack.shape[1]
+    return (np.asarray(weights) @ stack.reshape(M, -1)).reshape(dim, dim)
 
 
 def vectorize(op: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sampling
-from .algebra import kron_all
+from .algebra import kron_all, stack_sum, stack_traces
 from .frames import GlobalDuals
 from .observables import PAULI_MATRICES, PauliObservable
 from .povm import ProductPOVM
@@ -80,9 +80,7 @@ class CoefficientCache:
         if key not in self._vectors:
             frame = self.duals.frames[group_index]
             pmat = kron_all(PAULI_MATRICES[ch] for ch in substring)
-            self._vectors[key] = np.einsum(
-                "mab,ba->m", frame.duals, pmat
-            ).real.copy()
+            self._vectors[key] = stack_traces(frame.duals, pmat).real.copy()
         return self._vectors[key]
 
     def _block_matrix(self, group_indices, obs: PauliObservable) -> np.ndarray:
@@ -182,6 +180,10 @@ def estimate(
 
 def exact_expectation(state, obs: PauliObservable) -> float:
     """Tr[rho O] without forming the dense observable."""
+    if not isinstance(state, (PureState, BlockProductState, DensityMatrix)):
+        raise TypeError(f"unsupported state type {type(state).__name__}")
+    if state.n != obs.n:
+        raise ValueError(f"observable acts on {obs.n} qubits but the state has {state.n}")
     if isinstance(state, PureState):
         return float(np.vdot(state.amplitudes, obs.apply(state.amplitudes)).real)
     if isinstance(state, BlockProductState):
@@ -193,14 +195,12 @@ def exact_expectation(state, obs: PauliObservable) -> float:
                 val *= exact_expectation(block, sub)
             total += val
         return float(total)
-    if isinstance(state, DensityMatrix):
-        # Tr[rho P] = sum_j phase[j] rho[j, j XOR x], in the observable's mask form
-        rows = np.arange(2**state.n)
-        total = 0.0
-        for coeff, x, _, phase in obs._mask_terms:
-            total += coeff * np.dot(state.matrix[rows, rows ^ x], phase).real
-        return float(total)
-    raise TypeError(f"unsupported state type {type(state).__name__}")
+    # Tr[rho P] = sum_j phase[j] rho[j, j XOR x], in the observable's mask form
+    rows = np.arange(2**state.n)
+    total = 0.0
+    for coeff, x, _, phase in obs._mask_terms:
+        total += coeff * np.dot(state.matrix[rows, rows ^ x], phase).real
+    return float(total)
 
 
 def _grouped_trace_pure(amps: np.ndarray, n: int, groups, ops) -> float:
@@ -281,7 +281,7 @@ def exact_moments(
         key = (gi, sub)
         if key not in first_ops:
             tv = cache.vector(gi, sub)
-            first_ops[key] = np.einsum("m,mab->ab", tv, effects[gi])
+            first_ops[key] = stack_sum(tv, effects[gi])
         return first_ops[key]
 
     def a_op(gi: int, sub_p: str, sub_q: str) -> np.ndarray:
@@ -290,7 +290,7 @@ def exact_moments(
         key = (gi, sub_p, sub_q)
         if key not in second_ops:
             tv = cache.vector(gi, sub_p) * cache.vector(gi, sub_q)
-            second_ops[key] = np.einsum("m,mab->ab", tv, effects[gi])
+            second_ops[key] = stack_sum(tv, effects[gi])
         return second_ops[key]
 
     mean = 0.0

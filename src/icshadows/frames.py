@@ -23,10 +23,8 @@ from .states import DensityMatrix
 
 __all__ = [
     "DUALITY_TOL",
-    "FrameOperator",
     "DualFrame",
     "GlobalDuals",
-    "frame_operator",
     "duality_residual",
     "duals_from_weights",
     "canonical_weights",
@@ -41,19 +39,6 @@ __all__ = [
 DUALITY_TOL = 1e-8
 CONDITION_BOUND = 1e12
 PROBABILITY_FLOOR = 1e-10
-
-
-@dataclass(frozen=True)
-class FrameOperator:
-    """Weighted sum of effect outer products in vectorized form."""
-
-    matrix: np.ndarray  # (dim^2, dim^2)
-    weights: np.ndarray
-    condition: float
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-        self.weights.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -120,20 +105,6 @@ class GlobalDuals:
         return tags.pop() if len(tags) == 1 else "mixed"
 
 
-def frame_operator(effects: np.ndarray, weights) -> FrameOperator:
-    effects = np.asarray(effects, dtype=complex)
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (effects.shape[0],):
-        raise ValueError("need one weight per effect")
-    if np.any(weights <= 0):
-        raise ValueError("frame weights must be strictly positive")
-    vecs = effects.reshape(effects.shape[0], -1)
-    mat = np.einsum("m,mi,mj->ij", weights, vecs, vecs.conj())
-    lam = np.linalg.eigvalsh(mat)
-    cond = float("inf") if lam[0] <= 0 else float(lam[-1] / lam[0])
-    return FrameOperator(matrix=mat, weights=weights, condition=cond)
-
-
 def duality_residual(duals: np.ndarray, effects: np.ndarray) -> float:
     """Max-entry deviation of Σ_m |dual_m⟩⟩⟨⟨effect_m| from the identity."""
     M, dim = effects.shape[0], effects.shape[1]
@@ -150,9 +121,12 @@ def duals_from_weights(
 ) -> DualFrame:
     """Solve the weighted frame equation for the dual operators.
 
-    Works on the square root of the frame operator: with B the matrix of
-    weighted vectorized effects, the duals are the pseudo-inverse rows of
-    B scaled back by the weights. This keeps the conditioning at the
+    Works on the square root of the frame operator: with A the tall
+    (M x dim^2) matrix of weighted vectorized effects, A = U diag(s) Vh,
+    the duals are the rows of U diag(1/s) Vh scaled back by the square
+    roots of the weights. The SVD is taken of A itself rather than of its
+    wide transpose (the singular values are the same, and LAPACK is
+    faster on the tall, C-contiguous form), and conditioning stays at the
     square root of the frame operator's.
     """
     effects = np.asarray(effects, dtype=complex)
@@ -162,15 +136,14 @@ def duals_from_weights(
         raise ValueError("need one weight per effect")
     if np.any(weights <= 0):
         raise ValueError("frame weights must be strictly positive")
-    B = (np.sqrt(weights)[:, None] * effects.reshape(M, -1)).T
-    U, s, Vh = np.linalg.svd(B, full_matrices=False)
+    root = np.sqrt(weights)[:, None]
+    U, s, Vh = np.linalg.svd(root * effects.reshape(M, -1), full_matrices=False)
     if M < dim * dim or s[-1] <= 0 or (s[0] / s[-1]) ** 2 > cond_bound:
         raise ValueError(
             "frame operator is singular or ill-conditioned; "
             "the effect set is not informationally complete under these weights"
         )
-    Dmat = U @ ((1.0 / s)[:, None] * (Vh * np.sqrt(weights)[None, :]))
-    duals = Dmat.T.reshape(M, dim, dim)
+    duals = (((root * U) / s) @ Vh).reshape(M, dim, dim)
     duals = 0.5 * (duals + np.conj(np.transpose(duals, (0, 2, 1))))
     if group is None:
         group = range(int(round(np.log2(dim))))

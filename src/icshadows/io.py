@@ -169,7 +169,8 @@ def write_partition(path, partition: Partition) -> None:
 
 def read_partition(path) -> Partition:
     groups = []
-    with open(path) as fh:
+    # undecodable bytes become U+FFFD and then fail as a bad group line
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

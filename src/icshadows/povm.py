@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import hermitianize, kron_all
+from .algebra import hermitianize, kron_all, stack_traces
 
 __all__ = [
     "LocalPOVM",
@@ -171,5 +171,9 @@ def group_effects(povm: ProductPOVM, group) -> np.ndarray:
 
 
 def outcome_probabilities(effects, rho: np.ndarray) -> np.ndarray:
-    """Born probabilities Tr[effect rho], one real entry per effect."""
-    return np.einsum("mab,ba->m", np.asarray(effects, dtype=complex), rho).real
+    """Born probabilities Tr[effect rho], one real entry per effect.
+
+    One matrix-vector product through the shared stack-trace kernel,
+    :func:`icshadows.algebra.stack_traces`.
+    """
+    return stack_traces(np.asarray(effects, dtype=complex), rho).real

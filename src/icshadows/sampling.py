@@ -351,9 +351,12 @@ def sample_shots(
 def flat_codes(ds: Dataset, group) -> np.ndarray:
     """Row-major flattened outcome codes of each shot restricted to ``group``."""
     group = list(group)
-    codes = np.zeros(ds.S, dtype=np.int64)
-    for q in group:
-        codes = codes * ds.d + ds.records[:, q]
+    if not group:
+        return np.zeros(ds.S, dtype=np.int64)
+    codes = ds.records[:, group[0]].astype(np.int64)
+    for q in group[1:]:
+        codes *= ds.d
+        codes += ds.records[:, q]
     return codes
 
 

@@ -5,6 +5,12 @@ mixed toward uniform (no state, probability vector only), linear
 inversion snapped to the closest density matrix, and a least-absolute-
 deviation fit over the density-matrix set by projected subgradient
 descent. All are deterministic.
+
+Every contraction with the effect or dual stack runs on the shared
+kernel of :mod:`icshadows.algebra`: predicted probabilities through
+``povm.outcome_probabilities`` (:func:`~icshadows.algebra.stack_traces`),
+and the linear-inversion estimate and the LAD subgradient through
+:func:`~icshadows.algebra.stack_sum`.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import hermitianize, project_to_density
+from .algebra import hermitianize, project_to_density, stack_sum
 from .frames import canonical_duals, DualFrame
 from .povm import outcome_probabilities
 from .sampling import MarginalTable
@@ -28,7 +34,6 @@ __all__ = [
     "ReconstructionReport",
     "linear_inversion",
     "reconstruct",
-    "predicted_probabilities",
 ]
 
 DIMENSION_CAP = 16
@@ -94,11 +99,11 @@ def linear_inversion(mt: MarginalTable, effects: np.ndarray, duals) -> np.ndarra
     f = mt.frequencies
     if stack.shape[0] != f.shape[0]:
         raise ValueError("dual count does not match the outcome count")
-    return hermitianize(np.einsum("m,mab->ab", f, stack))
+    return hermitianize(stack_sum(f, stack))
 
 
-def _residual(f: np.ndarray, effects: np.ndarray, sigma: np.ndarray) -> float:
-    return float(np.abs(f - outcome_probabilities(effects, sigma)).sum())
+def _residual(f: np.ndarray, probs: np.ndarray) -> float:
+    return float(np.abs(f - probs).sum())
 
 
 def reconstruct(
@@ -121,7 +126,7 @@ def reconstruct(
     if isinstance(backend, FrequencyBias):
         probs = (mt.counts + backend.S_bias / M) / (mt.S + backend.S_bias)
         report = ReconstructionReport(
-            residual=float(np.abs(f - probs).sum()), iterations=0, backend=backend
+            residual=_residual(f, probs), iterations=0, backend=backend
         )
         return probs, report
 
@@ -129,22 +134,26 @@ def reconstruct(
     init = project_to_density(linear_inversion(mt, effects, canonical_duals(effects)))
     if isinstance(backend, LinearInversionPSD):
         report = ReconstructionReport(
-            residual=_residual(f, effects, init), iterations=0, backend=backend
+            residual=_residual(f, outcome_probabilities(effects, init)),
+            iterations=0,
+            backend=backend,
         )
         return DensityMatrix(n, init), report
 
     if isinstance(backend, ConstrainedLAD):
         sigma = init
         best = sigma
-        best_r = _residual(f, effects, sigma)
+        # p always holds the probabilities of the current iterate
+        p = outcome_probabilities(effects, sigma)
+        best_r = _residual(f, p)
         window_r = best_r
         converged = False
         it = 0
         for it in range(1, backend.max_iters + 1):
-            r = f - outcome_probabilities(effects, sigma)
-            grad = -np.einsum("m,mab->ab", np.sign(r), effects)
+            grad = -stack_sum(np.sign(f - p), effects)
             sigma = project_to_density(sigma - backend.step(it) * grad)
-            rr = _residual(f, effects, sigma)
+            p = outcome_probabilities(effects, sigma)
+            rr = _residual(f, p)
             if rr < best_r:
                 best_r = rr
                 best = sigma
@@ -160,8 +169,3 @@ def reconstruct(
 
     raise TypeError(f"unknown backend {type(backend).__name__}")
 
-
-def predicted_probabilities(sigma, effects: np.ndarray) -> np.ndarray:
-    """Outcome probabilities the POVM assigns to a reconstructed state."""
-    mat = sigma.matrix if isinstance(sigma, DensityMatrix) else np.asarray(sigma)
-    return outcome_probabilities(np.asarray(effects, dtype=complex), mat)

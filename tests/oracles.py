@@ -2,8 +2,11 @@
 
 import numpy as np
 
-from icshadows import PauliObservable
+from icshadows import DensityMatrix, PauliObservable
+from icshadows.algebra import project_to_density
+from icshadows.frames import canonical_duals
 from icshadows.observables import PAULI_MATRICES
+from icshadows.tomography import LAD_WINDOW, ReconstructionReport
 
 
 def same_bits(a, b) -> bool:
@@ -53,3 +56,75 @@ def tfim_ring(n: int, seed: int):
         word[q] = "X"
         terms.append((-rng.uniform(0.5, 1.5), "".join(word)))
     return PauliObservable.from_terms(terms)
+
+
+def einsum_traces(stack, op) -> np.ndarray:
+    """Tr[A_m B] for every operator of a stack, by einsum."""
+    return np.einsum("mab,ba->m", stack, op)
+
+
+def einsum_sum(weights, stack) -> np.ndarray:
+    """Σ_m w_m A_m over a stack, by einsum."""
+    return np.einsum("m,mab->ab", weights, stack)
+
+
+def frame_operator(effects, weights) -> tuple[np.ndarray, float]:
+    """Weighted frame operator Σ_m w_m |E_m⟩⟩⟨⟨E_m| and its condition number."""
+    effects = np.asarray(effects, dtype=complex)
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (effects.shape[0],):
+        raise ValueError("need one weight per effect")
+    if np.any(weights <= 0):
+        raise ValueError("frame weights must be strictly positive")
+    vecs = effects.reshape(effects.shape[0], -1)
+    mat = np.einsum("m,mi,mj->ij", weights, vecs, vecs.conj())
+    lam = np.linalg.eigvalsh(mat)
+    cond = float("inf") if lam[0] <= 0 else float(lam[-1] / lam[0])
+    return mat, cond
+
+
+def wide_svd_duals(effects, weights) -> np.ndarray:
+    """Dual stack from the SVD of the wide (dim^2 x M) weighted effect matrix."""
+    effects = np.asarray(effects, dtype=complex)
+    weights = np.asarray(weights, dtype=float)
+    M, dim = effects.shape[0], effects.shape[1]
+    B = (np.sqrt(weights)[:, None] * effects.reshape(M, -1)).T
+    U, s, Vh = np.linalg.svd(B, full_matrices=False)
+    Dmat = U @ ((1.0 / s)[:, None] * (Vh * np.sqrt(weights)[None, :]))
+    duals = Dmat.T.reshape(M, dim, dim)
+    return 0.5 * (duals + np.conj(np.transpose(duals, (0, 2, 1))))
+
+
+def lad_loop(mt, effects, backend):
+    """Constrained LAD by einsum, recomputing every iterate's probabilities."""
+    effects = np.asarray(effects, dtype=complex)
+    f = mt.frequencies
+
+    def residual(sigma):
+        return float(np.abs(f - einsum_traces(effects, sigma).real).sum())
+
+    init = einsum_sum(f, canonical_duals(effects).duals)
+    sigma = project_to_density(0.5 * (init + init.conj().T))
+    best = sigma
+    best_r = residual(sigma)
+    window_r = best_r
+    converged = False
+    it = 0
+    for it in range(1, backend.max_iters + 1):
+        r = f - einsum_traces(effects, sigma).real
+        grad = -einsum_sum(np.sign(r), effects)
+        sigma = project_to_density(sigma - backend.step(it) * grad)
+        rr = residual(sigma)
+        if rr < best_r:
+            best_r = rr
+            best = sigma
+        if it % LAD_WINDOW == 0:
+            if window_r - best_r < backend.tolerance:
+                converged = True
+                break
+            window_r = best_r
+    n = int(round(np.log2(effects.shape[1])))
+    report = ReconstructionReport(
+        residual=best_r, iterations=it, backend=backend, converged=converged
+    )
+    return DensityMatrix(n, best), report

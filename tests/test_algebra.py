@@ -12,10 +12,13 @@ from icshadows.algebra import (
     partial_trace,
     project_to_density,
     simplex_project,
+    stack_sum,
+    stack_traces,
     vectorize,
 )
 
 from .conftest import random_density
+from .oracles import einsum_sum, einsum_traces
 
 
 def test_hermitianize_symmetrizes_small_drift():
@@ -129,3 +132,16 @@ def test_hermitian_eig_ascending():
     lam, vecs = hermitian_eig(np.diag([3.0, 1.0, 2.0]).astype(complex))
     assert np.allclose(lam, [1.0, 2.0, 3.0])
     assert np.allclose(vecs @ np.diag(lam) @ vecs.conj().T, np.diag([3.0, 1.0, 2.0]))
+
+
+@pytest.mark.parametrize("dim", [2, 4, 16])
+def test_stack_kernels_match_einsum(dim):
+    rng = np.random.default_rng(dim)
+    M = 3 * dim * dim
+    shape = (M, dim, dim)
+    # complex and not Hermitian, so a missing transpose or conjugate shows
+    stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    op = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    assert np.abs(stack_traces(stack, op) - einsum_traces(stack, op)).max() < 1e-12
+    for weights in (rng.normal(size=M), rng.normal(size=M) + 1j * rng.normal(size=M)):
+        assert np.abs(stack_sum(weights, stack) - einsum_sum(weights, stack)).max() < 1e-12

@@ -229,6 +229,22 @@ def test_sample_rejects_out_of_range_seed(tmp_path, capsys, seed):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["tomo", "duals"])
+def test_undecodable_partition_file_exits_one(tmp_path, capsys, command):
+    ds_path = tmp_path / "ds.icsd"
+    assert run(["sample", "bell", "-S", 100, "--seed", 5, "--out", ds_path]) == 0
+    part = tmp_path / "groups.txt"
+    part.write_bytes(b"0 \xff1\n")
+    prefix = tmp_path / "rdm"
+    if command == "tomo":
+        argv = ["tomo", ds_path, "--partition", part, "--out-prefix", prefix]
+    else:
+        argv = ["duals", "--rdm-prefix", prefix, "--partition", part, "--out", tmp_path / "d.icdl"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "groups.txt:1: bad group line" in err
+
+
 def test_reruns_are_byte_identical(tmp_path):
     ham = write_zz(tmp_path)
     ds_path = tmp_path / "ds.icsd"

@@ -18,6 +18,7 @@ from icshadows import (
     exact_variance,
     ghz_state,
     grouped_product_state,
+    maximally_mixed,
     omega,
     optimal_duals,
     pauli6_product,
@@ -241,6 +242,19 @@ def test_exact_expectation_routes_agree():
     assert via_pure == pytest.approx(via_dense, abs=1e-12)
     with pytest.raises(TypeError):
         exact_expectation("bell", obs3)
+
+
+@pytest.mark.parametrize("kind", ["pure", "density", "block"])
+@pytest.mark.parametrize("state_n, obs_n", [(3, 2), (2, 3)])
+def test_exact_expectation_rejects_qubit_count_mismatch(kind, state_n, obs_n):
+    make = {
+        "pure": ghz_state,
+        "density": maximally_mixed,
+        "block": lambda n: grouped_product_state(ghz_state(n), Partition.singletons(n)),
+    }[kind]
+    obs = PauliObservable.single("Z" * obs_n)
+    with pytest.raises(ValueError, match=f"acts on {obs_n} qubits but the state has {state_n}"):
+        exact_expectation(make(state_n), obs)
 
 
 def test_grouped_product_state_matches_density_route(povm4, monkeypatch):

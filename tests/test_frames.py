@@ -21,8 +21,10 @@ from icshadows import (
     state_mse,
     toy_mixed,
 )
-from icshadows.frames import DUALITY_TOL, canonical_weights, frame_operator
+from icshadows.frames import DUALITY_TOL, canonical_weights
 from icshadows.tomography import ConstrainedLAD, FrequencyBias
+
+from .oracles import frame_operator, wide_svd_duals
 
 
 def kets():
@@ -48,20 +50,45 @@ def test_canonical_dual_trace_square_is_five():
 
 def test_canonical_frame_operator_spectrum():
     effects = pauli6_product(1).group_effects((0,))
-    op = frame_operator(effects, canonical_weights(effects))
-    assert op.condition == pytest.approx(3.0)
+    weights = canonical_weights(effects)
+    matrix, condition = frame_operator(effects, weights)
+    assert condition == pytest.approx(3.0)
     ident = np.eye(2, dtype=complex).reshape(-1)
     sz = np.diag([1.0, -1.0]).astype(complex).reshape(-1)
-    assert np.allclose(op.matrix @ ident, ident)
-    assert np.allclose(op.matrix @ sz, sz / 3)
+    assert np.allclose(matrix @ ident, ident)
+    assert np.allclose(matrix @ sz, sz / 3)
+    # canonical duals are the weighted effects mapped through the inverse frame operator
+    want = weights[:, None] * (np.linalg.inv(matrix) @ effects.reshape(6, -1).T).T
+    assert np.allclose(canonical_duals(effects).duals.reshape(6, -1), want, atol=1e-12)
 
 
 def test_frame_operator_rejects_bad_weights():
     effects = pauli6_product(1).group_effects((0,))
-    with pytest.raises(ValueError, match="positive"):
-        frame_operator(effects, np.array([1.0, -1, 1, 1, 1, 1]))
-    with pytest.raises(ValueError, match="one weight"):
-        frame_operator(effects, np.ones(5))
+    for build in (frame_operator, duals_from_weights):
+        with pytest.raises(ValueError, match="positive"):
+            build(effects, np.array([1.0, -1, 1, 1, 1, 1]))
+        with pytest.raises(ValueError, match="one weight"):
+            build(effects, np.ones(5))
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_tall_svd_duals_match_wide_form(k):
+    effects = pauli6_product(k).group_effects(tuple(range(k)))
+    rng = np.random.default_rng(40 + k)
+    for weights in (canonical_weights(effects), rng.uniform(0.1, 10.0, effects.shape[0])):
+        got = duals_from_weights(effects, weights).duals
+        assert np.abs(got - wide_svd_duals(effects, weights)).max() < 1e-10
+
+
+def test_duals_reject_ill_conditioned_weights():
+    # X and Y eigenprojectors weighted near 1e-13 leave the frame operator
+    # with a condition number near 1e13, above the 1e12 bound
+    effects = pauli6_product(1).group_effects((0,))
+    weights = np.array([1.0, 1.0, 1e-13, 1e-13, 1e-13, 1e-13])
+    assert frame_operator(effects, weights)[1] > 1e12
+    with pytest.raises(ValueError, match="ill-conditioned"):
+        duals_from_weights(effects, weights)
+    duals_from_weights(effects, np.array([1.0, 1.0, 1e-9, 1e-9, 1e-9, 1e-9]))
 
 
 def test_optimal_equals_canonical_for_maximally_mixed():

@@ -165,6 +165,9 @@ def test_partition_round_trip(tmp_path):
     path.write_text("# nothing\n")
     with pytest.raises(ValueError, match="no groups"):
         read_partition(path)
+    path.write_bytes(b"0 1\n2 \xff3\n")
+    with pytest.raises(ValueError, match="groups.txt:2: bad group line"):
+        read_partition(path)
 
 
 def test_duals_round_trip_canonical(tmp_path):

@@ -12,9 +12,12 @@ from icshadows import (
     reconstruct,
     sample_shots,
 )
+from icshadows.povm import outcome_probabilities
 from icshadows.sampling import MarginalTable
-from icshadows.tomography import linear_inversion, predicted_probabilities
+from icshadows.tomography import linear_inversion
 from icshadows.frames import canonical_duals
+
+from .oracles import einsum_sum, lad_loop
 
 BACKENDS = [FrequencyBias(36.0), LinearInversionPSD(), ConstrainedLAD()]
 
@@ -65,7 +68,7 @@ def test_all_backends_agree_on_uniform_counts():
         if isinstance(backend, FrequencyBias):
             probs = result
         else:
-            probs = predicted_probabilities(result, effects)
+            probs = outcome_probabilities(effects, result.matrix)
             assert np.allclose(result.matrix, np.eye(4) / 4, atol=1e-6)
         assert np.allclose(probs, np.full(36, 1 / 36), atol=1e-6)
 
@@ -73,7 +76,9 @@ def test_all_backends_agree_on_uniform_counts():
 def test_linear_inversion_unit_trace_but_possibly_indefinite():
     effects = pauli6_product(1).group_effects((0,))
     mt = table([12, 0, 0, 0, 0, 0])  # impossible frequencies for any state
-    est = linear_inversion(mt, effects, canonical_duals(effects))
+    duals = canonical_duals(effects)
+    est = linear_inversion(mt, effects, duals)
+    assert np.abs(est - einsum_sum(mt.frequencies, duals.duals)).max() < 1e-14
     assert np.trace(est).real == pytest.approx(1.0)
     assert np.linalg.eigvalsh(est).min() < -1e-3
 
@@ -125,7 +130,7 @@ def test_predicted_probabilities_roundtrip_on_product_state():
     mt = marginal_counts(ds, (0,))
     for backend in (LinearInversionPSD(), ConstrainedLAD()):
         rho, _ = reconstruct(mt, effects, backend)
-        probs = predicted_probabilities(rho, effects)
+        probs = outcome_probabilities(effects, rho.matrix)
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.abs(probs - np.array([1 / 3, 0, 1 / 6, 1 / 6, 1 / 6, 1 / 6])).max() < 0.01
 
@@ -141,3 +146,17 @@ def test_lad_respects_iteration_budget():
         ConstrainedLAD(max_iters=0)
     with pytest.raises(ValueError):
         ConstrainedLAD(tolerance=0.0)
+
+
+def test_lad_matches_reference_loop(h2_4q_ground):
+    # a seeded 4-qubit histogram of the H2 ground state; the fit converges at 300
+    _, psi = h2_4q_ground
+    povm = pauli6_product(4)
+    effects = povm.group_effects((0, 1, 2, 3))
+    mt = marginal_counts(sample_shots(psi, povm, 3000, seed=2), (0, 1, 2, 3))
+    rho, report = reconstruct(mt, effects, ConstrainedLAD())
+    want_rho, want = lad_loop(mt, effects, ConstrainedLAD())
+    assert (report.iterations, report.converged) == (want.iterations, want.converged)
+    assert report.iterations > 100
+    assert np.abs(rho.matrix - want_rho.matrix).max() < 1e-10
+    assert report.residual == pytest.approx(want.residual, rel=1e-10)
