@@ -53,7 +53,6 @@ from .povm import (
     LocalPOVM,
     ProductPOVM,
     completeness_rank,
-    group_effect,
     group_effects,
     outcome_probabilities,
     pauli6,
@@ -78,7 +77,6 @@ from .states import (
     ground_state,
     grouped_product_state,
     maximally_mixed,
-    outcome_probability,
     product_state,
     reduced_density,
     toy_mixed,

@@ -17,13 +17,9 @@ import numpy as np
 
 __all__ = [
     "hermitianize",
-    "kron",
     "kron_all",
-    "vectorize",
-    "devectorize",
     "partial_trace",
     "project_to_density",
-    "hermitian_eig",
     "simplex_project",
     "stack_traces",
     "stack_sum",
@@ -42,11 +38,6 @@ def hermitianize(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     if not asym <= tol:
         raise ValueError(f"matrix is not Hermitian within {tol:g} (asymmetry {asym:g})")
     return 0.5 * (a + a.conj().T)
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product of two operators."""
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 def kron_all(ops) -> np.ndarray:
@@ -68,23 +59,6 @@ def stack_sum(weights, stack: np.ndarray) -> np.ndarray:
     stack = np.asarray(stack)
     M, dim = stack.shape[0], stack.shape[1]
     return (np.asarray(weights) @ stack.reshape(M, -1)).reshape(dim, dim)
-
-
-def vectorize(op: np.ndarray) -> np.ndarray:
-    """Row-major flattening of a square matrix."""
-    op = np.asarray(op)
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise ValueError("vectorize expects a square matrix")
-    return op.reshape(-1)
-
-
-def devectorize(vec: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vectorize`."""
-    vec = np.asarray(vec)
-    dim = int(round(np.sqrt(vec.size)))
-    if dim * dim != vec.size:
-        raise ValueError("vector length is not a perfect square")
-    return vec.reshape(dim, dim)
 
 
 def partial_trace(op: np.ndarray, keep, n: int | None = None) -> np.ndarray:
@@ -134,8 +108,3 @@ def project_to_density(h: np.ndarray) -> np.ndarray:
     lam, vecs = np.linalg.eigh(hermitianize(h))
     lam2 = simplex_project(lam)
     return (vecs * lam2) @ vecs.conj().T
-
-
-def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, ascending eigenvalues."""
-    return np.linalg.eigh(hermitianize(h))

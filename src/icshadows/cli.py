@@ -158,9 +158,7 @@ def cmd_tomo(args) -> int:
     rows = []
     for gi, group in enumerate(part.groups):
         backend = cfg.tomography_backend(ds.d)
-        result, report = reconstruct(
-            marginal_counts(ds, group), povm.group_effects(group), backend
-        )
+        result, report = reconstruct(marginal_counts(ds, group), povm, backend)
         if hasattr(result, "matrix"):
             payload, kind = result.matrix, "state"
         else:

@@ -235,12 +235,11 @@ def klo_duals(
         partition = resolve_partitioner(partitioner)(ds, k)
     frames = []
     for group in partition.groups:
-        effects = povm.group_effects(group)
-        result, _ = reconstruct(marginal_counts(ds, group), effects, backend)
+        result, _ = reconstruct(marginal_counts(ds, group), povm, backend)
         frames.append(
             optimal_duals(
                 result,
-                effects,
+                povm.group_effects(group),
                 floor=floor,
                 group=group,
                 provenance=f"klo-{type(backend).__name__}",

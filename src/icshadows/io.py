@@ -12,6 +12,7 @@ import hashlib
 import io as _io
 import struct
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from importlib import resources
 
@@ -41,6 +42,7 @@ __all__ = [
 DATASET_MAGIC = b"ICSD"
 DUALS_MAGIC = b"ICDL"
 DATASET_HEADER = struct.Struct("<4sHHHQQ")
+_PAULI6_OUTCOMES = 6
 
 
 @dataclass(frozen=True)
@@ -144,21 +146,33 @@ def write_dataset(path, ds: Dataset) -> None:
         fh.write(ds.records.tobytes())
 
 
+@contextmanager
+def _errors_name(path):
+    """Prefix the file name to every ValueError raised while parsing it."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def read_dataset(path) -> Dataset:
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < DATASET_HEADER.size:
-        raise ValueError(f"{path}: truncated header")
-    magic, version, n, d, S, seed = DATASET_HEADER.unpack_from(blob)
-    if magic != DATASET_MAGIC:
-        raise ValueError(f"{path}: not a dataset file")
-    if version != 1:
-        raise ValueError(f"{path}: unsupported version {version}")
-    body = blob[DATASET_HEADER.size :]
-    if len(body) != S * n:
-        raise ValueError(f"{path}: expected {S * n} record bytes, found {len(body)}")
-    records = np.frombuffer(body, dtype=np.uint8).reshape(S, n)
-    return Dataset(n=n, d=d, S=S, records=records, seed=seed)
+    with _errors_name(path):
+        if len(blob) < DATASET_HEADER.size:
+            raise ValueError("truncated header")
+        magic, version, n, d, S, seed = DATASET_HEADER.unpack_from(blob)
+        if magic != DATASET_MAGIC:
+            raise ValueError("not a dataset file")
+        if version != 1:
+            raise ValueError(f"unsupported version {version}")
+        if n < 1 or d != _PAULI6_OUTCOMES:
+            raise ValueError(f"v1 holds Pauli-6 records of at least one qubit, not n={n}, d={d}")
+        body = blob[DATASET_HEADER.size :]
+        if len(body) != S * n:
+            raise ValueError(f"expected {S * n} record bytes, found {len(body)}")
+        records = np.frombuffer(body, dtype=np.uint8).reshape(S, n)
+        return Dataset(n=n, d=d, S=S, records=records, seed=seed)
 
 
 def write_partition(path, partition: Partition) -> None:
@@ -179,9 +193,10 @@ def read_partition(path) -> Partition:
                 groups.append(tuple(int(tok) for tok in line.split()))
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: bad group line {line!r}") from None
-    if not groups:
-        raise ValueError(f"{path}: no groups found")
-    return Partition(tuple(groups))
+    with _errors_name(path):
+        if not groups:
+            raise ValueError("no groups found")
+        return Partition(tuple(groups))
 
 
 def write_duals(path, duals: GlobalDuals) -> None:
@@ -209,48 +224,50 @@ def read_duals(path) -> GlobalDuals:
         blob = fh.read()
     offset = 0
 
-    def take(fmt: str):
+    def take(size: int) -> bytes:
         nonlocal offset
-        s = struct.Struct(fmt)
-        if offset + s.size > len(blob):
-            raise ValueError(f"{path}: truncated duals file")
-        vals = s.unpack_from(blob, offset)
-        offset += s.size
-        return vals
+        if offset + size > len(blob):
+            raise ValueError("truncated duals file")
+        offset += size
+        return blob[offset - size : offset]
 
-    magic, version, n = take("<4sHH")
-    if magic != DUALS_MAGIC:
-        raise ValueError(f"{path}: not a duals file")
-    if version != 1:
-        raise ValueError(f"{path}: unsupported version {version}")
-    (n_groups,) = take("<H")
-    povm = pauli6_product(n)
-    frames = []
-    groups = []
-    for _ in range(n_groups):
-        (k,) = take("<H")
-        group = take(f"<{k}H")
-        outcomes, dim, prov_len = take("<IHH")
-        prov = blob[offset : offset + prov_len].decode()
-        offset += prov_len
-        nbytes = outcomes * dim * dim * 16
-        if offset + nbytes > len(blob):
-            raise ValueError(f"{path}: truncated duals file")
-        duals = np.frombuffer(blob[offset : offset + nbytes], dtype=np.complex128)
-        offset += nbytes
-        duals = duals.reshape(outcomes, dim, dim)
-        frames.append(
-            DualFrame(
-                group=group,
-                effects=povm.group_effects(group),
-                duals=duals,
-                provenance=prov,
+    def unpack(fmt: str):
+        s = struct.Struct(fmt)
+        return s.unpack(take(s.size))
+
+    with _errors_name(path):
+        magic, version, n = unpack("<4sHH")
+        if magic != DUALS_MAGIC:
+            raise ValueError("not a duals file")
+        if version != 1:
+            raise ValueError(f"unsupported version {version}")
+        (n_groups,) = unpack("<H")
+        povm = pauli6_product(n)
+        frames = []
+        for _ in range(n_groups):
+            (k,) = unpack("<H")
+            group = unpack(f"<{k}H")
+            outcomes, dim, prov_len = unpack("<IHH")
+            # checked before any group-sized array is built
+            if not all(q < n for q in group) or (outcomes, dim) != (_PAULI6_OUTCOMES**k, 2**k):
+                raise ValueError(f"group {group} is not a Pauli-6 group of {n} qubits")
+            try:
+                prov = take(prov_len).decode()
+            except UnicodeDecodeError:
+                raise ValueError("provenance is not UTF-8") from None
+            duals = np.frombuffer(take(outcomes * dim * dim * 16), dtype=np.complex128)
+            frames.append(
+                DualFrame(
+                    group=group,
+                    effects=povm.group_effects(group),
+                    duals=duals.reshape(outcomes, dim, dim),
+                    provenance=prov,
+                )
             )
-        )
-        groups.append(tuple(group))
-    if offset != len(blob):
-        raise ValueError(f"{path}: trailing bytes after duals payload")
-    return GlobalDuals(partition=Partition(tuple(groups)), frames=tuple(frames))
+        if offset != len(blob):
+            raise ValueError("trailing bytes after duals payload")
+        partition = Partition(tuple(frame.group for frame in frames))
+        return GlobalDuals(partition=partition, frames=tuple(frames))
 
 
 def write_csv(path, header, rows) -> None:

@@ -12,8 +12,8 @@ class Partition:
     """Disjoint, covering groups of qubit indices.
 
     Groups keep their construction order; indices inside a group are
-    ascending. ``max_size`` documents the k the partition was built for
-    and is validated when provided.
+    strictly ascending. ``max_size`` documents the k the partition was
+    built for and is validated when provided.
     """
 
     groups: tuple[tuple[int, ...], ...]
@@ -25,8 +25,8 @@ class Partition:
         for g in groups:
             if not g:
                 raise ValueError("empty group")
-            if list(g) != sorted(g):
-                raise ValueError(f"group {g} not ascending")
+            if any(a >= b for a, b in zip(g, g[1:])):
+                raise ValueError(f"group {g} not strictly ascending")
             if seen.intersection(g):
                 raise ValueError("groups overlap")
             seen.update(g)

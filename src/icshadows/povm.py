@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import hermitianize, kron_all, stack_traces
+from .algebra import hermitianize, stack_traces
 
 __all__ = [
     "LocalPOVM",
@@ -22,7 +22,6 @@ __all__ = [
     "pauli6",
     "pauli6_product",
     "completeness_rank",
-    "group_effect",
     "group_effects",
     "outcome_probabilities",
 ]
@@ -129,29 +128,11 @@ class ProductPOVM:
     def group_effects(self, group) -> np.ndarray:
         return group_effects(self, group)
 
-    def group_effect(self, group, idx) -> np.ndarray:
-        return group_effect(self, group, idx)
-
 
 def pauli6_product(n: int) -> ProductPOVM:
     """Pauli-6 on every one of ``n`` qubits."""
     p = _pauli6_cached()
     return ProductPOVM((p,) * n)
-
-
-def group_effect(povm: ProductPOVM, group, idx) -> np.ndarray:
-    """Tensor product of the listed single-qubit effects in group order."""
-    group = list(group)
-    idx = list(idx)
-    if len(group) != len(idx):
-        raise ValueError("group and idx lengths differ")
-    ops = []
-    for q, m in zip(group, idx):
-        local = povm.locals[q]
-        if not 0 <= m < local.d:
-            raise IndexError(f"outcome {m} out of range for qubit {q}")
-        ops.append(local.effects[m])
-    return kron_all(ops)
 
 
 def group_effects(povm: ProductPOVM, group) -> np.ndarray:
@@ -160,10 +141,20 @@ def group_effects(povm: ProductPOVM, group) -> np.ndarray:
     Returns an ``(M, 2^k, 2^k)`` array with ``M = prod of local d`` and the
     first listed qubit as the most significant outcome digit.
     """
-    group = list(group)
-    out = povm.locals[group[0]].effects
-    for q in group[1:]:
-        nxt = povm.locals[q].effects
+    return _kron_stacks([povm.locals[q].effects for q in group])
+
+
+def _kron_stacks(stacks) -> np.ndarray:
+    """Kronecker products of one operator from each stack, in row-major order.
+
+    Entry ``(m1, ..., mk)`` (flattened, the first stack's index most
+    significant) is ``stacks[0][m1] x ... x stacks[k-1][mk]``.
+    """
+    stacks = list(stacks)
+    if not stacks:
+        raise ValueError("need at least one operator stack")
+    out = stacks[0]
+    for nxt in stacks[1:]:
         d0 = out.shape[1]
         d1 = nxt.shape[1]
         out = np.einsum("mab,ncd->mnacbd", out, nxt).reshape(-1, d0 * d1, d0 * d1)

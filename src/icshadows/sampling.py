@@ -8,7 +8,8 @@ chunks, or by several workers.
 
 Two samplers keep that contract. Up to ``JOINT_TENSOR_QUBIT_LIMIT``
 qubits (or per block of a block-product state) the joint Born tensor is
-built once and each shot walks its conditional prefix sums. Pure states
+turned once into per-level CDF tables, and each shot walks them, one
+outcome per level, by comparing its threshold with its row. Pure states
 above the limit are collapsed qubit by qubit down a prefix tree: at depth
 q the shots of a batch share one branch state per distinct outcome
 prefix, so the work is about ``sum_q min(S, d^q) 2^(n-q)`` amplitudes
@@ -158,30 +159,61 @@ def joint_probabilities(state, povm: ProductPOVM, group) -> np.ndarray:
     return t.transpose(perm).reshape(-1)
 
 
-def _walk_chunk(prefixes, dims, u: np.ndarray) -> np.ndarray:
-    """Ascending conditional inverse-CDF walk for a chunk of shots."""
+def _walk_chunk(tables, u: np.ndarray) -> np.ndarray:
+    """Ascending conditional inverse-CDF walk for a chunk of shots.
+
+    At level i a shot on prefix ``code`` draws the count of entries of its
+    CDF row ``cdf[code * d : code * d + d - 1]`` at or below ``u * totals[code]``.
+    A CDF row never decreases (the tensor is clipped at zero), so the last
+    column can be skipped: when it passes, every earlier one does too, and
+    the count is capped at ``d - 1`` either way.
+    """
     cnt = u.shape[0]
-    out = np.empty((cnt, len(dims)), dtype=np.uint8)
-    code = np.zeros(cnt, dtype=np.int64)
-    for i, d in enumerate(dims):
-        rows = prefixes[i + 1].reshape(-1, d)[code]
-        cdf = np.cumsum(rows, axis=1)
-        thr = u[:, i] * prefixes[i].reshape(-1)[code]
-        m = (cdf <= thr[:, None]).sum(axis=1)
-        np.minimum(m, d - 1, out=m)
+    out = np.empty((cnt, len(tables)), dtype=np.uint8)
+    code = np.zeros(cnt, dtype=np.intp)
+    thr = np.empty(cnt)
+    entry = np.empty(cnt)
+    passed = np.empty(cnt, dtype=bool)
+    m = np.empty(cnt, dtype=np.uint8)
+    for i, (totals, cdf, d) in enumerate(tables):
+        # "clip": every index is in range, and it skips take's checking copy
+        np.take(totals, code, out=thr, mode="clip")
+        thr *= u[:, i]
+        code *= d
+        m[:] = 0
+        for j in range(d - 1):
+            np.take(cdf[j:], code, out=entry, mode="clip")
+            np.less_equal(entry, thr, out=passed)
+            m += passed
         out[:, i] = m
-        code = code * d + m
+        code += m
     return out
 
 
-def _prefix_tensors(joint: np.ndarray) -> list[np.ndarray]:
-    prefixes = [joint]
+def _walk_tables(joint: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """Per-level ``(totals, cdf, d)`` tables of the walk over a joint tensor.
+
+    Level i's ``totals`` are the masses of the outcome prefixes over the
+    first i axes and ``cdf`` the running sums, along the last axis, of the
+    masses over the first i+1, both flat. The joint tensor's running sums
+    are taken in place, so its CDF replaces it and only the smaller levels
+    are held twice.
+    """
+    prefixes = [np.ascontiguousarray(joint)]
     for _ in range(joint.ndim):
         prefixes.append(prefixes[-1].sum(axis=-1))
     prefixes.reverse()
     if prefixes[0] <= 0:
         raise ValueError("state has no outcome mass (numerically invalid)")
-    return prefixes
+    tables = []
+    for i in range(joint.ndim):
+        cdf = prefixes[i + 1] if i == joint.ndim - 1 else prefixes[i + 1].copy()
+        d = cdf.shape[-1]
+        # the additions np.cumsum makes, without its copy of an aliased input
+        for j in range(1, d):
+            cdf[..., j] += cdf[..., j - 1]
+        tables.append((prefixes[i].reshape(-1), cdf.reshape(-1), d))
+    return tables
 
 
 def _kraus_factors(effects: np.ndarray) -> np.ndarray:
@@ -263,14 +295,15 @@ def _collapse(amps: np.ndarray, effects, factors, u: np.ndarray) -> np.ndarray:
 class SamplingPlan:
     """Born-rule sampler of one (state, POVM) pair, planned once.
 
-    Within the joint-tensor limit, planning builds the conditional prefix
-    tensors (per block for a block-product state) and :meth:`draw` only
-    walks them, so repeated draws from one state, as in an RMSE harness,
-    pay the planning cost once. Pure states above the limit are planned
-    as per-qubit Kraus factors ``K`` of shape ``(d, r, 2)``, one per local
-    POVM, with ``E_m = K_m^H K_m`` and ``r`` the largest effect rank
-    (1 for Pauli-6); :meth:`draw` collapses them down the outcome prefix
-    tree in sub-batches of bounded memory.
+    Within the joint-tensor limit, planning builds the walk's per-level
+    tables (per block for a block-product state): the prefix masses and
+    the running sums of their rows, the joint tensor's taken in place.
+    :meth:`draw` only walks them, so repeated draws from one state, as in
+    an RMSE harness, pay the planning cost once. Pure states above the
+    limit are planned as per-qubit Kraus factors ``K`` of shape
+    ``(d, r, 2)``, one per local POVM, with ``E_m = K_m^H K_m`` and ``r``
+    the largest effect rank (1 for Pauli-6); :meth:`draw` collapses them
+    down the outcome prefix tree in sub-batches of bounded memory.
     """
 
     def __init__(self, state, povm: ProductPOVM):
@@ -283,16 +316,16 @@ class SamplingPlan:
         self.povm = povm
         self.n, self.d = n, dims[0]
         self._pure = None  # (amplitudes, effects, Kraus factors) above the limit
-        self._blocks = []  # (columns, outcome counts, prefix tensors) per block
+        self._blocks = []  # (columns, walk tables) per block
         if isinstance(state, BlockProductState):
             for g, b in zip(state.partition.groups, state.blocks):
                 if b.n > JOINT_TENSOR_QUBIT_LIMIT:
                     raise ValueError("block too large for the joint-tensor sampler")
                 joint = _joint_probability_tensor(b.matrix, povm, g)
-                self._blocks.append((list(g), [dims[q] for q in g], _prefix_tensors(joint)))
+                self._blocks.append((list(g), _walk_tables(joint)))
         elif isinstance(state, (PureState, DensityMatrix)) and n <= JOINT_TENSOR_QUBIT_LIMIT:
             joint = _joint_probability_tensor(_density_matrix(state), povm, range(n))
-            self._blocks = [(slice(None), list(dims), _prefix_tensors(joint))]
+            self._blocks = [(slice(None), _walk_tables(joint))]
         elif isinstance(state, PureState):
             effects = [p.effects for p in povm.locals]
             factors = [_kraus_factors(e) for e in effects]
@@ -308,8 +341,8 @@ class SamplingPlan:
                 sub = u[lo : lo + step]
                 out[start + lo : start + lo + len(sub)] = _collapse(*self._pure, sub)
             return
-        for cols, dims, prefixes in self._blocks:
-            out[start : start + cnt, cols] = _walk_chunk(prefixes, dims, u[:, cols])
+        for cols, tables in self._blocks:
+            out[start : start + cnt, cols] = _walk_chunk(tables, u[:, cols])
 
     def draw(self, S: int, seed: int, workers: int = 1, chunk: int = DEFAULT_CHUNK) -> Dataset:
         """Draw S shots; the records depend on neither ``workers`` nor ``chunk``."""

@@ -23,7 +23,6 @@ __all__ = [
     "BlockProductState",
     "STATEVECTOR_CAP",
     "DENSITY_CAP",
-    "outcome_probability",
     "reduced_density",
     "grouped_product_state",
     "ground_state",
@@ -72,9 +71,9 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = hermitianize(np.asarray(self.matrix, dtype=complex))
         if self.n > DENSITY_CAP:
             raise ValueError(f"{self.n} qubits exceeds the density cap")
+        mat = hermitianize(np.asarray(self.matrix, dtype=complex))
         if mat.shape != (2**self.n, 2**self.n):
             raise ValueError("matrix dimension is not 2^n")
         # written so that a NaN fails the check instead of passing it
@@ -109,6 +108,8 @@ class BlockProductState:
         return self.partition.n
 
     def density(self) -> DensityMatrix:
+        if self.n > DENSITY_CAP:
+            raise ValueError(f"{self.n} qubits exceeds the density cap")
         full = kron_all([b.matrix for b in self.blocks])
         order = [q for g in self.partition.groups for q in g]
         return DensityMatrix(self.n, reorder_qubits(full, order))
@@ -128,59 +129,11 @@ def reorder_qubits(op: np.ndarray, current_order) -> np.ndarray:
     return t.reshape(2**n, 2**n)
 
 
-def _pure_group_probability(amps: np.ndarray, n: int, effects_by_qubit) -> float:
-    v = amps.reshape((2,) * n)
-    for q, eff in effects_by_qubit:
-        v = np.tensordot(eff, v, axes=([1], [q]))
-        v = np.moveaxis(v, 0, q)
-    return float(np.real(np.vdot(amps, v.reshape(-1))))
-
-
-def _density_group_probability(mat: np.ndarray, n: int, effects_by_qubit) -> float:
-    t = mat.reshape((2,) * (2 * n))
-    cur = n
-    traced = 0
-    # contract each qubit's (row, col) axis pair with its effect
-    for q, eff in sorted(effects_by_qubit, key=lambda x: x[0]):
-        ax = q - traced
-        t = np.tensordot(t, eff, axes=([ax, ax + cur - traced], [1, 0]))
-        traced += 1
-    # remaining qubits carry implicit identities: take the full trace
-    rem = cur - traced
-    while rem > 0:
-        t = np.trace(t, axis1=0, axis2=rem)
-        rem -= 1
-    return float(np.real(t))
-
-
-def outcome_probability(state, povm, outcome) -> float:
-    """Born probability Tr[(Pi_m1 x ... x Pi_mn) rho], clamped to [0, 1]."""
-    outcome = list(outcome)
-    if len(outcome) != povm.n:
-        raise ValueError("outcome length does not match the POVM")
-    if isinstance(state, BlockProductState):
-        p = 1.0
-        for g, b in zip(state.partition.groups, state.blocks):
-            pairs = [(i, povm.locals[q].effects[outcome[q]]) for i, q in enumerate(g)]
-            p *= _density_group_probability(b.matrix, b.n, pairs)
-        return min(max(p, 0.0), 1.0)
-    pairs = [(q, povm.locals[q].effects[m]) for q, m in enumerate(outcome)]
-    if isinstance(state, PureState):
-        if state.n != povm.n:
-            raise ValueError("state and POVM qubit counts differ")
-        p = _pure_group_probability(state.amplitudes, state.n, pairs)
-    elif isinstance(state, DensityMatrix):
-        if state.n != povm.n:
-            raise ValueError("state and POVM qubit counts differ")
-        p = _density_group_probability(state.matrix, state.n, pairs)
-    else:
-        raise TypeError(f"unsupported state type {type(state).__name__}")
-    return min(max(p, 0.0), 1.0)
-
-
 def reduced_density(state, group) -> DensityMatrix:
     """Reduced density matrix on ``group`` (ascending index order)."""
     group = sorted(int(q) for q in group)
+    if len(group) > DENSITY_CAP:
+        raise ValueError(f"{len(group)} qubits exceeds the density cap")
     if isinstance(state, PureState):
         rest = [q for q in range(state.n) if q not in group]
         t = state.amplitudes.reshape((2,) * state.n)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .algebra import hermitianize, project_to_density, stack_sum
 from .frames import canonical_duals, DualFrame
-from .povm import outcome_probabilities
+from .povm import ProductPOVM, _kron_stacks, outcome_probabilities
 from .sampling import MarginalTable
 from .states import DensityMatrix
 
@@ -107,19 +107,26 @@ def _residual(f: np.ndarray, probs: np.ndarray) -> float:
 
 
 def reconstruct(
-    mt: MarginalTable, effects: np.ndarray, backend, dim_cap: int = DIMENSION_CAP
+    mt: MarginalTable, povm: ProductPOVM, backend, dim_cap: int = DIMENSION_CAP
 ):
-    """Reconstruct a group state (or surrogate probability vector).
+    """Reconstruct the state of the table's group (or a surrogate probability vector).
+
+    The group's effects are the POVM's on ``mt.group``. The physical
+    backends start from linear inversion with the group's canonical duals,
+    built as Kronecker products of each qubit's canonical duals (canonical
+    duals of a product POVM factorize), so no group-sized frame is solved.
 
     Returns ``(DensityMatrix, report)`` for the physical backends and
     ``(probability_vector, report)`` for FrequencyBias.
     """
-    effects = np.asarray(effects, dtype=complex)
-    dim = effects.shape[1]
+    group = mt.group
+    if not all(0 <= q < povm.n for q in group):
+        raise ValueError(f"marginal table group {group} does not match the {povm.n}-qubit POVM")
+    dim = 2 ** len(group)
     if dim > dim_cap:
         raise ValueError(f"group dimension {dim} exceeds the cap {dim_cap}")
     f = mt.frequencies
-    M = effects.shape[0]
+    M = math.prod(povm.locals[q].d for q in group)
     if f.shape != (M,):
         raise ValueError("marginal table does not match the effect count")
 
@@ -130,8 +137,10 @@ def reconstruct(
         )
         return probs, report
 
-    n = int(round(np.log2(dim)))
-    init = project_to_density(linear_inversion(mt, effects, canonical_duals(effects)))
+    effects = povm.group_effects(group)
+    local = [canonical_duals(povm.locals[q].effects, group=(q,)).duals for q in group]
+    init = project_to_density(linear_inversion(mt, effects, _kron_stacks(local)))
+    n = len(group)
     if isinstance(backend, LinearInversionPSD):
         report = ReconstructionReport(
             residual=_residual(f, outcome_probabilities(effects, init)),

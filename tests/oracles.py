@@ -3,7 +3,7 @@
 import numpy as np
 
 from icshadows import DensityMatrix, PauliObservable
-from icshadows.algebra import project_to_density
+from icshadows.algebra import kron_all, project_to_density
 from icshadows.frames import canonical_duals
 from icshadows.observables import PAULI_MATRICES
 from icshadows.tomography import LAD_WINDOW, ReconstructionReport
@@ -13,6 +13,29 @@ def same_bits(a, b) -> bool:
     """True when two float or complex arrays hold the same bytes, so +0 and -0 differ."""
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def vectorize(op) -> np.ndarray:
+    """Row-major flattening of a square matrix, so ``vdot`` is ``Tr[A^dag B]``."""
+    return np.asarray(op).reshape(-1)
+
+
+def devectorize(vec) -> np.ndarray:
+    """Inverse of :func:`vectorize`."""
+    vec = np.asarray(vec)
+    dim = int(round(np.sqrt(vec.size)))
+    return vec.reshape(dim, dim)
+
+
+def group_effect(povm, group, idx) -> np.ndarray:
+    """One group effect, the Kronecker product of the listed local effects."""
+    return kron_all(povm.locals[q].effects[m] for q, m in zip(group, idx))
+
+
+def outcome_probability(state, povm, outcome) -> float:
+    """Born probability Tr[(Pi_m1 x ... x Pi_mn) rho] of one joint outcome, densely."""
+    effect = group_effect(povm, range(povm.n), outcome)
+    return float(np.trace(effect @ state.density().matrix).real)
 
 
 def kron_matrix(obs) -> np.ndarray:
@@ -128,3 +151,39 @@ def lad_loop(mt, effects, backend):
         residual=best_r, iterations=it, backend=backend, converged=converged
     )
     return DensityMatrix(n, best), report
+
+
+def prefix_tensors(joint) -> list:
+    """Marginal tensors of a joint outcome tensor over each prefix of its axes.
+
+    Entry i sums out all but the first i axes, so entry 0 is the total mass
+    and the last entry is the joint tensor itself.
+    """
+    prefixes = [joint]
+    for _ in range(joint.ndim):
+        prefixes.append(prefixes[-1].sum(axis=-1))
+    prefixes.reverse()
+    return prefixes
+
+
+def walk_chunk(prefixes, u) -> np.ndarray:
+    """Ascending conditional inverse-CDF walk over gathered prefix rows.
+
+    At each level every shot gathers its row of the next prefix tensor,
+    takes its cumulative sum, and counts the entries at or below its
+    uniform times the row's total, capped at the last outcome.
+    """
+    cnt = u.shape[0]
+    out = np.empty((cnt, len(prefixes) - 1), dtype=np.uint8)
+    code = np.zeros(cnt, dtype=np.int64)
+    for i in range(len(prefixes) - 1):
+        d = prefixes[i + 1].shape[-1]
+        rows = prefixes[i + 1].reshape(-1, d)[code]
+        cdf = np.cumsum(rows, axis=1)
+        thr = u[:, i] * prefixes[i].reshape(-1)[code]
+        m = (cdf <= thr[:, None]).sum(axis=1)
+        np.minimum(m, d - 1, out=m)
+        out[:, i] = m
+        code = code * d + m
+    return out
+

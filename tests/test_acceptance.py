@@ -79,7 +79,7 @@ def test_criterion_01_duality_bound_all_constructors():
         # |000> zeroes some outcome probabilities, exercising the floor
         frames.append(optimal_duals(reduced_density(zeros, group), effects, group=group))
         for backend in backends:
-            est, _ = reconstruct(marginal_counts(ds, group), effects, backend)
+            est, _ = reconstruct(marginal_counts(ds, group), povm, backend)
             frames.append(optimal_duals(est, effects, group=group))
     for k in (1, 2, 3):
         for backend in backends:
@@ -246,7 +246,7 @@ def test_criterion_06_backend_bias_detection(h2_4q, h2_4q_ground, povm4):
         ds = sample_shots(psi, povm4, S, seed=1)
         mt = marginal_counts(ds, group)
         for name, backend in backends.items():
-            est, _ = reconstruct(mt, effects, backend)
+            est, _ = reconstruct(mt, povm4, backend)
             duals = GlobalDuals(part, (optimal_duals(est, effects, group=group),))
             rep = estimate(ds, duals, h2_4q)
             devs[name].append(abs(rep.mean - energy) / rep.std_error)

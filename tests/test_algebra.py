@@ -4,21 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icshadows.algebra import (
-    devectorize,
-    hermitian_eig,
     hermitianize,
-    kron,
     kron_all,
     partial_trace,
     project_to_density,
     simplex_project,
     stack_sum,
     stack_traces,
-    vectorize,
 )
 
 from .conftest import random_density
-from .oracles import einsum_sum, einsum_traces
+from .oracles import devectorize, einsum_sum, einsum_traces, vectorize
 
 
 def test_hermitianize_symmetrizes_small_drift():
@@ -42,7 +38,7 @@ def test_hermitianize_rejects_non_finite(bad):
 def test_kron_all_matches_chained_kron():
     rng = np.random.default_rng(0)
     ops = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3)]
-    expected = kron(kron(ops[0], ops[1]), ops[2])
+    expected = np.kron(np.kron(ops[0], ops[1]), ops[2])
     assert np.allclose(kron_all(ops), expected)
 
 
@@ -57,13 +53,6 @@ def test_vectorize_roundtrip_and_inner_product():
     assert np.allclose(devectorize(vectorize(a)), a)
     # <<A|B>> = Tr[A^dag B] under row-major flattening
     assert np.isclose(np.vdot(vectorize(a), vectorize(b)), np.trace(a.conj().T @ b))
-
-
-def test_vectorize_rejects_non_square():
-    with pytest.raises(ValueError):
-        vectorize(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        devectorize(np.zeros(5))
 
 
 def test_partial_trace_of_product_factorizes():
@@ -126,12 +115,6 @@ def test_project_to_density_fixes_densities():
     rng = np.random.default_rng(7)
     rho = random_density(rng, 4)
     assert np.allclose(project_to_density(rho), rho, atol=1e-10)
-
-
-def test_hermitian_eig_ascending():
-    lam, vecs = hermitian_eig(np.diag([3.0, 1.0, 2.0]).astype(complex))
-    assert np.allclose(lam, [1.0, 2.0, 3.0])
-    assert np.allclose(vecs @ np.diag(lam) @ vecs.conj().T, np.diag([3.0, 1.0, 2.0]))
 
 
 @pytest.mark.parametrize("dim", [2, 4, 16])

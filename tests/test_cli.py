@@ -175,6 +175,20 @@ def test_exact_variance_rejects_size_mismatch(tmp_path, capsys):
     assert "qubits" in capsys.readouterr().err
 
 
+def test_exact_variance_above_density_cap_exits_one(tmp_path, capsys, monkeypatch):
+    from icshadows import states
+
+    def dense_build(ops):
+        raise AssertionError("dense Kronecker build reached above the density cap")
+
+    monkeypatch.setattr(states, "kron_all", dense_build)
+    ham = tmp_path / "zz50.txt"
+    ham.write_text("1.0 ZZ" + "I" * 48 + "\n")
+    assert run(["exact-variance", "bell-pairs-25", "--hamiltonian", ham]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "density cap" in err
+
+
 def test_benchmark_table(tmp_path):
     ham = write_zz(tmp_path)
     out = tmp_path / "bench.csv"

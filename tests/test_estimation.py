@@ -345,3 +345,19 @@ def test_rmse_tracks_predicted_scaling(povm2, canonical2):
     rmse = rmse_experiment(bell_state(), povm2, canonical2, zz, R=100, S=400, seed=13)
     predicted = np.sqrt(8.0 / 400)
     assert 0.75 * predicted < rmse < 1.25 * predicted
+
+
+def test_exact_variance_above_density_cap_fails_before_dense_build(monkeypatch):
+    # 50 qubits: a dense density matrix would need 16 EiB, so the cap must come first
+    from icshadows import states
+
+    def dense_build(ops):
+        raise AssertionError("dense Kronecker build reached above the density cap")
+
+    monkeypatch.setattr(states, "kron_all", dense_build)
+    state = bell_pair_chain(25)
+    povm = pauli6_product(50)
+    obs = PauliObservable.from_terms([(1.0, "ZZ" + "I" * 48), (0.5, "I" * 48 + "XX")])
+    with pytest.raises(ValueError, match="density cap"):
+        exact_variance(state, povm, canonical_global(povm), obs)
+

@@ -1,3 +1,5 @@
+import os
+import tempfile
 from importlib import resources
 
 import numpy as np
@@ -24,6 +26,7 @@ from icshadows import (
     write_hamiltonian,
     write_partition,
 )
+from icshadows.frames import DUALITY_TOL, duality_residual
 from icshadows.io import config_hash, write_csv
 
 
@@ -97,6 +100,86 @@ def test_read_hamiltonian_fuzz_rejects_or_parses_cleanly(tmp_path, blob):
     assert all(np.isfinite(c) and len(w) == obs.n for c, w in obs.terms)
 
 
+def _file_bytes(write, obj) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "file")
+        write(path, obj)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+DATASET_BYTES = _file_bytes(
+    write_dataset, sample_shots(bell_state(), pauli6_product(2), 40, seed=3)
+)
+DUALS_BYTES = _file_bytes(
+    write_duals, canonical_global(pauli6_product(3), Partition(((0,), (1, 2))))
+)
+PARTITION_BYTES = b"# groups\n0 2\n1\n3 4 5\n"
+
+
+@st.composite
+def corrupted(draw, blob: bytes):
+    """``blob`` whole or truncated, with up to four bits flipped."""
+    size = draw(st.one_of(st.just(len(blob)), st.integers(0, len(blob))))
+    out = bytearray(blob[:size])
+    for _ in range(draw(st.integers(0, 4))):
+        if out:
+            pos = draw(st.integers(0, len(out) - 1))
+            out[pos] ^= 1 << draw(st.integers(0, 7))
+    return bytes(out)
+
+
+def _read_corrupted(tmp_path, read, blob):
+    """``read`` of ``blob``, or None when it raised a ValueError naming the file."""
+    path = tmp_path / "corrupted"
+    path.write_bytes(blob)
+    try:
+        return read(path)
+    except ValueError as exc:
+        assert str(exc).startswith(str(path))
+        return None
+
+
+def _valid_partition(part: Partition) -> bool:
+    qubits = sorted(q for g in part.groups for q in g)
+    return all(g and list(g) == sorted(g) for g in part.groups) and qubits == list(
+        range(part.n)
+    )
+
+
+FUZZ = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@FUZZ
+@given(blob=corrupted(DATASET_BYTES))
+def test_read_dataset_fuzz_rejects_or_parses_cleanly(tmp_path, blob):
+    ds = _read_corrupted(tmp_path, read_dataset, blob)
+    if ds is not None:
+        assert ds.n >= 1 and ds.d == 6 and ds.povm_id == "pauli6"
+        assert ds.records.shape == (ds.S, ds.n)
+        assert ds.S == 0 or int(ds.records.max()) < ds.d
+
+
+@FUZZ
+@given(blob=corrupted(DUALS_BYTES))
+def test_read_duals_fuzz_rejects_or_parses_cleanly(tmp_path, blob):
+    gd = _read_corrupted(tmp_path, read_duals, blob)
+    if gd is not None:
+        assert _valid_partition(gd.partition)
+        povm = pauli6_product(gd.n)
+        for frame, group in zip(gd.frames, gd.partition.groups):
+            assert np.array_equal(frame.effects, povm.group_effects(group))
+            assert duality_residual(frame.duals, frame.effects) <= DUALITY_TOL
+
+
+@FUZZ
+@given(blob=corrupted(PARTITION_BYTES))
+def test_read_partition_fuzz_rejects_or_parses_cleanly(tmp_path, blob):
+    part = _read_corrupted(tmp_path, read_partition, blob)
+    if part is not None:
+        assert _valid_partition(part)
+
+
 def test_read_hamiltonian_accepts_lowercase_and_comments(tmp_path):
     path = tmp_path / "h.txt"
     path.write_text("# header\n+5.0e-01 xz\n\n-0.5 iy\n")
@@ -168,6 +251,36 @@ def test_partition_round_trip(tmp_path):
     path.write_bytes(b"0 1\n2 \xff3\n")
     with pytest.raises(ValueError, match="groups.txt:2: bad group line"):
         read_partition(path)
+
+
+def test_read_partition_rejects_repeated_qubit(tmp_path):
+    # a repeated qubit inside one group used to parse, with n counting it twice
+    path = tmp_path / "groups.txt"
+    path.write_text("0 2\n1\n3 4 4\n")
+    with pytest.raises(ValueError, match="groups.txt: group \\(3, 4, 4\\) not strictly ascending"):
+        read_partition(path)
+
+
+def test_read_dataset_rejects_non_pauli6_header(tmp_path):
+    ds = sample_shots(bell_state(), pauli6_product(2), 10, seed=0)
+    path = tmp_path / "shots.icsd"
+    write_dataset(path, ds)
+    blob = bytearray(path.read_bytes())
+    blob[8] = 7  # d = 7: every record is still in range, but v1 is Pauli-6 only
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="shots.icsd: v1 holds Pauli-6 records"):
+        read_dataset(path)
+
+
+def test_read_duals_rejects_group_outside_register(tmp_path):
+    gd = canonical_global(pauli6_product(2))
+    path = tmp_path / "frames.icdl"
+    write_duals(path, gd)
+    blob = bytearray(path.read_bytes())
+    blob[12] = 5  # the first group's qubit: 5 in a 2-qubit register
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match=r"frames.icdl: group \(5,\) is not a Pauli-6 group"):
+        read_duals(path)
 
 
 def test_duals_round_trip_canonical(tmp_path):

@@ -4,7 +4,6 @@ import pytest
 from icshadows import (
     LocalPOVM,
     completeness_rank,
-    group_effect,
     group_effects,
     outcome_probabilities,
     pauli6,
@@ -12,6 +11,7 @@ from icshadows import (
 )
 
 from .conftest import random_density
+from .oracles import group_effect
 
 
 def test_pauli6_outcome_order_is_pinned():
@@ -84,14 +84,6 @@ def test_group_effects_follow_listed_order():
     # first listed qubit is the most significant digit and first kron factor
     assert np.allclose(fwd[2 * 6 + 1], np.kron(single[2], single[1]))
     assert np.allclose(rev[1 * 6 + 2], np.kron(single[1], single[2]))
-
-
-def test_group_effect_rejects_out_of_range():
-    povm = pauli6_product(2)
-    with pytest.raises(IndexError):
-        group_effect(povm, (0,), (6,))
-    with pytest.raises(ValueError):
-        group_effect(povm, (0, 1), (0,))
 
 
 def test_outcome_probabilities_born_rule():

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icshadows import (
+    BlockProductState,
     Dataset,
     DensityMatrix,
+    Partition,
     PureState,
     SamplingPlan,
     bell_pair_chain,
@@ -17,9 +21,12 @@ from icshadows import (
     sample_shots,
     shot_uniforms,
 )
-from icshadows.sampling import flat_codes
+from icshadows import sampling
+from icshadows.povm import LocalPOVM, ProductPOVM, pauli6
+from icshadows.sampling import flat_codes, joint_probability_tensor
 
 from .conftest import random_density
+from .oracles import prefix_tensors, walk_chunk
 
 
 def test_shot_uniforms_chunk_splittable():
@@ -312,3 +319,132 @@ def test_prefix_tree_collapse_memory_does_not_grow_with_shots():
         work.append(peak - S * per_shot)
     # tolerance: sub-batches differ in their count of distinct prefixes
     assert work[1] <= work[0] + 256 * 1024
+
+
+# the largest double below 1: the walk's threshold can round up to the row total
+U_MAX = 1.0 - 2.0**-53
+
+
+@st.composite
+def walk_cases(draw):
+    """A joint tensor with zero entries and zero rows, and uniforms on its CDF edges."""
+    d = draw(st.sampled_from([4, 6]))
+    k = draw(st.integers(1, 4))
+    integral = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # small integers sum exactly in any order, so CDF ties are exact
+    joint = rng.integers(0, 4, size=(d,) * k).astype(float) if integral else rng.random((d,) * k)
+    joint[rng.random(joint.shape) < draw(st.sampled_from([0.0, 0.3, 0.8]))] = 0.0
+    rows = joint.reshape(-1, d)
+    rows[rng.integers(0, len(rows), size=draw(st.integers(0, 3)))] = 0.0
+    if k > 1 and draw(st.booleans()):
+        joint[rng.integers(0, d)] = 0.0  # a whole zero subtree
+    total = joint.sum()
+    if integral:
+        # a power-of-two total makes u = cdf / total exact at the first level
+        joint.flat[-1] += 2.0 ** np.ceil(np.log2(max(total, 1.0))) - total
+    elif total == 0.0:
+        joint.flat[rng.integers(0, joint.size)] = 1.0
+    prefixes = prefix_tensors(joint)
+    S = draw(st.integers(1, 60))
+    u = rng.random((S, k))
+    kind = rng.integers(0, 4, size=(S, k))
+    u[kind == 0] = 0.0
+    u[kind == 1] = U_MAX
+    for i in range(k):
+        # u at which u * total meets an entry of some row's CDF (exactly, where sums are)
+        cdf = np.cumsum(prefixes[i + 1], axis=-1).reshape(-1, d)
+        tot = prefixes[i].reshape(-1)
+        row = rng.integers(0, len(tot), size=S)
+        edge = cdf[row, rng.integers(0, d, size=S)] / np.where(tot[row] > 0, tot[row], 1.0)
+        u[:, i] = np.where(kind[:, i] == 2, np.minimum(edge, U_MAX), u[:, i])
+    return joint, u
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=walk_cases())
+def test_cdf_table_walk_matches_prefix_row_walk(case):
+    joint, u = case
+    want = walk_chunk(prefix_tensors(joint), u)
+    # the tables take the joint's running sums in place, so hand them a copy
+    got = sampling._walk_chunk(sampling._walk_tables(joint.copy()), u)
+    assert got.tobytes() == want.tobytes()
+
+
+def sic4() -> LocalPOVM:
+    """The tetrahedral SIC POVM: four outcomes, (I + n.sigma) / 4."""
+    paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    r, s = np.sqrt(2.0) / 3.0, np.sqrt(2.0 / 3.0)
+    vertices = [(0, 0, 1), (2 * r, 0, -1 / 3), (-r, s, -1 / 3), (-r, -s, -1 / 3)]
+    effects = [(np.eye(2) + np.tensordot(v, paulis, axes=1)) / 4 for v in vertices]
+    return LocalPOVM(np.stack(effects))
+
+
+def oracle_draw(state, povm, S, seed):
+    """Records of the prefix-row walk, one block at a time."""
+    u = shot_uniforms(seed, 0, S, povm.n)
+    out = np.empty((S, povm.n), dtype=np.uint8)
+    if isinstance(state, BlockProductState):
+        for g, b in zip(state.partition.groups, state.blocks):
+            joint = sampling._joint_probability_tensor(b.matrix, povm, g)
+            out[:, list(g)] = walk_chunk(prefix_tensors(joint), u[:, list(g)])
+        return out
+    return walk_chunk(prefix_tensors(joint_probability_tensor(state, povm)), u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["pure", "density", "block"]),
+    d=st.sampled_from([4, 6]),
+    n=st.integers(1, 5),
+    seed=st.integers(0, 2**64 - 1),
+    S=st.integers(1, 1500),
+    chunk=st.integers(1, 700),
+)
+def test_plan_draw_matches_prefix_row_walk(kind, d, n, seed, S, chunk):
+    rng = np.random.default_rng(seed % 2**32)
+    povm = ProductPOVM(((sic4() if d == 4 else pauli6()),) * n)
+    if kind == "pure":
+        v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        state = PureState(n, v / np.linalg.norm(v))
+    elif kind == "density":
+        state = DensityMatrix(n, random_density(rng, 2**n))
+    else:
+        # up to three groups of shuffled qubits
+        cuts = sorted(rng.choice(np.arange(1, n), size=min(n - 1, 2), replace=False))
+        groups = [tuple(sorted(int(q) for q in g)) for g in np.split(rng.permutation(n), cuts)]
+        blocks = [DensityMatrix(len(g), random_density(rng, 2 ** len(g))) for g in groups]
+        state = BlockProductState(Partition(tuple(groups)), tuple(blocks))
+    plan = SamplingPlan(state, povm)
+    want = oracle_draw(state, povm, S, seed).tobytes()
+    assert plan.draw(S, seed).records.tobytes() == want
+    assert plan.draw(S, seed, workers=2, chunk=chunk).records.tobytes() == want
+
+
+def test_eight_qubit_plan_memory_stays_at_the_prefix_tensors():
+    import tracemalloc
+
+    n = 8
+    psi = random_pure(np.random.default_rng(36), n)
+    povm = pauli6_product(n)
+    SamplingPlan(psi, povm)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        plan = SamplingPlan(psi, povm)
+        held, peak = (m - base for m in tracemalloc.get_traced_memory())
+        del plan
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        prefixes = prefix_tensors(joint_probability_tensor(psi, povm))
+        old_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    old_held = sum(p.nbytes for p in prefixes)
+    joint = prefixes[-1].nbytes
+    slack = 64 * 1024  # array and tuple headers
+    # the joint's CDF replaces it; only the smaller levels (a fifth of it) are held twice
+    assert held <= old_held + joint // 5 + slack
+    # the CDF is taken in place: planning makes no transient copy of the joint
+    assert peak <= old_peak + joint // 5 + slack
+

@@ -14,7 +14,6 @@ from icshadows import (
     ground_state,
     grouped_product_state,
     maximally_mixed,
-    outcome_probability,
     product_state,
     reduced_density,
     toy_mixed,
@@ -24,7 +23,7 @@ from icshadows.algebra import partial_trace
 from icshadows.states import reorder_qubits
 
 from .conftest import random_density
-from .oracles import kron_matrix, same_bits, tfim_ring
+from .oracles import kron_matrix, outcome_probability, same_bits, tfim_ring
 
 
 def test_pure_state_validation():
@@ -173,3 +172,21 @@ def test_ground_state_above_dense_limit_matches_oracle_eigh():
     energy, psi = ground_state(obs)
     assert energy == pytest.approx(evals[0], abs=1e-10)
     assert abs(np.vdot(evecs[:, 0], psi.amplitudes)) >= 1 - 1e-10
+
+
+def test_density_cap_checked_before_any_dense_work(monkeypatch):
+    from icshadows import states
+
+    def dense_build(*args):
+        raise AssertionError("dense work reached above the density cap")
+
+    chain = bell_pair_chain(7)  # 14 qubits
+    monkeypatch.setattr(states, "kron_all", dense_build)
+    monkeypatch.setattr(states, "hermitianize", dense_build)
+    with pytest.raises(ValueError, match="density cap"):
+        chain.density()
+    with pytest.raises(ValueError, match="density cap"):
+        reduced_density(chain, range(14))
+    with pytest.raises(ValueError, match="density cap"):
+        DensityMatrix(13, np.zeros((1, 1)))
+

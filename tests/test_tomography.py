@@ -5,13 +5,18 @@ from icshadows import (
     ConstrainedLAD,
     FrequencyBias,
     LinearInversionPSD,
+    LocalPOVM,
+    ProductPOVM,
     bell_state,
     marginal_counts,
+    pauli6,
     pauli6_product,
     product_state,
     reconstruct,
     sample_shots,
 )
+from icshadows import tomography
+from icshadows.algebra import project_to_density
 from icshadows.povm import outcome_probabilities
 from icshadows.sampling import MarginalTable
 from icshadows.tomography import linear_inversion
@@ -29,7 +34,7 @@ def table(counts, group=(0,)):
 
 def test_frequency_bias_posterior_closed_form():
     mt = table([10, 0, 2, 0, 0, 0])
-    probs, report = reconstruct(mt, pauli6_product(1).group_effects((0,)), FrequencyBias(6.0))
+    probs, report = reconstruct(mt, pauli6_product(1), FrequencyBias(6.0))
     # counts plus one pseudo-count each, over S plus the bias mass
     assert np.allclose(probs, np.array([11, 1, 3, 1, 1, 1]) / 18)
     assert report.iterations == 0
@@ -38,7 +43,7 @@ def test_frequency_bias_posterior_closed_form():
 
 def test_frequency_bias_zero_bias_returns_frequencies():
     mt = table([3, 1, 0, 0, 0, 0])
-    probs, _ = reconstruct(mt, pauli6_product(1).group_effects((0,)), FrequencyBias(0.0))
+    probs, _ = reconstruct(mt, pauli6_product(1), FrequencyBias(0.0))
     assert np.allclose(probs, mt.frequencies)
 
 
@@ -51,9 +56,9 @@ def test_frequency_bias_rejects_negative_mass():
 
 def test_constrained_lad_recovers_pure_state_from_exact_counts():
     # Born counts of |0> under Pauli-6: (1/3, 0, 1/6, 1/6, 1/6, 1/6)
-    effects = pauli6_product(1).group_effects((0,))
+    povm = pauli6_product(1)
     mt = table([200, 0, 100, 100, 100, 100])
-    rho, report = reconstruct(mt, effects, ConstrainedLAD())
+    rho, report = reconstruct(mt, povm, ConstrainedLAD())
     target = np.diag([1.0, 0.0]).astype(complex)
     assert np.abs(rho.matrix - target).max() < 1e-3
     assert report.residual < 1e-6
@@ -61,10 +66,11 @@ def test_constrained_lad_recovers_pure_state_from_exact_counts():
 
 
 def test_all_backends_agree_on_uniform_counts():
-    effects = pauli6_product(2).group_effects((0, 1))
+    povm = pauli6_product(2)
+    effects = povm.group_effects((0, 1))
     mt = table(np.full(36, 50), group=(0, 1))
     for backend in BACKENDS:
-        result, report = reconstruct(mt, effects, backend)
+        result, report = reconstruct(mt, povm, backend)
         if isinstance(backend, FrequencyBias):
             probs = result
         else:
@@ -84,9 +90,9 @@ def test_linear_inversion_unit_trace_but_possibly_indefinite():
 
 
 def test_psd_backend_output_is_a_density_matrix():
-    effects = pauli6_product(1).group_effects((0,))
+    povm = pauli6_product(1)
     mt = table([12, 0, 0, 0, 0, 0])
-    rho, report = reconstruct(mt, effects, LinearInversionPSD())
+    rho, report = reconstruct(mt, povm, LinearInversionPSD())
     lam = np.linalg.eigvalsh(rho.matrix)
     assert lam.min() >= -1e-12
     assert np.trace(rho.matrix).real == pytest.approx(1.0)
@@ -94,42 +100,43 @@ def test_psd_backend_output_is_a_density_matrix():
 
 
 def test_lad_improves_on_linear_inversion_for_sampled_data():
-    ds = sample_shots(bell_state(), pauli6_product(2), 2000, seed=31)
-    effects = pauli6_product(2).group_effects((0, 1))
+    povm = pauli6_product(2)
+    ds = sample_shots(bell_state(), povm, 2000, seed=31)
     mt = marginal_counts(ds, (0, 1))
-    _, psd_report = reconstruct(mt, effects, LinearInversionPSD())
-    _, lad_report = reconstruct(mt, effects, ConstrainedLAD())
+    _, psd_report = reconstruct(mt, povm, LinearInversionPSD())
+    _, lad_report = reconstruct(mt, povm, ConstrainedLAD())
     assert lad_report.residual <= psd_report.residual + 1e-12
     assert lad_report.iterations >= 1
 
 
 def test_reconstruct_rejects_oversized_groups():
-    effects = pauli6_product(2).group_effects((0, 1))
+    povm = pauli6_product(2)
     mt = table(np.full(36, 1), group=(0, 1))
     with pytest.raises(ValueError, match="exceeds the cap"):
-        reconstruct(mt, effects, LinearInversionPSD(), dim_cap=2)
+        reconstruct(mt, povm, LinearInversionPSD(), dim_cap=2)
 
 
 def test_reconstruct_rejects_count_shape_mismatch():
-    effects = pauli6_product(1).group_effects((0,))
+    povm = pauli6_product(1)
     mt = table(np.full(36, 1), group=(0, 1))
     with pytest.raises(ValueError, match="does not match"):
-        reconstruct(mt, effects, LinearInversionPSD())
+        reconstruct(mt, povm, LinearInversionPSD())
 
 
 def test_reconstruct_rejects_unknown_backend():
-    effects = pauli6_product(1).group_effects((0,))
+    povm = pauli6_product(1)
     with pytest.raises(TypeError, match="unknown backend"):
-        reconstruct(table([1, 1, 1, 1, 1, 1]), effects, object())
+        reconstruct(table([1, 1, 1, 1, 1, 1]), povm, object())
 
 
 def test_predicted_probabilities_roundtrip_on_product_state():
     state = product_state("0")
     ds = sample_shots(state, pauli6_product(1), 100_000, seed=33)
-    effects = pauli6_product(1).group_effects((0,))
+    povm = pauli6_product(1)
+    effects = povm.group_effects((0,))
     mt = marginal_counts(ds, (0,))
     for backend in (LinearInversionPSD(), ConstrainedLAD()):
-        rho, _ = reconstruct(mt, effects, backend)
+        rho, _ = reconstruct(mt, povm, backend)
         probs = outcome_probabilities(effects, rho.matrix)
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.abs(probs - np.array([1 / 3, 0, 1 / 6, 1 / 6, 1 / 6, 1 / 6])).max() < 0.01
@@ -138,8 +145,8 @@ def test_predicted_probabilities_roundtrip_on_product_state():
 def test_lad_respects_iteration_budget():
     ds = sample_shots(bell_state(), pauli6_product(2), 500, seed=34)
     mt = marginal_counts(ds, (0, 1))
-    effects = pauli6_product(2).group_effects((0, 1))
-    _, report = reconstruct(mt, effects, ConstrainedLAD(max_iters=3))
+    povm = pauli6_product(2)
+    _, report = reconstruct(mt, povm, ConstrainedLAD(max_iters=3))
     assert report.iterations == 3
     assert not report.converged
     with pytest.raises(ValueError):
@@ -154,9 +161,35 @@ def test_lad_matches_reference_loop(h2_4q_ground):
     povm = pauli6_product(4)
     effects = povm.group_effects((0, 1, 2, 3))
     mt = marginal_counts(sample_shots(psi, povm, 3000, seed=2), (0, 1, 2, 3))
-    rho, report = reconstruct(mt, effects, ConstrainedLAD())
+    rho, report = reconstruct(mt, povm, ConstrainedLAD())
     want_rho, want = lad_loop(mt, effects, ConstrainedLAD())
     assert (report.iterations, report.converged) == (want.iterations, want.converged)
     assert report.iterations > 100
     assert np.abs(rho.matrix - want_rho.matrix).max() < 1e-10
     assert report.residual == pytest.approx(want.residual, rel=1e-10)
+
+
+@pytest.mark.parametrize("group", [(0,), (2, 0), (1, 3, 0), (3, 1, 0, 2)])
+def test_factorized_canonical_start_equals_svd_start(group, monkeypatch):
+    # a differently rotated Pauli-6 per qubit, so a slip in qubit order shows
+    rng = np.random.default_rng(len(group))
+    rotated = []
+    for _ in range(4):
+        u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        rotated.append(LocalPOVM(u @ pauli6().effects @ u.conj().T))
+    povm = ProductPOVM(tuple(rotated))
+    effects = povm.group_effects(group)
+    mt = table(rng.integers(0, 40, size=len(effects)), group=group)
+    starts = []
+
+    def projected(h):
+        starts.append(h)
+        return project_to_density(h)
+
+    monkeypatch.setattr(tomography, "project_to_density", projected)
+    reconstruct(mt, povm, LinearInversionPSD())
+    # the start the group-sized SVD of the canonical frame gives
+    want = linear_inversion(mt, effects, canonical_duals(effects))
+    assert len(starts) == 1
+    assert np.abs(starts[0] - want).max() < 1e-12
+
