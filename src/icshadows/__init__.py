@@ -20,7 +20,6 @@ from .estimation import (
     exact_expectation,
     exact_moments,
     exact_variance,
-    omega,
     rmse_experiment,
 )
 from .frames import (

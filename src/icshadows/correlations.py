@@ -5,6 +5,17 @@ clamp at zero. Sources of outcome statistics can be a :class:`Dataset`
 (empirical frequencies) or a ``(state, povm)`` pair (exact Born
 frequencies), so the same grouping code serves both finite-shot runs and
 infinite-statistics oracles.
+
+For a dataset the histograms are built with few passes over the shot
+records. :func:`mi_graph` splits the qubits into consecutive blocks of b
+qubits, with d^(2b) <= 2^16 (b = 3 for Pauli-6), codes each block's
+outcomes once, and takes one ``bincount`` per pair of blocks; each qubit
+pair's d x d table is an integer sum of one such histogram over its other
+axes (3 passes instead of 28 on 8 qubits). :func:`greedy_partition` codes
+the growing group once per step, so each candidate qubit costs one add and
+one ``bincount``. Counts are integers, so every table, and hence every MI
+value, is the same as one :func:`~icshadows.sampling.marginal_counts` call
+per pair or candidate would give.
 """
 
 from __future__ import annotations
@@ -14,7 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .partition import Partition
-from .sampling import Dataset, joint_probabilities, marginal_counts
+from .sampling import (
+    MARGINAL_GROUP_CAP,
+    Dataset,
+    joint_probabilities,
+    marginal_counts,
+)
 
 __all__ = [
     "MIGraph",
@@ -29,6 +45,9 @@ __all__ = [
     "resolve_partitioner",
     "modularity",
 ]
+
+# bins of one block-pair histogram in :func:`mi_graph`
+_PAIR_BINS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -93,13 +112,80 @@ def group_mutual_information(source, group, q: int) -> float:
     return _mutual_information(joint)
 
 
+def _codes(ds: Dataset, qubits, bins: int) -> np.ndarray:
+    """Row-major outcome codes of ``qubits``, in the narrowest unsigned dtype for ``bins`` codes."""
+    code = ds.records[:, qubits[0]].astype(np.min_scalar_type(bins - 1))
+    for q in qubits[1:]:
+        code *= ds.d
+        code += ds.records[:, q]
+    return code
+
+
+def _pair_counts(ds: Dataset) -> dict[tuple[int, int], np.ndarray]:
+    """The d x d outcome count table of every qubit pair i < j, rows indexed by i.
+
+    One ``bincount`` per pair of consecutive qubit blocks (one over the
+    single block when there is only one); a pair's table is that block
+    pair's histogram summed over its other qubits.
+    """
+    n, d = ds.n, ds.d
+    b = 1
+    while b < n and d ** (2 * (b + 1)) <= _PAIR_BINS:
+        b += 1
+    blocks = [list(range(s, min(s + b, n))) for s in range(0, n, b)]
+    codes = [_codes(ds, block, d ** len(block)) for block in blocks]
+    if len(blocks) == 1:
+        hists = [(blocks[0], np.bincount(codes[0], minlength=d**n))]
+    else:
+        hists = []
+        for a in range(len(blocks)):
+            for c in range(a + 1, len(blocks)):
+                qubits = blocks[a] + blocks[c]
+                code = codes[a] * np.intp(d ** len(blocks[c])) + codes[c]
+                hists.append((qubits, np.bincount(code, minlength=d ** len(qubits))))
+    tables: dict[tuple[int, int], np.ndarray] = {}
+    for qubits, hist in hists:
+        hist = hist.reshape((d,) * len(qubits))
+        for x, i in enumerate(qubits):
+            for y in range(x + 1, len(qubits)):
+                if (i, qubits[y]) not in tables:
+                    others = tuple(a for a in range(len(qubits)) if a not in (x, y))
+                    tables[i, qubits[y]] = hist.sum(axis=others)
+    return tables
+
+
 def mi_graph(source) -> MIGraph:
     n, _ = _source_info(source)
     w = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            w[i, j] = w[j, i] = pair_mutual_information(source, i, j)
+    if isinstance(source, Dataset):
+        for (i, j), counts in _pair_counts(source).items():
+            w[i, j] = w[j, i] = _mutual_information(counts / source.S)
+    else:
+        for i in range(n):
+            for j in range(i + 1, n):
+                w[i, j] = w[j, i] = pair_mutual_information(source, i, j)
     return MIGraph(n, w)
+
+
+def _candidate_mi(source, group: list[int], candidates) -> list[float]:
+    """:func:`group_mutual_information` of the sorted group with each candidate.
+
+    For a dataset the group's code is built once, in the same row-major
+    group-then-candidate layout, and each candidate adds its outcome.
+    """
+    if not isinstance(source, Dataset):
+        return [group_mutual_information(source, group, q) for q in candidates]
+    if len(group) + 1 > MARGINAL_GROUP_CAP:
+        raise ValueError(f"group larger than the cap {MARGINAL_GROUP_CAP}")
+    d = source.d
+    bins = d ** (len(group) + 1)
+    base = _codes(source, group, bins)
+    base *= d
+    values = []
+    for q in candidates:
+        counts = np.bincount(base + source.records[:, q], minlength=bins)
+        values.append(_mutual_information((counts / source.S).reshape(-1, d)))
+    return values
 
 
 def greedy_partition(source, k: int) -> Partition:
@@ -129,8 +215,8 @@ def greedy_partition(source, k: int) -> Partition:
         unassigned.difference_update(group)
         while len(group) < k and unassigned:
             best, pick = -1.0, None
-            for q in sorted(unassigned):
-                val = group_mutual_information(source, sorted(group), q)
+            candidates = sorted(unassigned)
+            for q, val in zip(candidates, _candidate_mi(source, sorted(group), candidates)):
                 if val > best:
                     best, pick = val, q
             group.append(pick)

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sampling
-from .algebra import kron_all, stack_sum, stack_traces
+from .algebra import stack_sum
 from .frames import GlobalDuals
-from .observables import PAULI_MATRICES, PauliObservable
+from .observables import PauliObservable, mask_term
 from .povm import ProductPOVM
 from .sampling import Dataset, SamplingPlan, flat_codes, joint_probability_tensor, sample_shots
 from .states import BlockProductState, DensityMatrix, PureState, reduced_density
@@ -31,7 +31,6 @@ from .states import BlockProductState, DensityMatrix, PureState, reduced_density
 __all__ = [
     "EstimateReport",
     "CoefficientCache",
-    "omega",
     "estimate",
     "exact_expectation",
     "exact_moments",
@@ -59,7 +58,11 @@ class CoefficientCache:
     """Per-(group, Pauli substring) trace vectors Tr[D_m P].
 
     Shot evaluation reduces to gathering one cached vector per group and
-    multiplying, so the 10^6-shot loop never touches operators. The
+    multiplying, so the 10^6-shot loop never touches operators. Each
+    vector is a gather in the substring's mask form (see
+    :mod:`icshadows.observables`): with P|j> = phase[j] |j XOR x>,
+    Tr[D_m P] = Σ_j D_m[j, j XOR x] phase[j], so no Pauli matrix is built
+    and each trace reads dim entries of D_m, not dim^2. The
     whole-outcome tables of :meth:`table` are cached here too, one per
     observable.
     """
@@ -78,9 +81,10 @@ class CoefficientCache:
     def vector(self, group_index: int, substring: str) -> np.ndarray:
         key = (group_index, substring)
         if key not in self._vectors:
-            frame = self.duals.frames[group_index]
-            pmat = kron_all(PAULI_MATRICES[ch] for ch in substring)
-            self._vectors[key] = stack_traces(frame.duals, pmat).real.copy()
+            duals = self.duals.frames[group_index].duals
+            _, x, _, phase = mask_term(1.0, substring)
+            rows = np.arange(len(phase))
+            self._vectors[key] = (duals[:, rows, rows ^ x] @ phase).real.copy()
         return self._vectors[key]
 
     def _block_matrix(self, group_indices, obs: PauliObservable) -> np.ndarray:
@@ -117,23 +121,6 @@ class CoefficientCache:
 
 def _substring(word: str, group) -> str:
     return "".join(word[q] for q in group)
-
-
-def omega(shot, duals: GlobalDuals, obs: PauliObservable, cache: CoefficientCache | None = None) -> float:
-    """Single-shot estimate: sum over terms of products of group traces."""
-    shot = np.asarray(shot)
-    if cache is None:
-        cache = CoefficientCache(duals)
-    total = 0.0
-    for coeff, word in obs.terms:
-        val = coeff
-        for gi, group in enumerate(duals.partition.groups):
-            code = 0
-            for q in group:
-                code = code * cache.d + int(shot[q])
-            val *= cache.vector(gi, _substring(word, group))[code]
-        total += val
-    return float(total)
 
 
 def _omega_all(ds: Dataset, duals: GlobalDuals, obs: PauliObservable, cache: CoefficientCache) -> np.ndarray:
@@ -339,6 +326,8 @@ def rmse_experiment(
     statistically independent. The sampler is planned once, and the
     estimator table is built once in the shared cache.
     """
+    if R < 1:
+        raise ValueError(f"need at least one repetition, got R = {R}")
     truth = exact_expectation(state, obs)
     plan = SamplingPlan(state, povm)
     cache = CoefficientCache(duals)

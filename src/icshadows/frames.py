@@ -186,7 +186,10 @@ def optimal_duals(
 
     Weights are inverse predicted probabilities with an absolute floor,
     so zero or negative predictions degrade variance but never validity.
+    The floor must therefore be finite and positive.
     """
+    if not (np.isfinite(floor) and floor > 0):
+        raise ValueError(f"floor must be finite and positive, got {floor!r}")
     effects = np.asarray(effects, dtype=complex)
     if isinstance(sigma, DensityMatrix):
         probs = outcome_probabilities(effects, sigma.matrix)

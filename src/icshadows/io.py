@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io as _io
+import math
 import struct
 import sys
 from contextlib import contextmanager
@@ -69,6 +70,8 @@ class RunConfig:
             raise ValueError("k and workers must be >= 1 and S >= 0")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed {self.seed} is outside [0, 2^64)")
+        if not (math.isfinite(self.floor) and self.floor > 0):
+            raise ValueError(f"floor must be finite and positive, got {self.floor!r}")
 
     def resolved_S_bias(self, d: int) -> float:
         return float(d**self.k) if self.S_bias is None else float(self.S_bias)

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["PauliObservable", "PAULI_MATRICES"]
+__all__ = ["PauliObservable", "PAULI_MATRICES", "mask_term"]
 
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -44,7 +44,8 @@ class _MaskTerm(NamedTuple):
     phase: np.ndarray  # phase[j] = <j XOR x| P |j>
 
 
-def _mask_term(coeff: float, word: str) -> _MaskTerm:
+def mask_term(coeff: float, word: str) -> _MaskTerm:
+    """``coeff * word`` in mask form (see the module docstring)."""
     x = z = 0
     for ch in word:
         x = (x << 1) | (ch in "XY")
@@ -115,7 +116,7 @@ class PauliObservable:
     @cached_property
     def _mask_terms(self) -> tuple[_MaskTerm, ...]:
         """The terms in mask form, in term order (see the module docstring)."""
-        return tuple(_mask_term(c, w) for c, w in self.terms)
+        return tuple(mask_term(c, w) for c, w in self.terms)
 
     def matrix(self) -> np.ndarray:
         """Dense matrix; intended for small n only."""

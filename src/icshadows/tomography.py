@@ -138,8 +138,14 @@ def reconstruct(
         return probs, report
 
     effects = povm.group_effects(group)
-    local = [canonical_duals(povm.locals[q].effects, group=(q,)).duals for q in group]
-    init = project_to_density(linear_inversion(mt, effects, _kron_stacks(local)))
+    # one solve per distinct local POVM; a product POVM usually repeats one
+    solved: dict[int, np.ndarray] = {}
+    for q in group:
+        local = povm.locals[q]
+        if id(local) not in solved:
+            solved[id(local)] = canonical_duals(local.effects).duals
+    start = _kron_stacks([solved[id(povm.locals[q])] for q in group])
+    init = project_to_density(linear_inversion(mt, effects, start))
     n = len(group)
     if isinstance(backend, LinearInversionPSD):
         report = ReconstructionReport(

@@ -2,7 +2,15 @@
 
 import numpy as np
 
-from icshadows import DensityMatrix, PauliObservable
+from icshadows import (
+    CoefficientCache,
+    DensityMatrix,
+    MIGraph,
+    Partition,
+    PauliObservable,
+    group_mutual_information,
+    pair_mutual_information,
+)
 from icshadows.algebra import kron_all, project_to_density
 from icshadows.frames import canonical_duals
 from icshadows.observables import PAULI_MATRICES
@@ -187,3 +195,55 @@ def walk_chunk(prefixes, u) -> np.ndarray:
         code = code * d + m
     return out
 
+
+def mi_graph_loop(ds):
+    """MI graph of a dataset with one pair histogram per qubit pair."""
+    w = np.zeros((ds.n, ds.n))
+    for i in range(ds.n):
+        for j in range(i + 1, ds.n):
+            w[i, j] = w[j, i] = pair_mutual_information(ds, i, j)
+    return MIGraph(ds.n, w)
+
+
+def greedy_partition_loop(ds, k):
+    """Greedy MI partition of a dataset with one group histogram per candidate qubit."""
+    pair_mi = mi_graph_loop(ds).weights
+    unassigned = set(range(ds.n))
+    groups = []
+    while len(unassigned) >= 2:
+        best, seed = -1.0, None
+        for i in sorted(unassigned):
+            for j in sorted(unassigned):
+                if j > i and pair_mi[i, j] > best:
+                    best, seed = pair_mi[i, j], (i, j)
+        group = list(seed)
+        unassigned.difference_update(group)
+        while len(group) < k and unassigned:
+            best, pick = -1.0, None
+            for q in sorted(unassigned):
+                val = group_mutual_information(ds, sorted(group), q)
+                if val > best:
+                    best, pick = val, q
+            group.append(pick)
+            unassigned.remove(pick)
+        groups.append(tuple(sorted(group)))
+    for q in sorted(unassigned):
+        groups.append((q,))
+    return Partition(tuple(groups), max_size=k)
+
+
+def omega(shot, duals, obs, cache=None) -> float:
+    """Single-shot estimate of one shot: sum over terms of products of group traces."""
+    shot = np.asarray(shot)
+    if cache is None:
+        cache = CoefficientCache(duals)
+    total = 0.0
+    for coeff, word in obs.terms:
+        val = coeff
+        for gi, group in enumerate(duals.partition.groups):
+            code = 0
+            for q in group:
+                code = code * cache.d + int(shot[q])
+            val *= cache.vector(gi, "".join(word[q] for q in group))[code]
+        total += val
+    return float(total)

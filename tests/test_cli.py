@@ -215,6 +215,29 @@ def test_rmse_command(tmp_path):
     assert row["duals"] == "canonical"
 
 
+@pytest.mark.parametrize("repetitions", [0, -1])
+def test_rmse_rejects_fewer_than_one_repetition(tmp_path, capsys, repetitions):
+    ham = write_zz(tmp_path)
+    out = tmp_path / "rmse.csv"
+    argv = ["rmse", "bell", "--hamiltonian", ham, "-R", repetitions, "-S", 10, "--out", out]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "repetition" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("floor", ["nan", "inf", "0", "-1"])
+def test_duals_rejects_bad_floor(tmp_path, capsys, floor):
+    ds_path = tmp_path / "ds.icsd"
+    assert run(["sample", "bell", "-S", 100, "--seed", 5, "--out", ds_path]) == 0
+    out = tmp_path / "d.icdl"
+    assert run(["duals", "--dataset", ds_path, "--k", 2, "--floor", floor, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "floor" in err
+    assert not out.exists()
+
+
 def test_toy_sweep(tmp_path):
     out = tmp_path / "toy.csv"
     assert run(["toy", "--family", "mixed", "--q", "0,1", "--out", out]) == 0

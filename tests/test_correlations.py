@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from icshadows import (
+    Dataset,
     MIGraph,
     Partition,
     bell_pair_chain,
@@ -21,6 +24,53 @@ from icshadows import (
     sample_shots,
 )
 from icshadows.correlations import _mutual_information
+
+from .oracles import greedy_partition_loop, mi_graph_loop
+
+
+def correlated_records(n, S, d, seed):
+    """Random records in which each qubit copies another's outcome on a random share of shots."""
+    rng = np.random.default_rng(seed)
+    rec = rng.integers(0, d, size=(S, n))
+    copy = rng.random((S, n)) < rng.random(n)
+    return np.where(copy, rec[:, rng.integers(0, n, size=n)], rec).astype(np.uint8)
+
+
+# n = 3, 4, 6, 7 sit on either side of Pauli-6's 3-qubit block edges; S = 1 is one shot
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 10),
+    S=st.integers(1, 400),
+    d=st.sampled_from([6, 2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=3, S=1, d=6, seed=0)
+@example(n=4, S=50, d=6, seed=1)
+@example(n=6, S=300, d=6, seed=2)
+@example(n=7, S=300, d=6, seed=3)
+def test_mi_graph_equals_per_pair_loop(n, S, d, seed):
+    ds = Dataset(n=n, d=d, S=S, records=correlated_records(n, S, d, seed), seed=0)
+    assert mi_graph(ds).weights.tobytes() == mi_graph_loop(ds).weights.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 10),
+    S=st.integers(1, 400),
+    k=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=7, S=1, k=5, seed=0)
+@example(n=10, S=400, k=4, seed=1)
+def test_greedy_partition_equals_per_candidate_loop(n, S, k, seed):
+    ds = Dataset(n=n, d=6, S=S, records=correlated_records(n, S, 6, seed), seed=0)
+    assert greedy_partition(ds, k).groups == greedy_partition_loop(ds, k).groups
+
+
+def test_greedy_partition_recovers_sampled_bell_pairs_at_50_qubits():
+    ds = sample_shots(bell_pair_chain(25), pauli6_product(50), 10**4, seed=8)
+    part = greedy_partition(ds, k=2)
+    assert part.as_sets() == {frozenset({2 * i, 2 * i + 1}) for i in range(25)}
 
 
 def test_migraph_symmetrizes_and_clips():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,6 @@ from icshadows import (
     ghz_state,
     grouped_product_state,
     maximally_mixed,
-    omega,
     optimal_duals,
     pauli6_product,
     reduced_density,
@@ -27,10 +28,13 @@ from icshadows import (
     sample_shots,
 )
 from icshadows import sampling
+from icshadows.algebra import kron_all, stack_traces
 from icshadows.frames import GlobalDuals
+from icshadows.observables import PAULI_MATRICES
 from icshadows.povm import outcome_probabilities
 
 from .conftest import random_density
+from .oracles import omega
 
 
 def estimator_paths(monkeypatch):
@@ -340,6 +344,13 @@ def test_rmse_experiment_reproducible(povm2, canonical2):
     assert a > 0
 
 
+@pytest.mark.parametrize("R", [0, -1])
+def test_rmse_experiment_rejects_fewer_than_one_repetition(povm2, canonical2, R):
+    zz = PauliObservable.single("ZZ")
+    with pytest.raises(ValueError, match="repetition"):
+        rmse_experiment(bell_state(), povm2, canonical2, zz, R=R, S=50, seed=5)
+
+
 def test_rmse_tracks_predicted_scaling(povm2, canonical2):
     zz = PauliObservable.single("ZZ")
     rmse = rmse_experiment(bell_state(), povm2, canonical2, zz, R=100, S=400, seed=13)
@@ -361,3 +372,16 @@ def test_exact_variance_above_density_cap_fails_before_dense_build(monkeypatch):
     with pytest.raises(ValueError, match="density cap"):
         exact_variance(state, povm, canonical_global(povm), obs)
 
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_coefficient_vectors_match_dense_traces(k):
+    # the cache gathers Tr[D_m P] from P's mask form; the dense product is the reference
+    group = tuple(range(k))
+    rho = DensityMatrix(k, random_density(np.random.default_rng(k), 2**k))
+    frame = optimal_duals(rho, pauli6_product(k).group_effects(group), group=group)
+    cache = CoefficientCache(GlobalDuals(Partition((group,)), (frame,)))
+    for letters in itertools.product("IXYZ", repeat=k):
+        sub = "".join(letters)
+        want = stack_traces(frame.duals, kron_all(PAULI_MATRICES[ch] for ch in sub)).real
+        assert np.abs(cache.vector(0, sub) - want).max() <= 1e-12 * np.abs(want).max()

@@ -120,6 +120,14 @@ def test_optimal_duals_floor_handles_zero_probabilities():
     assert duality_residual(frame.duals, frame.effects) <= DUALITY_TOL
 
 
+@pytest.mark.parametrize("floor", [float("nan"), float("inf"), 0.0, -1.0])
+def test_optimal_duals_rejects_bad_floor(floor):
+    effects = pauli6_product(1).group_effects((0,))
+    probs = np.array([1 / 3, 0.0, 1 / 6, 1 / 6, 1 / 6, 1 / 6])
+    with pytest.raises(ValueError, match="floor"):
+        optimal_duals(probs, effects, floor=floor)
+
+
 def test_duals_from_weights_rejects_non_ic_sets():
     projective = np.stack([np.diag([1.0, 0j]), np.diag([0j, 1.0])])
     with pytest.raises(ValueError, match="informationally complete"):

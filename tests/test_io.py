@@ -378,6 +378,12 @@ def test_run_config_rejects_out_of_range_seeds():
     assert RunConfig(seed=2**64 - 1).hash() == "676e818dae0e"
 
 
+@pytest.mark.parametrize("floor", [float("nan"), float("inf"), 0.0, -1.0])
+def test_run_config_rejects_bad_floor(floor):
+    with pytest.raises(ValueError, match="floor"):
+        RunConfig(floor=floor)
+
+
 def test_config_hash_stability():
     cfg = RunConfig()
     h = cfg.hash()

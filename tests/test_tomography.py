@@ -193,3 +193,24 @@ def test_factorized_canonical_start_equals_svd_start(group, monkeypatch):
     assert len(starts) == 1
     assert np.abs(starts[0] - want).max() < 1e-12
 
+
+
+def test_canonical_start_solves_each_distinct_local_povm_once(monkeypatch):
+    u, _ = np.linalg.qr(np.array([[1.0, 2.0j], [0.5, -1.0]]))
+    p6, rot = pauli6(), LocalPOVM(u @ pauli6().effects @ u.conj().T)
+    shared = ProductPOVM((p6, rot, p6, rot))
+    # equal local POVMs as distinct objects, so each qubit is solved alone
+    apart = ProductPOVM((p6, rot, pauli6(), LocalPOVM(rot.effects.copy())))
+    mt = table(np.random.default_rng(3).integers(0, 40, size=6**4), group=(3, 0, 1, 2))
+    solved = []
+
+    def counted(effects, group=None):
+        solved.append(effects)
+        return canonical_duals(effects, group)
+
+    monkeypatch.setattr(tomography, "canonical_duals", counted)
+    rho, _ = reconstruct(mt, shared, LinearInversionPSD())
+    assert len(solved) == 2
+    want, _ = reconstruct(mt, apart, LinearInversionPSD())
+    assert len(solved) == 6
+    assert np.array_equal(rho.matrix, want.matrix)
