@@ -28,6 +28,7 @@ from .partition import Partition
 from .sampling import (
     MARGINAL_GROUP_CAP,
     Dataset,
+    flat_codes,
     joint_probabilities,
     marginal_counts,
 )
@@ -112,15 +113,6 @@ def group_mutual_information(source, group, q: int) -> float:
     return _mutual_information(joint)
 
 
-def _codes(ds: Dataset, qubits, bins: int) -> np.ndarray:
-    """Row-major outcome codes of ``qubits``, in the narrowest unsigned dtype for ``bins`` codes."""
-    code = ds.records[:, qubits[0]].astype(np.min_scalar_type(bins - 1))
-    for q in qubits[1:]:
-        code *= ds.d
-        code += ds.records[:, q]
-    return code
-
-
 def _pair_counts(ds: Dataset) -> dict[tuple[int, int], np.ndarray]:
     """The d x d outcome count table of every qubit pair i < j, rows indexed by i.
 
@@ -133,7 +125,7 @@ def _pair_counts(ds: Dataset) -> dict[tuple[int, int], np.ndarray]:
     while b < n and d ** (2 * (b + 1)) <= _PAIR_BINS:
         b += 1
     blocks = [list(range(s, min(s + b, n))) for s in range(0, n, b)]
-    codes = [_codes(ds, block, d ** len(block)) for block in blocks]
+    codes = [flat_codes(ds, block, np.min_scalar_type(d ** len(block) - 1)) for block in blocks]
     if len(blocks) == 1:
         hists = [(blocks[0], np.bincount(codes[0], minlength=d**n))]
     else:
@@ -141,7 +133,8 @@ def _pair_counts(ds: Dataset) -> dict[tuple[int, int], np.ndarray]:
         for a in range(len(blocks)):
             for c in range(a + 1, len(blocks)):
                 qubits = blocks[a] + blocks[c]
-                code = codes[a] * np.intp(d ** len(blocks[c])) + codes[c]
+                # widened before the multiply, so no promotion rule can wrap it
+                code = codes[a].astype(np.intp) * d ** len(blocks[c]) + codes[c]
                 hists.append((qubits, np.bincount(code, minlength=d ** len(qubits))))
     tables: dict[tuple[int, int], np.ndarray] = {}
     for qubits, hist in hists:
@@ -179,7 +172,8 @@ def _candidate_mi(source, group: list[int], candidates) -> list[float]:
         raise ValueError(f"group larger than the cap {MARGINAL_GROUP_CAP}")
     d = source.d
     bins = d ** (len(group) + 1)
-    base = _codes(source, group, bins)
+    # in place in a dtype that holds the candidate's codes too
+    base = flat_codes(source, group, np.min_scalar_type(bins - 1))
     base *= d
     values = []
     for q in candidates:

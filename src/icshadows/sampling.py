@@ -381,12 +381,16 @@ def sample_shots(
     return plan.draw(S, seed, workers=workers, chunk=chunk)
 
 
-def flat_codes(ds: Dataset, group) -> np.ndarray:
-    """Row-major flattened outcome codes of each shot restricted to ``group``."""
+def flat_codes(ds: Dataset, group, dtype=np.int64) -> np.ndarray:
+    """Row-major flattened outcome codes of each shot restricted to ``group``.
+
+    ``dtype`` must hold d^len(group) - 1; a caller that goes on to widen the
+    codes in place can ask for a dtype that holds its larger code range.
+    """
     group = list(group)
     if not group:
-        return np.zeros(ds.S, dtype=np.int64)
-    codes = ds.records[:, group[0]].astype(np.int64)
+        return np.zeros(ds.S, dtype=dtype)
+    codes = ds.records[:, group[0]].astype(dtype)
     for q in group[1:]:
         codes *= ds.d
         codes += ds.records[:, q]
