@@ -31,6 +31,7 @@ from .frames import (
     duals_from_weights,
     klo_duals,
     optimal_duals,
+    optimal_global,
     optimize_product_duals,
     state_mse,
 )

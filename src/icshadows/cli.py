@@ -8,21 +8,16 @@ a digest of the effective configuration so results are traceable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
 
-from .correlations import mi_graph, resolve_partitioner
+from .correlations import PARTITIONERS, mi_graph, resolve_partitioner
 from .estimation import estimate, exact_variance, rmse_experiment
-from .frames import (
-    canonical_global,
-    klo_duals,
-    optimal_duals,
-    optimize_product_duals,
-    state_mse,
-    GlobalDuals,
-)
+from .frames import canonical_global, klo_duals, optimal_global, optimize_product_duals, state_mse
 from .io import (
+    BACKENDS,
     RunConfig,
     bundled_hamiltonian,
     read_dataset,
@@ -85,27 +80,44 @@ def parse_state_spec(spec: str):
     raise ValueError(f"unrecognized state spec {spec!r}")
 
 
+# flags of the RunConfig fields that subcommands share; each flag stores into
+# its field's name and defaults to RunConfig()'s value
+_CONFIG_FLAGS = {
+    "seed": (["--seed"], dict(type=int, help="random seed")),
+    "S": (["--shots", "-S"], dict(type=int, metavar="SHOTS", help="number of shots")),
+    "workers": (["--workers"], dict(type=int, help="sampler threads")),
+    "k": (["--k"], dict(type=int, help="largest qubit group")),
+    "partitioner": (["--partitioner"], dict(choices=list(PARTITIONERS), help="qubit grouping")),
+    "backend": (["--backend"], dict(choices=list(BACKENDS), help="tomography backend")),
+    "S_bias": (["--S-bias"], dict(type=float, help="bias-backend pseudo-counts; None is d^k")),
+    "floor": (["--floor"], dict(type=float, help="probability floor of the dual weights")),
+    "drop_identity": (["--drop-identity"], dict(action="store_true", help="drop the identity")),
+}
+
+
+def _add_config_flags(p: argparse.ArgumentParser, *fields: str, **settings) -> None:
+    """Add the flags of RunConfig ``fields`` to ``p``; ``settings`` maps a
+    field to add_argument keywords that replace the shared ones."""
+    defaults = RunConfig()
+    for field in fields:
+        flags, kwargs = _CONFIG_FLAGS[field]
+        kwargs = dict(kwargs, dest=field, default=getattr(defaults, field))
+        kwargs.update(settings.get(field, {}))
+        p.add_argument(*flags, **kwargs)
+
+
 def _config(args, **overrides) -> RunConfig:
-    fields = dict(
-        seed=getattr(args, "seed", 0),
-        S=getattr(args, "shots", 10**6),
-        k=getattr(args, "k", 4),
-        partitioner=getattr(args, "partitioner", "greedy"),
-        backend=getattr(args, "backend", "lad"),
-        S_bias=getattr(args, "S_bias", None),
-        floor=getattr(args, "floor", 1e-10),
-        drop_identity=getattr(args, "drop_identity", False),
-        workers=getattr(args, "workers", 1),
-    )
-    fields.update(overrides)
-    return RunConfig(**fields)
+    """The RunConfig fields parsed into ``args``, then ``overrides``."""
+    names = {f.name for f in dataclasses.fields(RunConfig)}
+    fields = {name: value for name, value in vars(args).items() if name in names}
+    return RunConfig(**{**fields, **overrides})
 
 
 def _maybe_drop_identity(obs: PauliObservable, cfg: RunConfig) -> PauliObservable:
     return obs.without_identity() if cfg.drop_identity else obs
 
 
-def _load_duals(args, n: int) -> GlobalDuals:
+def _load_duals(args, n: int):
     if getattr(args, "duals", None):
         duals = read_duals(args.duals)
         if duals.n != n:
@@ -203,20 +215,8 @@ def cmd_duals(args) -> int:
             raise ValueError("--rdm-prefix requires --partition")
         cfg = _config(args)
         part = read_partition(args.partition)
-        povm = pauli6_product(part.n)
-        frames = []
-        for gi, group in enumerate(part.groups):
-            sigma = np.load(f"{args.rdm_prefix}-group{gi}.npy")
-            frames.append(
-                optimal_duals(
-                    sigma,
-                    povm.group_effects(group),
-                    floor=cfg.floor,
-                    group=group,
-                    provenance="optimal-rdm",
-                )
-            )
-        duals = GlobalDuals(partition=part, frames=tuple(frames))
+        sigmas = (np.load(f"{args.rdm_prefix}-group{gi}.npy") for gi in range(len(part.groups)))
+        duals = optimal_global(part, sigmas, pauli6_product(part.n), cfg.floor, "optimal-rdm")
     else:
         raise ValueError("pass --dataset or --rdm-prefix")
     write_duals(args.out, duals)
@@ -252,8 +252,6 @@ def cmd_exact_variance(args) -> int:
     cfg = _config(args)
     state = parse_state_spec(args.state)
     obs = _maybe_drop_identity(load_hamiltonian(args.hamiltonian), cfg)
-    if state.n != obs.n:
-        raise ValueError(f"state has {state.n} qubits, observable has {obs.n}")
     duals = _load_duals(args, state.n)
     povm = pauli6_product(state.n)
     print(repr(exact_variance(state, povm, duals, obs)))
@@ -268,7 +266,7 @@ def cmd_benchmark(args) -> int:
     ks = [int(tok) for tok in args.ks.split(",") if tok]
     rows = []
 
-    def add_row(label: str, k: int, duals: GlobalDuals):
+    def add_row(label: str, k: int, duals):
         var_full = exact_variance(psi, povm, duals, obs)
         var_drop = exact_variance(psi, povm, duals, obs.without_identity())
         rows.append(
@@ -308,8 +306,10 @@ def cmd_rmse(args) -> int:
     obs = _maybe_drop_identity(load_hamiltonian(args.hamiltonian), cfg)
     duals = _load_duals(args, state.n)
     povm = pauli6_product(state.n)
+    # the exact variance first: it fails fast where the harness would run to the end
+    variance = exact_variance(state, povm, duals, obs)
     value = rmse_experiment(state, povm, duals, obs, R=args.repetitions, S=cfg.S, seed=cfg.seed)
-    predicted = float(np.sqrt(exact_variance(state, povm, duals, obs) / cfg.S))
+    predicted = float(np.sqrt(variance / cfg.S))
     ratio = value / predicted if predicted > 0 else float("nan")
     write_csv(
         args.out,
@@ -344,32 +344,11 @@ def cmd_toy(args) -> int:
 
         frames = {
             "canonical": canonical_global(povm, singles),
-            "1lo": GlobalDuals(
-                partition=singles,
-                frames=tuple(
-                    optimal_duals(
-                        reduced_density(state, [i]),
-                        povm.group_effects([i]),
-                        floor=cfg.floor,
-                        group=(i,),
-                        provenance="optimal",
-                    )
-                    for i in range(2)
-                ),
+            "1lo": optimal_global(
+                singles, [reduced_density(state, [i]) for i in range(2)], povm, cfg.floor
             ),
             "opt1": optimize_product_duals(probs, singles, rho)[0],
-            "2lo": GlobalDuals(
-                partition=Partition.single_group(2),
-                frames=(
-                    optimal_duals(
-                        rho,
-                        povm.group_effects([0, 1]),
-                        floor=cfg.floor,
-                        group=(0, 1),
-                        provenance="optimal",
-                    ),
-                ),
-            ),
+            "2lo": optimal_global(Partition.single_group(2), [rho], povm, cfg.floor),
         }
         row = [args.family, repr(q)]
         for name in ("canonical", "1lo", "opt1", "2lo"):
@@ -407,15 +386,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, help_text):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(
+            name, help=help_text, formatter_class=argparse.ArgumentDefaultsHelpFormatter
+        )
         p.set_defaults(func=func)
         return p
 
     p = add("sample", cmd_sample, "draw Pauli-6 shots from a state into a dataset file")
     p.add_argument("state", help=STATE_SPEC_HELP)
-    p.add_argument("--shots", "-S", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    _add_config_flags(p, "S", "seed", "workers", S=dict(required=True, default=argparse.SUPPRESS))
     p.add_argument("--out", required=True)
 
     p = add("mi", cmd_mi, "pairwise mutual information matrix of a dataset")
@@ -424,50 +403,40 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("partition", cmd_partition, "group qubits from a dataset")
     p.add_argument("dataset")
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--partitioner", choices=["greedy", "naive", "node", "edge"], default="greedy")
+    _add_config_flags(p, "k", "partitioner")
     p.add_argument("--out", default=None)
 
     p = add("tomo", cmd_tomo, "reconstruct group states from a dataset")
     p.add_argument("dataset")
     p.add_argument("--partition", required=True)
-    p.add_argument("--backend", choices=["bias", "psd", "lad"], default="lad")
-    p.add_argument("--S-bias", dest="S_bias", type=float, default=None)
+    _add_config_flags(p, "backend", "S_bias")
     p.add_argument("--out-prefix", required=True)
 
     p = add("duals", cmd_duals, "build and serialize dual frames")
     p.add_argument("--dataset", default=None)
     p.add_argument("--rdm-prefix", default=None)
     p.add_argument("--partition", default=None)
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--backend", choices=["bias", "psd", "lad"], default="lad")
-    p.add_argument("--partitioner", choices=["greedy", "naive", "node", "edge"], default="greedy")
-    p.add_argument("--S-bias", dest="S_bias", type=float, default=None)
-    p.add_argument("--floor", type=float, default=1e-10)
+    _add_config_flags(p, "k", "backend", "partitioner", "S_bias", "floor")
     p.add_argument("--out", required=True)
 
     p = add("estimate", cmd_estimate, "estimate a Hamiltonian from a dataset")
     p.add_argument("dataset")
     p.add_argument("--hamiltonian", required=True)
     p.add_argument("--duals", default=None, help="serialized duals; canonical when omitted")
-    p.add_argument("--drop-identity", action="store_true")
+    _add_config_flags(p, "drop_identity")
     p.add_argument("--out", default=None)
 
     p = add("exact-variance", cmd_exact_variance, "exact single-shot estimator variance")
     p.add_argument("state", help=STATE_SPEC_HELP)
     p.add_argument("--hamiltonian", required=True)
     p.add_argument("--duals", default=None)
-    p.add_argument("--drop-identity", action="store_true")
+    _add_config_flags(p, "drop_identity")
 
     p = add("benchmark", cmd_benchmark, "variance table across canonical and k-LO duals")
     p.add_argument("--hamiltonian", required=True)
-    p.add_argument("--shots", "-S", type=int, default=10**6)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    _add_config_flags(p, "S", "seed", "workers")
     p.add_argument("--ks", default="1,2,4", help="comma-separated group sizes")
-    p.add_argument("--backend", choices=["bias", "psd", "lad"], default="lad")
-    p.add_argument("--partitioner", choices=["greedy", "naive", "node", "edge"], default="greedy")
-    p.add_argument("--floor", type=float, default=1e-10)
+    _add_config_flags(p, "backend", "partitioner", "floor")
     p.add_argument("--out", default=None)
 
     p = add("rmse", cmd_rmse, "repeated-estimate root mean square error")
@@ -475,15 +444,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hamiltonian", required=True)
     p.add_argument("--duals", default=None)
     p.add_argument("--repetitions", "-R", type=int, default=1000)
-    p.add_argument("--shots", "-S", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--drop-identity", action="store_true")
+    _add_config_flags(p, "S", "seed", "drop_identity", S=dict(default=1000))
     p.add_argument("--out", default=None)
 
     p = add("toy", cmd_toy, "two-qubit family sweep of variances and state MSE")
     p.add_argument("--family", choices=["mixed", "pure"], required=True)
     p.add_argument("--q", default="0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1")
-    p.add_argument("--floor", type=float, default=1e-10)
+    _add_config_flags(p, "floor")
     p.add_argument("--out", default=None)
 
     return parser

@@ -235,6 +235,8 @@ def exact_moments(
     The first moment uses the single-trace analogue. Either way
     unbiasedness is measured rather than assumed.
     """
+    if obs.n != state.n:
+        raise ValueError(f"observable acts on {obs.n} qubits but the state has {state.n}")
     groups = duals.partition.groups
     terms = obs.terms
     n_pairs = len(terms) * (len(terms) + 1) // 2

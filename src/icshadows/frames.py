@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .correlations import greedy_partition, resolve_partitioner
 from .partition import Partition
 from .povm import ProductPOVM, outcome_probabilities, pauli6_product
 from .sampling import Dataset, marginal_counts
@@ -31,6 +32,7 @@ __all__ = [
     "canonical_duals",
     "canonical_global",
     "optimal_duals",
+    "optimal_global",
     "klo_duals",
     "state_mse",
     "optimize_product_duals",
@@ -205,11 +207,27 @@ def optimal_duals(
     return duals_from_weights(effects, weights, group=group, provenance=provenance)
 
 
+def optimal_global(
+    partition: Partition,
+    sigmas,
+    povm: ProductPOVM,
+    floor: float = PROBABILITY_FLOOR,
+    provenance: str = "optimal",
+) -> GlobalDuals:
+    """Optimal duals per group, from one state or probability vector per
+    group in partition order (the counterpart of :func:`canonical_global`)."""
+    frames = tuple(
+        optimal_duals(sigma, povm.group_effects(g), floor=floor, group=g, provenance=provenance)
+        for g, sigma in zip(partition.groups, sigmas, strict=True)
+    )
+    return GlobalDuals(partition=partition, frames=frames)
+
+
 def klo_duals(
     ds: Dataset,
     k: int = 4,
     backend=None,
-    partitioner="greedy",
+    partitioner=greedy_partition,
     povm: ProductPOVM | None = None,
     floor: float = PROBABILITY_FLOOR,
 ) -> GlobalDuals:
@@ -218,10 +236,9 @@ def klo_duals(
     Pipeline: partition the qubits, histogram each group's outcomes,
     reconstruct each group state with the tomography backend, and invert
     the predicted probabilities into weights. ``partitioner`` is a name
-    from the partitioning module, a callable ``(dataset, k) -> Partition``,
-    or an explicit Partition.
+    from ``correlations.PARTITIONERS``, a callable ``(dataset, k) ->
+    Partition``, or an explicit Partition.
     """
-    from .correlations import resolve_partitioner
     from .tomography import ConstrainedLAD, reconstruct
 
     if ds.S == 0:
@@ -236,19 +253,8 @@ def klo_duals(
         partition = partitioner
     else:
         partition = resolve_partitioner(partitioner)(ds, k)
-    frames = []
-    for group in partition.groups:
-        result, _ = reconstruct(marginal_counts(ds, group), povm, backend)
-        frames.append(
-            optimal_duals(
-                result,
-                povm.group_effects(group),
-                floor=floor,
-                group=group,
-                provenance=f"klo-{type(backend).__name__}",
-            )
-        )
-    return GlobalDuals(partition=partition, frames=tuple(frames))
+    sigmas = (reconstruct(marginal_counts(ds, g), povm, backend)[0] for g in partition.groups)
+    return optimal_global(partition, sigmas, povm, floor, f"klo-{type(backend).__name__}")
 
 
 def _tr2(duals: np.ndarray) -> np.ndarray:

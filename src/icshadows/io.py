@@ -19,13 +19,16 @@ from importlib import resources
 
 import numpy as np
 
-from .frames import DualFrame, GlobalDuals
+from .correlations import PARTITIONERS
+from .frames import PROBABILITY_FLOOR, DualFrame, GlobalDuals
 from .observables import PauliObservable
 from .partition import Partition
 from .povm import pauli6_product
 from .sampling import Dataset
+from .tomography import ConstrainedLAD, FrequencyBias, LinearInversionPSD
 
 __all__ = [
+    "BACKENDS",
     "RunConfig",
     "read_hamiltonian",
     "write_hamiltonian",
@@ -46,6 +49,14 @@ DATASET_HEADER = struct.Struct("<4sHHHQQ")
 _PAULI6_OUTCOMES = 6
 
 
+# tomography backends by name, each built by ``(config, d)``
+BACKENDS = {
+    "bias": lambda cfg, d: FrequencyBias(cfg.resolved_S_bias(d)),
+    "psd": lambda cfg, d: LinearInversionPSD(),
+    "lad": lambda cfg, d: ConstrainedLAD(),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Pipeline defaults shared by the CLI subcommands."""
@@ -53,18 +64,17 @@ class RunConfig:
     seed: int = 0
     S: int = 10**6
     k: int = 4
-    partitioner: str = "greedy"
+    partitioner: str = next(iter(PARTITIONERS))  # the table's first name
     backend: str = "lad"
     S_bias: float | None = None  # None means d^k at point of use
-    floor: float = 1e-10
-    dense_cap: int = 8
+    floor: float = PROBABILITY_FLOOR
     drop_identity: bool = False
     workers: int = 1
 
     def __post_init__(self):
-        if self.partitioner not in ("greedy", "naive", "node", "edge"):
+        if self.partitioner not in PARTITIONERS:
             raise ValueError(f"unknown partitioner {self.partitioner!r}")
-        if self.backend not in ("bias", "psd", "lad"):
+        if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.k < 1 or self.S < 0 or self.workers < 1:
             raise ValueError("k and workers must be >= 1 and S >= 0")
@@ -77,13 +87,7 @@ class RunConfig:
         return float(d**self.k) if self.S_bias is None else float(self.S_bias)
 
     def tomography_backend(self, d: int):
-        from .tomography import ConstrainedLAD, FrequencyBias, LinearInversionPSD
-
-        if self.backend == "bias":
-            return FrequencyBias(self.resolved_S_bias(d))
-        if self.backend == "psd":
-            return LinearInversionPSD()
-        return ConstrainedLAD()
+        return BACKENDS[self.backend](self, d)
 
     def hash(self) -> str:
         return config_hash(asdict(self))

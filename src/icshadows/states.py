@@ -187,7 +187,14 @@ def bell_state() -> PureState:
     return PureState(2, amps)
 
 
+def _check_size(n: int, cap: int, kind: str) -> None:
+    """Reject a family size outside 1..cap before any 2^n array is built."""
+    if not 1 <= n <= cap:
+        raise ValueError(f"{n} qubits is outside 1..{cap}, the {kind} cap")
+
+
 def ghz_state(n: int) -> PureState:
+    _check_size(n, STATEVECTOR_CAP, "statevector")
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
     return PureState(n, amps)
@@ -205,6 +212,7 @@ _PRODUCT_KETS = {
 
 def product_state(spec: str) -> PureState:
     """Unentangled state from a character spec, e.g. ``0+1-`` or ``0r``."""
+    _check_size(len(spec), STATEVECTOR_CAP, "statevector")
     kets = []
     for ch in spec:
         if ch not in _PRODUCT_KETS:
@@ -217,6 +225,7 @@ def product_state(spec: str) -> PureState:
 
 
 def maximally_mixed(n: int) -> DensityMatrix:
+    _check_size(n, DENSITY_CAP, "density")
     dim = 2**n
     return DensityMatrix(n, np.eye(dim, dtype=complex) / dim)
 

@@ -7,11 +7,13 @@ from icshadows import (
     BlockProductState,
     DensityMatrix,
     PureState,
+    RunConfig,
     read_dataset,
     read_duals,
     read_partition,
+    write_partition,
 )
-from icshadows.cli import main, parse_state_spec
+from icshadows.cli import _config, build_parser, main, parse_state_spec
 
 
 def run(argv):
@@ -41,6 +43,32 @@ def test_parse_state_spec_forms():
     assert isinstance(psi, PureState) and psi.n == 4
     with pytest.raises(ValueError, match="unrecognized"):
         parse_state_spec("w-state")
+
+
+@pytest.mark.parametrize(
+    "spec, cap",
+    [
+        ("ghz-40", "statevector cap"),
+        ("product-" + "0" * 40, "statevector cap"),
+        ("max-mixed-40", "density cap"),
+        ("ghz-0", "statevector cap"),
+    ],
+)
+def test_state_family_outside_its_cap_exits_one(tmp_path, capsys, monkeypatch, spec, cap):
+    from icshadows import states
+
+    class NoAllocation:
+        """numpy for the states module, without the calls that build 2^n arrays."""
+
+        def __getattr__(self, name):
+            if name in ("zeros", "eye", "kron"):
+                raise AssertionError(f"np.{name} reached before the size check")
+            return getattr(np, name)
+
+    monkeypatch.setattr(states, "np", NoAllocation())
+    assert run(["sample", spec, "-S", 10, "--out", tmp_path / "ds.icsd"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and cap in err
 
 
 def test_sample_is_deterministic(tmp_path):
@@ -129,6 +157,27 @@ def test_duals_from_dataset_and_rdms(tmp_path):
     assert read_duals(from_rdm).provenance == "optimal-rdm"
 
 
+def test_dual_routes_agree(tmp_path):
+    # duals --dataset and tomo + duals --rdm-prefix on the partition it chose
+    ds_path = tmp_path / "ds.icsd"
+    assert run(["sample", "ghz-4", "-S", 3000, "--seed", 8, "--out", ds_path]) == 0
+    learned = tmp_path / "learned.icdl"
+    assert run(["duals", "--dataset", ds_path, "--k", 2, "--out", learned]) == 0
+    direct = read_duals(learned)
+    part = tmp_path / "part.txt"
+    write_partition(part, direct.partition)
+    prefix = tmp_path / "rec"
+    assert run(["tomo", ds_path, "--partition", part, "--backend", "lad",
+                "--out-prefix", prefix]) == 0
+    from_rdm = tmp_path / "rdm.icdl"
+    assert run(["duals", "--rdm-prefix", prefix, "--partition", part,
+                "--out", from_rdm]) == 0
+    staged = read_duals(from_rdm)
+    assert staged.partition.groups == direct.partition.groups
+    for a, b in zip(staged.frames, direct.frames, strict=True):
+        assert np.array_equal(a.duals, b.duals)
+
+
 def test_duals_source_flags_are_exclusive(tmp_path, capsys):
     ds_path = tmp_path / "ds.icsd"
     run(["sample", "bell", "-S", 100, "--seed", 0, "--out", ds_path])
@@ -201,6 +250,24 @@ def test_benchmark_table(tmp_path):
     assert float(rows[2]["variance"]) < 20.0
     assert all(len(r["config"]) == 12 for r in rows)
     assert float(rows[0]["exact_energy"]) == pytest.approx(-1.0)
+
+
+def test_rmse_checks_the_density_cap_before_the_harness(tmp_path, capsys, monkeypatch):
+    from icshadows import cli, states
+
+    def harness(*args, **kwargs):
+        raise AssertionError("the RMSE harness ran before the predicted RMSE")
+
+    def dense_build(ops):
+        raise AssertionError("dense Kronecker build reached above the density cap")
+
+    monkeypatch.setattr(cli, "rmse_experiment", harness)
+    monkeypatch.setattr(states, "kron_all", dense_build)
+    ham = tmp_path / "zz50.txt"
+    ham.write_text("1.0 ZZ" + "I" * 48 + "\n")
+    assert run(["rmse", "bell-pairs-25", "--hamiltonian", ham]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "density cap" in err
 
 
 def test_rmse_command(tmp_path):
@@ -292,3 +359,30 @@ def test_reruns_are_byte_identical(tmp_path):
         run(["estimate", ds_path, "--hamiltonian", ham, "--out", out])
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+# the smallest argv of each subcommand, and the RunConfig fields it sets itself
+MINIMAL_ARGV = {
+    "sample": (["bell", "-S", "5", "--out", "x"], {"S": 5}),
+    "mi": (["x"], {}),
+    "partition": (["x"], {}),
+    "tomo": (["x", "--partition", "p", "--out-prefix", "r"], {}),
+    "duals": (["--out", "x"], {}),
+    "estimate": (["x", "--hamiltonian", "h"], {}),
+    "exact-variance": (["bell", "--hamiltonian", "h"], {}),
+    "benchmark": (["--hamiltonian", "h"], {}),
+    "rmse": (["bell", "--hamiltonian", "h"], {"S": 1000}),
+    "toy": (["--family", "mixed"], {}),
+}
+
+
+def test_minimal_argv_covers_every_subcommand():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert set(sub.choices) == set(MINIMAL_ARGV)
+
+
+@pytest.mark.parametrize("command", sorted(MINIMAL_ARGV))
+def test_cli_defaults_are_run_config_defaults(command):
+    argv, own = MINIMAL_ARGV[command]
+    args = build_parser().parse_args([command] + argv)
+    assert _config(args) == RunConfig(**own)
