@@ -59,21 +59,36 @@ def load_hamiltonian(spec: str) -> PauliObservable:
     return read_hamiltonian(spec)
 
 
+def _number(text: str, kind, where: str):
+    """``kind(text)``, or a ValueError that names ``where`` the text came from."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{where}: {text!r} is not {noun}") from None
+
+
+def _number_list(text: str, kind, flag: str) -> list:
+    """A comma-separated list of numbers given to ``flag``."""
+    return [_number(tok, kind, flag) for tok in text.split(",") if tok]
+
+
 def parse_state_spec(spec: str):
     if spec == "bell":
         return bell_state()
-    if spec.startswith("ghz-"):
-        return ghz_state(int(spec[4:]))
-    if spec.startswith("bell-pairs-"):
-        return bell_pair_chain(int(spec[len("bell-pairs-") :]))
     if spec.startswith("product-"):
         return product_state(spec[len("product-") :])
-    if spec.startswith("mixed-"):
-        return toy_mixed(float(spec[len("mixed-") :]))
-    if spec.startswith("pure-"):
-        return toy_pure(float(spec[len("pure-") :]))
-    if spec.startswith("max-mixed-"):
-        return maximally_mixed(int(spec[len("max-mixed-") :]))
+    # families with one numeric parameter after the prefix
+    families = (
+        ("ghz-", int, ghz_state),
+        ("bell-pairs-", int, bell_pair_chain),
+        ("mixed-", float, toy_mixed),
+        ("pure-", float, toy_pure),
+        ("max-mixed-", int, maximally_mixed),
+    )
+    for prefix, kind, build in families:
+        if spec.startswith(prefix):
+            return build(_number(spec[len(prefix) :], kind, f"state spec {spec!r}"))
     if spec.startswith("ground-state-of:"):
         obs = load_hamiltonian(spec[len("ground-state-of:") :])
         return ground_state(obs)[1]
@@ -260,10 +275,10 @@ def cmd_exact_variance(args) -> int:
 
 def cmd_benchmark(args) -> int:
     cfg = _config(args)
+    ks = _number_list(args.ks, int, "--ks")
     obs = load_hamiltonian(args.hamiltonian)
     energy, psi = ground_state(obs)
     povm = pauli6_product(obs.n)
-    ks = [int(tok) for tok in args.ks.split(",") if tok]
     rows = []
 
     def add_row(label: str, k: int, duals):
@@ -332,7 +347,7 @@ def cmd_rmse(args) -> int:
 
 def cmd_toy(args) -> int:
     cfg = _config(args)
-    qs = [float(tok) for tok in args.q.split(",") if tok]
+    qs = _number_list(args.q, float, "--q")
     povm = pauli6_product(2)
     zz = PauliObservable.single("ZZ")
     rows = []

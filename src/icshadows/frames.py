@@ -7,10 +7,21 @@ the frame-operator weights: canonical duals weight each effect by
 duals apply the optimal rule per qubit group with probabilities predicted
 from reconstructed group states. Validity is never assumed: every
 constructed frame is checked against the duality identity at build time.
+
+Effects and duals are Hermitian, so the frame equation is solved and
+checked over the reals: a Hermitian ``(M, dim, dim)`` stack maps to its
+``(M, dim^2)`` coordinates in an orthonormal Hermitian basis (the
+diagonal entries, then sqrt(2) Re and -sqrt(2) Im of each upper-triangle
+entry, row by row), one gather each way (:func:`hermitian_coords`,
+:func:`hermitian_stack`). The map is unitary on Hermitian operators, so
+singular values, frame conditioning and Frobenius norms carry over
+unchanged; an anti-Hermitian part would be dropped, which is why
+:class:`DualFrame` rejects non-Hermitian stacks.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +58,9 @@ PROBABILITY_FLOOR = 1e-10
 class DualFrame:
     """Dual operators for one group's effects, validated at construction.
 
-    ``duals[m]`` is Hermitian and the stack satisfies the duality
-    identity against ``effects`` to within ``DUALITY_TOL``, which is the
+    ``effects[m]`` and ``duals[m]`` are Hermitian (each stack's largest
+    entry of |A - A^dag| is at most ``DUALITY_TOL``) and the stacks satisfy
+    the duality identity to within ``DUALITY_TOL``, which is the
     unbiasedness certificate for any estimator built on this frame.
     """
 
@@ -65,6 +77,12 @@ class DualFrame:
             raise ValueError("effects and duals must be matching (M, dim, dim) stacks")
         if not (np.isfinite(eff).all() and np.isfinite(du).all()):
             raise ValueError("effects and duals must be finite")
+        for name, stack in (("effects", eff), ("duals", du)):
+            asym = _asymmetry(stack)
+            if not asym <= DUALITY_TOL:
+                raise ValueError(
+                    f"{name} are not Hermitian (asymmetry {asym:.3e} exceeds {DUALITY_TOL})"
+                )
         resid = duality_residual(du, eff)
         if not resid <= DUALITY_TOL:
             raise ValueError(f"duality residual {resid:.3e} exceeds {DUALITY_TOL}")
@@ -107,11 +125,88 @@ class GlobalDuals:
         return tags.pop() if len(tags) == 1 else "mixed"
 
 
+@functools.lru_cache(maxsize=None)
+def _coordinate_maps(dim: int):
+    """Gather tables between a Hermitian matrix and its real coordinates.
+
+    Indices point into the ``2 dim^2`` floats of a row-major complex
+    matrix (real, imaginary, real, ...). The forward table picks the
+    diagonal real parts, then each upper-triangle entry's real and
+    imaginary parts, scaled by 1, sqrt(2) and -sqrt(2). The inverse table
+    fills every float from one coordinate: scale 1 on the diagonal (0 for
+    its imaginary parts), 1/sqrt(2) and -1/sqrt(2) above it, 1/sqrt(2)
+    and 1/sqrt(2) below it.
+    """
+    iu, ju = np.triu_indices(dim, 1)
+    diag, upper, lower = 2 * np.arange(dim) * (dim + 1), 2 * (iu * dim + ju), 2 * (ju * dim + iu)
+    sym = dim + 2 * np.arange(iu.size)
+    root2, inv_root2 = np.sqrt(2), 1.0 / np.sqrt(2)
+    fwd_idx = np.concatenate([diag, np.column_stack([upper, upper + 1]).ravel()])
+    fwd_scale = np.concatenate([np.ones(dim), np.tile([root2, -root2], iu.size)])
+    inv_idx = np.zeros(2 * dim * dim, dtype=np.intp)
+    inv_scale = np.zeros(2 * dim * dim)
+    inv_idx[diag], inv_scale[diag] = np.arange(dim), 1.0
+    for slots, part, scale in (
+        (upper, 0, inv_root2),
+        (upper + 1, 1, -inv_root2),
+        (lower, 0, inv_root2),
+        (lower + 1, 1, inv_root2),
+    ):
+        inv_idx[slots], inv_scale[slots] = sym + part, scale
+    tables = (fwd_idx, fwd_scale, inv_idx, inv_scale)
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+def hermitian_coords(stack: np.ndarray) -> np.ndarray:
+    """Real ``(M, dim^2)`` coordinates of a Hermitian ``(M, dim, dim)`` stack.
+
+    Coordinates are in the orthonormal Hermitian basis of the module
+    docstring. Only the diagonal and upper triangle are read, so an
+    anti-Hermitian part is silently dropped: callers check Hermiticity.
+    """
+    stack = np.ascontiguousarray(stack, dtype=complex)
+    M, dim = stack.shape[0], stack.shape[1]
+    idx, scale, _, _ = _coordinate_maps(dim)
+    return np.multiply(np.take(stack.reshape(M, -1).view(np.float64), idx, axis=1), scale)
+
+
+def hermitian_stack(coords: np.ndarray) -> np.ndarray:
+    """The Hermitian ``(M, dim, dim)`` stack with real coordinates ``coords``
+    (the inverse of :func:`hermitian_coords`); the result is exactly
+    Hermitian."""
+    coords = np.asarray(coords, dtype=float)
+    M = coords.shape[0]
+    dim = int(round(np.sqrt(coords.shape[1])))
+    _, _, idx, scale = _coordinate_maps(dim)
+    flat = np.multiply(np.take(coords, idx, axis=1), scale)
+    return flat.view(complex).reshape(M, dim, dim)
+
+
+def _asymmetry(stack: np.ndarray) -> float:
+    """Largest entry of |A - A^dag| over a stack; 0 for a Hermitian one."""
+    re, im = stack.real, stack.imag
+    return max(
+        float(np.abs(re - re.transpose(0, 2, 1)).max(initial=0.0)),
+        float(np.abs(im + im.transpose(0, 2, 1)).max(initial=0.0)),
+    )
+
+
 def duality_residual(duals: np.ndarray, effects: np.ndarray) -> float:
-    """Max-entry deviation of Σ_m |dual_m⟩⟩⟨⟨effect_m| from the identity."""
-    M, dim = effects.shape[0], effects.shape[1]
-    s = duals.reshape(M, -1).T @ effects.reshape(M, -1).conj()
-    return float(np.abs(s - np.eye(dim * dim)).max())
+    """Frobenius norm of Σ_m |dual_m⟩⟩⟨⟨effect_m| − 1, for Hermitian stacks.
+
+    In real Hermitian coordinates X (duals) and A (effects) the frame
+    superoperator is the real matrix Xᵀ A, unitarily similar to the
+    complex one, so this is also the complex matrix's Frobenius norm and
+    bounds its largest entry from above. Anti-Hermitian parts are not
+    seen here; :class:`DualFrame` rejects them before this check.
+    """
+    gram = hermitian_coords(duals).T @ hermitian_coords(effects)
+    gram[np.diag_indices_from(gram)] -= 1.0
+    # huge finite entries (a corrupt file) overflow to an infinite residual
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(gram))
 
 
 def duals_from_weights(
@@ -123,13 +218,16 @@ def duals_from_weights(
 ) -> DualFrame:
     """Solve the weighted frame equation for the dual operators.
 
-    Works on the square root of the frame operator: with A the tall
-    (M x dim^2) matrix of weighted vectorized effects, A = U diag(s) Vh,
-    the duals are the rows of U diag(1/s) Vh scaled back by the square
-    roots of the weights. The SVD is taken of A itself rather than of its
-    wide transpose (the singular values are the same, and LAPACK is
-    faster on the tall, C-contiguous form), and conditioning stays at the
-    square root of the frame operator's.
+    Works on the square root of the frame operator, over the reals: with
+    A the tall (M x dim^2) matrix of the effects' Hermitian coordinates
+    scaled by the square roots of the weights, A = U diag(s) Vh, the
+    duals' coordinates are the rows of U diag(1/s) Vh scaled back by the
+    same square roots. The coordinate map is unitary on Hermitian
+    operators, so s are the singular values of the complex weighted
+    effect matrix and conditioning stays at the square root of the frame
+    operator's. The SVD is taken of A itself rather than of its wide
+    transpose (LAPACK is faster on the tall, C-contiguous form), and the
+    duals come back exactly Hermitian.
     """
     effects = np.asarray(effects, dtype=complex)
     weights = np.asarray(weights, dtype=float)
@@ -139,14 +237,13 @@ def duals_from_weights(
     if np.any(weights <= 0):
         raise ValueError("frame weights must be strictly positive")
     root = np.sqrt(weights)[:, None]
-    U, s, Vh = np.linalg.svd(root * effects.reshape(M, -1), full_matrices=False)
+    U, s, Vh = np.linalg.svd(root * hermitian_coords(effects), full_matrices=False)
     if M < dim * dim or s[-1] <= 0 or (s[0] / s[-1]) ** 2 > cond_bound:
         raise ValueError(
             "frame operator is singular or ill-conditioned; "
             "the effect set is not informationally complete under these weights"
         )
-    duals = (((root * U) / s) @ Vh).reshape(M, dim, dim)
-    duals = 0.5 * (duals + np.conj(np.transpose(duals, (0, 2, 1))))
+    duals = hermitian_stack(((root * U) / s) @ Vh)
     if group is None:
         group = range(int(round(np.log2(dim))))
     return DualFrame(group=tuple(group), effects=effects, duals=duals, provenance=provenance)
@@ -291,22 +388,9 @@ def state_mse(duals, probabilities, rho) -> float:
 
 
 def _hermitian_basis(dim: int) -> np.ndarray:
-    """Orthonormal Hermitian basis, so real coefficient vectors stay Hermitian."""
-    basis = []
-    for i in range(dim):
-        e = np.zeros((dim, dim), dtype=complex)
-        e[i, i] = 1.0
-        basis.append(e)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            e = np.zeros((dim, dim), dtype=complex)
-            e[i, j] = e[j, i] = 1.0 / np.sqrt(2)
-            basis.append(e)
-            e = np.zeros((dim, dim), dtype=complex)
-            e[i, j] = -1j / np.sqrt(2)
-            e[j, i] = 1j / np.sqrt(2)
-            basis.append(e)
-    return np.stack(basis)
+    """Orthonormal Hermitian basis, so real coefficient vectors stay Hermitian:
+    the stacks whose coordinates are the unit vectors."""
+    return hermitian_stack(np.eye(dim * dim))
 
 
 def _duality_null_directions(effects: np.ndarray) -> np.ndarray:

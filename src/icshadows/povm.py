@@ -10,6 +10,8 @@ of the on-disk dataset contract and must never change:
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +30,9 @@ __all__ = [
 
 COMPLETENESS_TOL = 1e-12
 PSD_TOL = 1e-10
+# group effect stacks kept by group_effects, least recently used first out;
+# a 4-qubit Pauli-6 stack is 5.3 MB, a 5-qubit one 127 MB (never kept)
+STACK_CACHE_BYTES = 64 * 2**20
 
 
 def completeness_rank(effects) -> int:
@@ -135,13 +140,35 @@ def pauli6_product(n: int) -> ProductPOVM:
     return ProductPOVM((p,) * n)
 
 
+_stacks: OrderedDict = OrderedDict()
+_stacks_lock = threading.Lock()
+
+
 def group_effects(povm: ProductPOVM, group) -> np.ndarray:
     """All group effects stacked in row-major outcome order.
 
-    Returns an ``(M, 2^k, 2^k)`` array with ``M = prod of local d`` and the
-    first listed qubit as the most significant outcome digit.
+    Returns a read-only ``(M, 2^k, 2^k)`` array with ``M = prod of local d``
+    and the first listed qubit as the most significant outcome digit.
+    Stacks are built once per process for each sequence of ``LocalPOVM``
+    objects (by identity; the cache keeps those objects alive, so an
+    identity is never reused while its entry exists) and kept up to
+    ``STACK_CACHE_BYTES`` in total.
     """
-    return _kron_stacks([povm.locals[q].effects for q in group])
+    locals_ = tuple(povm.locals[q] for q in group)
+    key = tuple(map(id, locals_))
+    with _stacks_lock:
+        hit = _stacks.get(key)
+        if hit is not None:
+            _stacks.move_to_end(key)
+            return hit[1]
+    stack = _kron_stacks([p.effects for p in locals_])
+    stack.setflags(write=False)
+    if stack.nbytes <= STACK_CACHE_BYTES:
+        with _stacks_lock:
+            _stacks[key] = (locals_, stack)
+            while sum(entry[1].nbytes for entry in _stacks.values()) > STACK_CACHE_BYTES:
+                _stacks.popitem(last=False)
+    return stack
 
 
 def _kron_stacks(stacks) -> np.ndarray:

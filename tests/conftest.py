@@ -51,3 +51,11 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def anti_hermitian_duals(duals: np.ndarray) -> np.ndarray:
+    """One-qubit Pauli-6 duals moved off the Hermitian set along a
+    duality-preserving direction: |0><0| + |1><1| = |+><+| + |-><-|, so adding
+    i c_m Z with c = (1, 1, -1, -1, 0, 0) leaves every frame identity intact."""
+    c = np.array([1.0, 1.0, -1.0, -1.0, 0.0, 0.0])
+    return duals + 1e-3j * c[:, None, None] * np.diag([1.0, -1.0])

@@ -126,6 +126,45 @@ def wide_svd_duals(effects, weights) -> np.ndarray:
     return 0.5 * (duals + np.conj(np.transpose(duals, (0, 2, 1))))
 
 
+def complex_svd_duals(effects, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Dual stack from the SVD of the tall complex (M x dim^2) weighted effect
+    matrix, Hermitian-symmetrized, with that matrix's singular values."""
+    effects = np.asarray(effects, dtype=complex)
+    weights = np.asarray(weights, dtype=float)
+    M, dim = effects.shape[0], effects.shape[1]
+    root = np.sqrt(weights)[:, None]
+    U, s, Vh = np.linalg.svd(root * effects.reshape(M, -1), full_matrices=False)
+    duals = (((root * U) / s) @ Vh).reshape(M, dim, dim)
+    return 0.5 * (duals + np.conj(np.transpose(duals, (0, 2, 1)))), s
+
+
+def max_entry_residual(duals, effects) -> float:
+    """Max-entry deviation of the complex Σ_m |dual_m⟩⟩⟨⟨effect_m| from the identity."""
+    M, dim = effects.shape[0], effects.shape[1]
+    s = np.asarray(duals).reshape(M, -1).T @ np.asarray(effects).reshape(M, -1).conj()
+    return float(np.abs(s - np.eye(dim * dim)).max())
+
+
+def hermitian_basis_loop(dim) -> np.ndarray:
+    """Orthonormal Hermitian basis, one matrix at a time: the diagonal units,
+    then per upper-triangle entry its symmetric and antisymmetric pair."""
+    basis = []
+    for i in range(dim):
+        e = np.zeros((dim, dim), dtype=complex)
+        e[i, i] = 1.0
+        basis.append(e)
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            e = np.zeros((dim, dim), dtype=complex)
+            e[i, j] = e[j, i] = 1.0 / np.sqrt(2)
+            basis.append(e)
+            e = np.zeros((dim, dim), dtype=complex)
+            e[i, j] = -1j / np.sqrt(2)
+            e[j, i] = 1j / np.sqrt(2)
+            basis.append(e)
+    return np.stack(basis)
+
+
 def lad_loop(mt, effects, backend):
     """Constrained LAD by einsum, recomputing every iterate's probabilities."""
     effects = np.asarray(effects, dtype=complex)

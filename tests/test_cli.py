@@ -322,6 +322,24 @@ def test_cli_reports_errors_with_exit_one(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["sample", "ghz-x", "-S", 10], "state spec 'ghz-x': 'x' is not an integer"),
+        (["sample", "bell-pairs-", "-S", 10], "state spec 'bell-pairs-': '' is not an integer"),
+        (["sample", "mixed-abc", "-S", 10], "state spec 'mixed-abc': 'abc' is not a number"),
+        (["benchmark", "--hamiltonian", "bundled:h2_sto3g_4q.txt", "--ks", "x"],
+         "--ks: 'x' is not an integer"),
+        (["toy", "--family", "mixed", "--q", "0,x"], "--q: 'x' is not a number"),
+    ],
+)
+def test_malformed_numbers_name_their_spec_or_flag(tmp_path, capsys, argv, named):
+    assert run(argv + ["--out", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {named}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_sample_rejects_out_of_range_seed(tmp_path, capsys, seed):
     out = tmp_path / "ds.icsd"

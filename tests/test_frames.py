@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from icshadows import (
     DualFrame,
     GlobalDuals,
+    LocalPOVM,
     Partition,
+    ProductPOVM,
     bell_state,
     canonical_duals,
     canonical_global,
@@ -16,15 +18,33 @@ from icshadows import (
     maximally_mixed,
     optimal_duals,
     optimize_product_duals,
+    pauli6,
     pauli6_product,
     sample_shots,
     state_mse,
     toy_mixed,
 )
-from icshadows.frames import DUALITY_TOL, canonical_weights
+from icshadows import frames
+from icshadows.frames import (
+    DUALITY_TOL,
+    _hermitian_basis,
+    canonical_weights,
+    hermitian_coords,
+    hermitian_stack,
+)
 from icshadows.tomography import ConstrainedLAD, FrequencyBias
 
-from .oracles import frame_operator, wide_svd_duals
+from .conftest import anti_hermitian_duals, random_density
+from .oracles import (
+    complex_svd_duals,
+    frame_operator,
+    hermitian_basis_loop,
+    max_entry_residual,
+    same_bits,
+    wide_svd_duals,
+)
+
+EPS = np.finfo(float).eps
 
 
 def kets():
@@ -265,3 +285,125 @@ def test_duality_residual_detects_non_duals():
     assert duality_residual(frame.duals, effects) <= DUALITY_TOL
     # the effects are not their own duals for an overcomplete frame
     assert duality_residual(effects, effects) > 0.1
+
+
+def rotated_povm(rng, n: int) -> ProductPOVM:
+    """Pauli-6 turned by an independent random unitary on each qubit."""
+    locals_ = []
+    for _ in range(n):
+        u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        locals_.append(LocalPOVM(np.einsum("ab,mbc,dc->mad", u, pauli6().effects, u.conj())))
+    return ProductPOVM(tuple(locals_))
+
+
+def random_hermitian_stack(rng, M: int, dim: int) -> np.ndarray:
+    a = rng.normal(size=(M, dim, dim)) + 1j * rng.normal(size=(M, dim, dim))
+    return a + np.conj(np.transpose(a, (0, 2, 1)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 8, 16])
+def test_hermitian_basis_is_the_hand_built_one(dim):
+    basis = _hermitian_basis(dim)
+    assert np.array_equal(basis, hermitian_basis_loop(dim))
+    # the basis' own coordinates are the unit vectors
+    assert np.array_equal(hermitian_coords(basis), np.eye(dim * dim))
+
+
+def test_product_dual_optimizer_unchanged_by_the_derived_basis(monkeypatch):
+    rho = toy_mixed(0.3)
+    probs = np.einsum("mab,ba->m", pauli6_product(2).group_effects((0, 1)), rho.matrix).real
+    part = Partition.singletons(2)
+    got, mse, sweeps = optimize_product_duals(probs, part, rho)
+    monkeypatch.setattr(frames, "_hermitian_basis", hermitian_basis_loop)
+    want, want_mse, want_sweeps = optimize_product_duals(probs, part, rho)
+    assert (mse, sweeps) == (want_mse, want_sweeps)
+    for a, b in zip(got.frames, want.frames):
+        assert same_bits(a.duals, b.duals)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 16])
+def test_hermitian_coordinates_round_trip(dim):
+    rng = np.random.default_rng(dim)
+    stack = random_hermitian_stack(rng, 7, dim)
+    coords = hermitian_coords(stack)
+    assert coords.shape == (7, dim * dim) and coords.dtype == np.float64
+    back = hermitian_stack(coords)
+    # each off-diagonal part is scaled by sqrt(2) and back by 1/sqrt(2), whose
+    # product is not exactly 1 in floating point: at most one rounding each way
+    for part in (np.real, np.imag):
+        assert np.all(np.abs(part(back) - part(stack)) <= 2 * EPS * np.abs(part(stack)))
+    assert np.array_equal(np.diagonal(back, axis1=1, axis2=2), np.diagonal(stack, axis1=1, axis2=2))
+    assert np.array_equal(back, np.conj(np.transpose(back, (0, 2, 1))))
+    again = hermitian_coords(back)
+    assert np.all(np.abs(again - coords) <= 2 * EPS * np.abs(coords))
+    # orthonormal basis: Frobenius inner products carry over
+    gram = np.einsum("mab,nab->mn", stack.conj(), stack).real
+    assert np.abs(coords @ coords.T - gram).max() <= 1e-13 * np.abs(gram).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    k=st.integers(min_value=1, max_value=4),
+    rotated=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    spread=st.floats(min_value=0.0, max_value=10.0),
+)
+def test_real_solve_matches_complex_oracle(k, rotated, seed, spread):
+    rng = np.random.default_rng(seed)
+    povm = rotated_povm(rng, k) if rotated else pauli6_product(k)
+    effects = povm.group_effects(tuple(range(k)))
+    weights = 10.0 ** rng.uniform(0.0, spread, effects.shape[0])
+    want, s = complex_svd_duals(effects, weights)
+    kappa = s[0] / s[-1]
+    if kappa**2 > frames.CONDITION_BOUND:
+        with pytest.raises(ValueError, match="ill-conditioned"):
+            duals_from_weights(effects, weights)
+        return
+    got = duals_from_weights(effects, weights).duals
+    # both solves are backward stable, so they may differ by about
+    # dim^2 * eps * kappa (kappa: the weighted effect matrix's singular-value
+    # ratio); on well-conditioned frames that is below 1e-12
+    rel = np.abs(got - want).max() / np.abs(want).max()
+    assert rel <= max(1e-12, 4 * 4**k * EPS * kappa)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_real_solve_matches_complex_oracle_on_learned_weights(k):
+    # weights as optimal_duals forms them for a full-rank group state:
+    # inverse Born probabilities, here up to about 3e3
+    rng = np.random.default_rng(70 + k)
+    effects = rotated_povm(rng, k).group_effects(tuple(range(k)))
+    probs = np.einsum("mab,ba->m", effects, random_density(rng, 2**k)).real
+    weights = 1.0 / np.maximum(probs, frames.PROBABILITY_FLOOR)
+    want, _ = complex_svd_duals(effects, weights)
+    got = duals_from_weights(effects, weights).duals
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    scale=st.floats(min_value=1e-14, max_value=1.0),
+)
+def test_frobenius_residual_bounds_max_entry_oracle(k, seed, scale):
+    rng = np.random.default_rng(seed)
+    effects = pauli6_product(k).group_effects(tuple(range(k)))
+    duals = canonical_duals(effects).duals
+    perturbed = duals + scale * random_hermitian_stack(rng, *duals.shape[:2])
+    for d in (duals, perturbed):
+        # the real-coordinate Frobenius norm equals the complex one, which is
+        # at least the largest entry; the slack covers rounding only
+        assert duality_residual(d, effects) >= max_entry_residual(d, effects) * (1 - 1e-12)
+
+
+def test_dual_frame_rejects_non_hermitian_stacks():
+    effects = pauli6_product(1).group_effects((0,))
+    frame = canonical_duals(effects)
+    skewed = anti_hermitian_duals(frame.duals)
+    # duality holds for the complex stack; only Hermiticity fails
+    assert max_entry_residual(skewed, effects) < 1e-15
+    with pytest.raises(ValueError, match="duals are not Hermitian"):
+        DualFrame(group=(0,), effects=effects, duals=skewed)
+    with pytest.raises(ValueError, match="effects are not Hermitian"):
+        DualFrame(group=(0,), effects=np.conj(anti_hermitian_duals(frame.duals)), duals=frame.duals)

@@ -29,6 +29,9 @@ from icshadows import (
 from icshadows.frames import DUALITY_TOL, duality_residual
 from icshadows.io import config_hash, write_csv
 
+from .conftest import anti_hermitian_duals
+from .oracles import max_entry_residual
+
 
 def test_hamiltonian_round_trip(tmp_path):
     obs = PauliObservable.from_terms([(0.5, "XZ"), (-1.25, "IY"), (3e-8, "ZZ")])
@@ -334,6 +337,20 @@ def test_read_duals_rejects_nan_payload(tmp_path):
     blob[-16:-8] = np.array([np.nan]).tobytes()
     path.write_bytes(bytes(blob))
     with pytest.raises(ValueError, match="finite"):
+        read_duals(path)
+
+
+def test_read_duals_rejects_non_hermitian_duals(tmp_path):
+    gd = canonical_global(pauli6_product(1))
+    path = tmp_path / "frames.icdl"
+    write_duals(path, gd)
+    blob = bytearray(path.read_bytes())
+    payload = np.frombuffer(bytes(blob[-6 * 4 * 16 :]), dtype=np.complex128).reshape(6, 2, 2)
+    skewed = anti_hermitian_duals(payload)
+    assert max_entry_residual(skewed, gd.frames[0].effects) < 1e-15
+    blob[-6 * 4 * 16 :] = skewed.tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="frames.icdl.*duals are not Hermitian"):
         read_duals(path)
 
 

@@ -3,12 +3,16 @@ import pytest
 
 from icshadows import (
     LocalPOVM,
+    ProductPOVM,
     completeness_rank,
     group_effects,
     outcome_probabilities,
     pauli6,
     pauli6_product,
 )
+
+from icshadows import povm as povm_module
+from icshadows.povm import _kron_stacks
 
 from .conftest import random_density
 from .oracles import group_effect
@@ -94,3 +98,46 @@ def test_outcome_probabilities_born_rule():
     assert np.isclose(probs.sum(), 1.0)
     want = [np.trace(e @ rho).real for e in pauli6().effects]
     assert np.allclose(probs, want)
+
+
+def test_group_effects_cache_returns_read_only_kron_stacks():
+    povm = pauli6_product(4)
+    locals_ = [povm.locals[q].effects for q in (0, 1, 2)]
+    stack = group_effects(povm, (0, 1, 2))
+    assert np.array_equal(stack, _kron_stacks(locals_))
+    assert not stack.flags.writeable
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = 1.0
+    # built once: any group over the same local POVM objects gets the same array
+    assert group_effects(povm, (1, 2, 3)) is stack
+    assert group_effects(pauli6_product(3), (0, 1, 2)) is stack
+
+
+def test_group_effects_cache_keys_on_local_povm_identity():
+    effects = pauli6().effects
+    first = ProductPOVM((LocalPOVM(effects), LocalPOVM(effects)))
+    second = ProductPOVM((LocalPOVM(effects), LocalPOVM(effects)))
+    a = group_effects(first, (0, 1))
+    b = group_effects(second, (0, 1))
+    assert a is not b and np.array_equal(a, b)
+    flipped = LocalPOVM(effects[::-1])
+    mixed = ProductPOVM((first.locals[0], flipped))
+    assert np.array_equal(group_effects(mixed, (0, 1)), _kron_stacks([effects, effects[::-1]]))
+    assert np.array_equal(group_effects(mixed, (1, 0)), _kron_stacks([effects[::-1], effects]))
+
+
+def test_group_effects_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(povm_module, "_stacks", type(povm_module._stacks)())
+    monkeypatch.setattr(povm_module, "STACK_CACHE_BYTES", 36 * 4 * 4 * 16)
+    povm = pauli6_product(3)
+    pair = group_effects(povm, (0, 1))
+    assert group_effects(povm, (1, 2)) is pair
+    # a stack above the bound is returned but not kept
+    triple = group_effects(povm, (0, 1, 2))
+    assert not triple.flags.writeable
+    assert group_effects(povm, (0, 1, 2)) is not triple
+    assert group_effects(povm, (0, 1)) is pair
+    # a newer entry evicts the least recently used one
+    other = ProductPOVM((pauli6(), pauli6()))
+    assert group_effects(other, (0, 1)) is not pair
+    assert group_effects(povm, (0, 1)) is not pair
