@@ -16,7 +16,8 @@ entry, row by row), one gather each way (:func:`hermitian_coords`,
 :func:`hermitian_stack`). The map is unitary on Hermitian operators, so
 singular values, frame conditioning and Frobenius norms carry over
 unchanged; an anti-Hermitian part would be dropped, which is why
-:class:`DualFrame` rejects non-Hermitian stacks.
+:func:`duality_residual` (and so :class:`DualFrame`) rejects
+non-Hermitian stacks.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ class DualFrame:
     ``effects[m]`` and ``duals[m]`` are Hermitian (each stack's largest
     entry of |A - A^dag| is at most ``DUALITY_TOL``) and the stacks satisfy
     the duality identity to within ``DUALITY_TOL``, which is the
-    unbiasedness certificate for any estimator built on this frame.
+    unbiasedness certificate for any estimator built on this frame. Both
+    are checked by :func:`duality_residual`.
     """
 
     group: tuple[int, ...]
@@ -77,12 +79,6 @@ class DualFrame:
             raise ValueError("effects and duals must be matching (M, dim, dim) stacks")
         if not (np.isfinite(eff).all() and np.isfinite(du).all()):
             raise ValueError("effects and duals must be finite")
-        for name, stack in (("effects", eff), ("duals", du)):
-            asym = _asymmetry(stack)
-            if not asym <= DUALITY_TOL:
-                raise ValueError(
-                    f"{name} are not Hermitian (asymmetry {asym:.3e} exceeds {DUALITY_TOL})"
-                )
         resid = duality_residual(du, eff)
         if not resid <= DUALITY_TOL:
             raise ValueError(f"duality residual {resid:.3e} exceeds {DUALITY_TOL}")
@@ -199,11 +195,18 @@ def duality_residual(duals: np.ndarray, effects: np.ndarray) -> float:
     In real Hermitian coordinates X (duals) and A (effects) the frame
     superoperator is the real matrix Xᵀ A, unitarily similar to the
     complex one, so this is also the complex matrix's Frobenius norm and
-    bounds its largest entry from above. Anti-Hermitian parts are not
-    seen here; :class:`DualFrame` rejects them before this check.
+    bounds its largest entry from above. The coordinates cannot see an
+    anti-Hermitian part, so either stack having one (largest entry of
+    |A - A^dag| above ``DUALITY_TOL``) raises ``ValueError``.
     """
+    for name, stack in (("effects", effects), ("duals", duals)):
+        asym = _asymmetry(np.asarray(stack))
+        if not asym <= DUALITY_TOL:
+            raise ValueError(
+                f"{name} are not Hermitian (asymmetry {asym:.3e} exceeds {DUALITY_TOL})"
+            )
     gram = hermitian_coords(duals).T @ hermitian_coords(effects)
-    gram[np.diag_indices_from(gram)] -= 1.0
+    gram.flat[:: gram.shape[0] + 1] -= 1.0  # the identity's diagonal
     # huge finite entries (a corrupt file) overflow to an infinite residual
     with np.errstate(over="ignore"):
         return float(np.linalg.norm(gram))

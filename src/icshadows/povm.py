@@ -11,7 +11,6 @@ of the on-disk dataset contract and must never change:
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +29,7 @@ __all__ = [
 
 COMPLETENESS_TOL = 1e-12
 PSD_TOL = 1e-10
-# group effect stacks kept by group_effects, least recently used first out;
+# group effect stacks kept by group_effects, oldest first out;
 # a 4-qubit Pauli-6 stack is 5.3 MB, a 5-qubit one 127 MB (never kept)
 STACK_CACHE_BYTES = 64 * 2**20
 
@@ -140,7 +139,8 @@ def pauli6_product(n: int) -> ProductPOVM:
     return ProductPOVM((p,) * n)
 
 
-_stacks: OrderedDict = OrderedDict()
+_stacks: dict = {}
+_stacks_bytes = 0
 _stacks_lock = threading.Lock()
 
 
@@ -152,22 +152,24 @@ def group_effects(povm: ProductPOVM, group) -> np.ndarray:
     Stacks are built once per process for each sequence of ``LocalPOVM``
     objects (by identity; the cache keeps those objects alive, so an
     identity is never reused while its entry exists) and kept up to
-    ``STACK_CACHE_BYTES`` in total.
+    ``STACK_CACHE_BYTES`` in total, the oldest entries evicted first.
     """
+    global _stacks_bytes
     locals_ = tuple(povm.locals[q] for q in group)
     key = tuple(map(id, locals_))
     with _stacks_lock:
         hit = _stacks.get(key)
-        if hit is not None:
-            _stacks.move_to_end(key)
-            return hit[1]
+    if hit is not None:
+        return hit[1]
     stack = _kron_stacks([p.effects for p in locals_])
     stack.setflags(write=False)
     if stack.nbytes <= STACK_CACHE_BYTES:
         with _stacks_lock:
-            _stacks[key] = (locals_, stack)
-            while sum(entry[1].nbytes for entry in _stacks.values()) > STACK_CACHE_BYTES:
-                _stacks.popitem(last=False)
+            if key not in _stacks:
+                _stacks[key] = (locals_, stack)
+                _stacks_bytes += stack.nbytes
+            while _stacks_bytes > STACK_CACHE_BYTES:
+                _stacks_bytes -= _stacks.pop(next(iter(_stacks)))[1].nbytes
     return stack
 
 

@@ -403,6 +403,9 @@ def test_dual_frame_rejects_non_hermitian_stacks():
     skewed = anti_hermitian_duals(frame.duals)
     # duality holds for the complex stack; only Hermiticity fails
     assert max_entry_residual(skewed, effects) < 1e-15
+    # the public check itself refuses, rather than under-reporting
+    with pytest.raises(ValueError, match="duals are not Hermitian"):
+        duality_residual(skewed, effects)
     with pytest.raises(ValueError, match="duals are not Hermitian"):
         DualFrame(group=(0,), effects=effects, duals=skewed)
     with pytest.raises(ValueError, match="effects are not Hermitian"):

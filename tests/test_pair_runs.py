@@ -1,0 +1,44 @@
+"""The claim verdict of tools/pair_runs.py on synthetic pairs."""
+
+import importlib.util
+import os
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "pair_runs.py")
+_spec = importlib.util.spec_from_file_location("pair_runs", _PATH)
+pair_runs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(pair_runs)
+
+
+def _verdict(parent, change):
+    pairs = [{"parent": {"wall_s": p}, "change": {"wall_s": c}} for p, c in zip(parent, change)]
+    return pair_runs.verdict(pair_runs.summarize(pairs, ["wall_s"]), "wall_s")
+
+
+def test_parse_seeds():
+    assert pair_runs.parse_seeds("0-3,7") == [0, 1, 2, 3, 7]
+    assert pair_runs.parse_seeds("5") == [5]
+
+
+def test_verdict_needs_ten_pairs():
+    parent = [1.70 + 0.001 * i for i in range(10)]
+    change = [1.40 + 0.001 * i for i in range(10)]
+    short = _verdict(parent[:6], change[:6])
+    assert short.startswith("claim NOT met (fewer than 10 pairs)")
+    assert "6/6 pairs" in short
+    full = _verdict(parent, change)
+    assert full.startswith("claim met:") and "10/10 pairs" in full
+
+
+@pytest.mark.parametrize("lower, met", [(9, True), (8, False)])
+def test_verdict_needs_nine_in_ten(lower, met):
+    parent = [1.70 + 0.001 * i for i in range(10)]
+    change = [p - 0.3 if i < lower else p + 0.01 for i, p in enumerate(parent)]
+    assert _verdict(parent, change).startswith("claim met:" if met else "claim NOT met:")
+
+
+def test_verdict_needs_a_gap_above_the_parent_iqr():
+    parent = [1.0 + 0.1 * i for i in range(10)]  # IQR 0.45
+    change = [p - 0.2 for p in parent]  # lower in every pair, median gap 0.2
+    assert _verdict(parent, change).startswith("claim NOT met:")

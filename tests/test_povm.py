@@ -127,7 +127,8 @@ def test_group_effects_cache_keys_on_local_povm_identity():
 
 
 def test_group_effects_cache_is_bounded(monkeypatch):
-    monkeypatch.setattr(povm_module, "_stacks", type(povm_module._stacks)())
+    monkeypatch.setattr(povm_module, "_stacks", {})
+    monkeypatch.setattr(povm_module, "_stacks_bytes", 0)
     monkeypatch.setattr(povm_module, "STACK_CACHE_BYTES", 36 * 4 * 4 * 16)
     povm = pauli6_product(3)
     pair = group_effects(povm, (0, 1))
@@ -137,7 +138,10 @@ def test_group_effects_cache_is_bounded(monkeypatch):
     assert not triple.flags.writeable
     assert group_effects(povm, (0, 1, 2)) is not triple
     assert group_effects(povm, (0, 1)) is pair
-    # a newer entry evicts the least recently used one
+    # a newer entry evicts the oldest one
     other = ProductPOVM((pauli6(), pauli6()))
     assert group_effects(other, (0, 1)) is not pair
     assert group_effects(povm, (0, 1)) is not pair
+    kept = povm_module._stacks.values()
+    assert povm_module._stacks_bytes == sum(stack.nbytes for _, stack in kept)
+    assert povm_module._stacks_bytes <= povm_module.STACK_CACHE_BYTES

@@ -3,8 +3,8 @@
 Usage (from the repository root):
 
     python tools/pair_runs.py --parent <commit> --workloads h2-8q-paper,h2-8q-rmse \
-        --seeds 0-10 --out BENCH_<n>.json [--seconds 40] [--claim h2-8q-paper:wall_s] \
-        [--held-out 10] [--trace-seed 3] [--scratch DIR]
+        --seeds 0-9 --out BENCH_<n>.json [--claim h2-8q-paper:wall_s] \
+        [--trace-seed 3] [--scratch DIR]
 
 A workload may carry its own seeds, as in ``h2-8q-paper:0-10,h2-8q-rmse:0-5``.
 
@@ -12,13 +12,14 @@ The parent side is a ``git archive`` of ``--parent``; the change side is a
 copy of the working tree's tracked and untracked, not ignored, files. For
 each workload and seed the script runs ``perfbench/run.py --trace 0`` once
 per side, one run at a time, alternating which side goes first (the
-parent on even pair indices). It writes the output file after every pair:
+parent on even pair indices). Run length is left to ``perfbench/run.py``'s
+own ``--seconds`` default. It writes the output file after every pair:
 per metric of ``BENCHMARK.json``'s ``end_to_end`` list, the median and
 quartiles of each side, the number of pairs in which the change is
 strictly lower, the relative change of the medians, and every pair. With
-``--claim WORKLOAD:METRIC`` it adds a verdict: the claim holds when the
-change is lower in at least nine of ten pairs and the medians differ by
-more than the parent's interquartile range. With ``--trace-seed`` it adds
+``--claim WORKLOAD:METRIC`` it adds a verdict: the claim holds when at
+least ten pairs ran, the change is lower in at least nine of ten of them,
+and the medians differ by more than the parent's interquartile range. With ``--trace-seed`` it adds
 one traced pass (``--trace 1``) per side and its per-layer metrics.
 """
 
@@ -36,6 +37,7 @@ import tempfile
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+MIN_PAIRS = 10
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -70,10 +72,10 @@ def make_sides(parent: str, scratch: str) -> dict[str, str]:
     return sides
 
 
-def run_once(side_dir: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_once(side_dir: str, workload: str, seed: int, trace: int) -> dict:
     """One perfbench run; the parsed JSON of its last stdout line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=side_dir, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -106,8 +108,13 @@ def summarize(pairs: list[dict], metrics: list[str]) -> dict:
 def verdict(summary: dict, metric: str) -> str:
     s = summary[metric]
     pm, cm = s["parent"]["median"], s["change"]["median"]
-    met = s["change_lower"] >= 0.9 * s["pairs"] and pm - cm > s["parent"]["iqr"]
-    return (f"claim {'met' if met else 'NOT met'}: the change is lower on "
+    if s["pairs"] < MIN_PAIRS:
+        status = f"NOT met (fewer than {MIN_PAIRS} pairs)"
+    elif s["change_lower"] >= 0.9 * s["pairs"] and pm - cm > s["parent"]["iqr"]:
+        status = "met"
+    else:
+        status = "NOT met"
+    return (f"claim {status}: the change is lower on "
             f"{s['change_lower']}/{s['pairs']} pairs, median {pm} -> {cm} "
             f"({100 * s['median_change_rel']:+.1f}%), a gap of {pm - cm:.4f} against a "
             f"parent IQR of {s['parent']['iqr']}")
@@ -125,11 +132,9 @@ def main(argv=None) -> int:
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--parent", required=True, help="commit to compare against")
     p.add_argument("--workloads", required=True, help="comma-separated perfbench workloads")
-    p.add_argument("--seeds", default="0-5", help="seeds, e.g. 0-10 or 0,3,7")
-    p.add_argument("--seconds", type=float, default=40.0, help="perfbench --seconds per run")
+    p.add_argument("--seeds", default=f"0-{MIN_PAIRS - 1}", help="seeds, e.g. 0-9 or 0,3,7")
     p.add_argument("--out", required=True, help="output file, e.g. BENCH_9.json")
     p.add_argument("--claim", help="WORKLOAD:METRIC the change claims to lower")
-    p.add_argument("--held-out", type=int, help="seed kept out of any tuning, recorded as such")
     p.add_argument("--trace-seed", type=int, help="seed of one traced pass per side")
     p.add_argument("--scratch", help="directory for the two checkouts (default: a temp dir)")
     args = p.parse_args(argv)
@@ -145,8 +150,8 @@ def main(argv=None) -> int:
     scratch = args.scratch or tempfile.mkdtemp(prefix="pair_runs-")
     sides = make_sides(parent, scratch)
 
-    command = (f"python3 perfbench/run.py --workload <workload> --seed <seed> "
-               f"--seconds {args.seconds:g} --trace 0")
+    command = ("python3 perfbench/run.py --workload <workload> --seed <seed> --trace 0 "
+               "(run length: perfbench's own --seconds default)")
     result = {
         "what": f"perfbench pair runs: parent commit {parent} against this change, "
                 "alternating which side runs first",
@@ -160,8 +165,6 @@ def main(argv=None) -> int:
                         "(ties count for neither side)",
         "workloads": {},
     }
-    if args.held_out is not None:
-        result["held_out_seed"] = {w: args.held_out for w in workloads}
     claim_workload, _, claim_metric = (args.claim or "").partition(":")
     if args.claim:
         result["claim"] = f"{claim_metric} on {claim_workload} is lower"
@@ -178,7 +181,7 @@ def main(argv=None) -> int:
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    res = run_once(sides[side], w, seed, args.seconds, 0)
+                    res = run_once(sides[side], w, seed, 0)
                     pair[side] = {m: round(res["metrics"][m]["value"], 4) for m in metrics}
                     pair[side].update(correct=res["correct"], failed=res["failed"],
                                       attempted=res["attempted"])
@@ -199,12 +202,11 @@ def main(argv=None) -> int:
             first = next(iter(workloads))
             traced = {}
             for side in ("parent", "change"):
-                res = run_once(sides[side], first, args.trace_seed, 5.0, 1)
+                res = run_once(sides[side], first, args.trace_seed, 1)
                 for name, m in res["metrics"].items():
                     traced.setdefault(name, {})[side] = round(m["value"], 4)
             result[f"trace_seed{args.trace_seed}"] = {
-                "note": f"one traced pass per side of {first}, --seconds 5 --trace 1, "
-                        f"seed {args.trace_seed}",
+                "note": f"one traced run per side of {first}, --trace 1, seed {args.trace_seed}",
                 **traced,
             }
             write()
