@@ -5,12 +5,9 @@ from .correlations import (
     MIGraph,
     edge_order_partition,
     greedy_partition,
-    group_mutual_information,
     mi_graph,
-    modularity,
     naive_partition,
     node_order_partition,
-    pair_mutual_information,
     resolve_partitioner,
 )
 from .estimation import (
@@ -75,7 +72,6 @@ from .states import (
     bell_state,
     ghz_state,
     ground_state,
-    grouped_product_state,
     maximally_mixed,
     product_state,
     reduced_density,

@@ -230,8 +230,19 @@ def cmd_duals(args) -> int:
             raise ValueError("--rdm-prefix requires --partition")
         cfg = _config(args)
         part = read_partition(args.partition)
-        sigmas = (np.load(f"{args.rdm_prefix}-group{gi}.npy") for gi in range(len(part.groups)))
-        duals = optimal_global(part, sigmas, pauli6_product(part.n), cfg.floor, "optimal-rdm")
+        paths = []
+
+        def sigmas():
+            for gi in range(len(part.groups)):
+                paths.append(f"{args.rdm_prefix}-group{gi}.npy")
+                yield np.load(paths[-1])
+
+        # optimal_global solves each group as soon as its file is loaded,
+        # so a failure belongs to the last path loaded
+        try:
+            duals = optimal_global(part, sigmas(), pauli6_product(part.n), cfg.floor, "optimal-rdm")
+        except ValueError as exc:
+            raise ValueError(f"{paths[-1]}: {exc}") from exc
     else:
         raise ValueError("pass --dataset or --rdm-prefix")
     write_duals(args.out, duals)

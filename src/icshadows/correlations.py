@@ -1,21 +1,21 @@
 """Mutual information between measured qubits and MI-driven partitioning.
 
 All MI values use the plug-in estimator in nats with 0 log 0 = 0 and a
-clamp at zero. Sources of outcome statistics can be a :class:`Dataset`
-(empirical frequencies) or a ``(state, povm)`` pair (exact Born
-frequencies), so the same grouping code serves both finite-shot runs and
-infinite-statistics oracles.
+clamp at zero, on the empirical outcome frequencies of a
+:class:`~icshadows.sampling.Dataset`: the partition comes from the same
+shots the duals are learned from. An empty dataset has no frequencies,
+so every function and partitioner here rejects it.
 
-For a dataset the histograms are built with few passes over the shot
-records. :func:`mi_graph` splits the qubits into consecutive blocks of b
-qubits, with d^(2b) <= 2^16 (b = 3 for Pauli-6), codes each block's
-outcomes once, and takes one ``bincount`` per pair of blocks; each qubit
-pair's d x d table is an integer sum of one such histogram over its other
-axes (3 passes instead of 28 on 8 qubits). :func:`greedy_partition` codes
-the growing group once per step, so each candidate qubit costs one add and
+The histograms are built with few passes over the shot records.
+:func:`mi_graph` splits the qubits into consecutive blocks of b qubits,
+with d^(2b) <= 2^16 (b = 3 for Pauli-6), codes each block's outcomes
+once, and takes one ``bincount`` per pair of blocks; each qubit pair's
+d x d table is an integer sum of one such histogram over its other axes
+(3 passes instead of 28 on 8 qubits). :func:`greedy_partition` codes the
+growing group once per step, so each candidate qubit costs one add and
 one ``bincount``. Counts are integers, so every table, and hence every MI
-value, is the same as one :func:`~icshadows.sampling.marginal_counts` call
-per pair or candidate would give.
+value, is the same as one :func:`~icshadows.sampling.marginal_counts`
+call per pair or candidate would give.
 """
 
 from __future__ import annotations
@@ -25,19 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .partition import Partition
-from .sampling import (
-    MARGINAL_GROUP_CAP,
-    Dataset,
-    flat_codes,
-    joint_probabilities,
-    marginal_counts,
-)
+from .sampling import MARGINAL_GROUP_CAP, Dataset, flat_codes
 
 __all__ = [
     "MIGraph",
     "Partition",
-    "pair_mutual_information",
-    "group_mutual_information",
     "mi_graph",
     "greedy_partition",
     "naive_partition",
@@ -45,7 +37,6 @@ __all__ = [
     "edge_order_partition",
     "PARTITIONERS",
     "resolve_partitioner",
-    "modularity",
 ]
 
 # bins of one block-pair histogram in :func:`mi_graph`
@@ -69,21 +60,10 @@ class MIGraph:
         self.weights.setflags(write=False)
 
 
-def _source_info(source) -> tuple[int, int]:
-    if isinstance(source, Dataset):
-        if source.S == 0:
-            raise ValueError("empty dataset")
-        return source.n, source.d
-    state, povm = source
-    return povm.n, povm.dims[0]
-
-
-def _frequencies(source, group) -> np.ndarray:
-    """Joint outcome frequencies for ``group`` in the listed qubit order."""
-    if isinstance(source, Dataset):
-        return marginal_counts(source, group).frequencies
-    state, povm = source
-    return joint_probabilities(state, povm, group)
+def _nonempty(ds: Dataset) -> Dataset:
+    if ds.S == 0:
+        raise ValueError("empty dataset")
+    return ds
 
 
 def _mutual_information(joint: np.ndarray) -> float:
@@ -93,25 +73,6 @@ def _mutual_information(joint: np.ndarray) -> float:
     mask = joint > 0
     ratio = joint[mask] / (np.outer(pa, pb)[mask])
     return max(float(np.sum(joint[mask] * np.log(ratio))), 0.0)
-
-
-def pair_mutual_information(source, i: int, j: int) -> float:
-    if i == j:
-        raise ValueError("need two distinct qubits")
-    a, b = (i, j) if i < j else (j, i)
-    _, d = _source_info(source)
-    joint = _frequencies(source, (a, b)).reshape(d, d)
-    return _mutual_information(joint)
-
-
-def group_mutual_information(source, group, q: int) -> float:
-    """MI between a group's joint outcome and one extra qubit's outcome."""
-    group = list(group)
-    if q in group:
-        raise ValueError("qubit already in the group")
-    _, d = _source_info(source)
-    joint = _frequencies(source, group + [q]).reshape(d ** len(group), d)
-    return _mutual_information(joint)
 
 
 def _pair_counts(ds: Dataset) -> dict[tuple[int, int], np.ndarray]:
@@ -148,54 +109,47 @@ def _pair_counts(ds: Dataset) -> dict[tuple[int, int], np.ndarray]:
     return tables
 
 
-def mi_graph(source) -> MIGraph:
-    n, _ = _source_info(source)
-    w = np.zeros((n, n))
-    if isinstance(source, Dataset):
-        for (i, j), counts in _pair_counts(source).items():
-            w[i, j] = w[j, i] = _mutual_information(counts / source.S)
-    else:
-        for i in range(n):
-            for j in range(i + 1, n):
-                w[i, j] = w[j, i] = pair_mutual_information(source, i, j)
-    return MIGraph(n, w)
+def mi_graph(ds: Dataset) -> MIGraph:
+    _nonempty(ds)
+    w = np.zeros((ds.n, ds.n))
+    for (i, j), counts in _pair_counts(ds).items():
+        w[i, j] = w[j, i] = _mutual_information(counts / ds.S)
+    return MIGraph(ds.n, w)
 
 
-def _candidate_mi(source, group: list[int], candidates) -> list[float]:
-    """:func:`group_mutual_information` of the sorted group with each candidate.
+def _candidate_mi(ds: Dataset, group: list[int], candidates) -> list[float]:
+    """MI between the sorted group's joint outcome and each candidate's outcome.
 
-    For a dataset the group's code is built once, in the same row-major
-    group-then-candidate layout, and each candidate adds its outcome.
+    The group's code is built once, in the row-major group-then-candidate
+    layout, and each candidate adds its outcome.
     """
-    if not isinstance(source, Dataset):
-        return [group_mutual_information(source, group, q) for q in candidates]
     if len(group) + 1 > MARGINAL_GROUP_CAP:
         raise ValueError(f"group larger than the cap {MARGINAL_GROUP_CAP}")
-    d = source.d
+    d = ds.d
     bins = d ** (len(group) + 1)
     # in place in a dtype that holds the candidate's codes too
-    base = flat_codes(source, group, np.min_scalar_type(bins - 1))
+    base = flat_codes(ds, group, np.min_scalar_type(bins - 1))
     base *= d
     values = []
     for q in candidates:
-        counts = np.bincount(base + source.records[:, q], minlength=bins)
-        values.append(_mutual_information((counts / source.S).reshape(-1, d)))
+        counts = np.bincount(base + ds.records[:, q], minlength=bins)
+        values.append(_mutual_information((counts / ds.S).reshape(-1, d)))
     return values
 
 
-def greedy_partition(source, k: int) -> Partition:
+def greedy_partition(ds: Dataset, k: int) -> Partition:
     """Grow groups from the strongest MI pair, one qubit at a time.
 
     Each group is seeded with the highest-MI unassigned pair, then extended
     with the unassigned qubit of largest joint-alphabet MI to the group
     until it holds k qubits. Ties always resolve to the lowest index.
     """
-    n, _ = _source_info(source)
+    n = _nonempty(ds).n
     if k < 1:
         raise ValueError("k must be at least 1")
     if k == 1:
         return Partition.singletons(n)
-    pair_mi = mi_graph(source).weights
+    pair_mi = mi_graph(ds).weights
     unassigned = set(range(n))
     groups: list[tuple[int, ...]] = []
     while len(unassigned) >= 2:
@@ -211,7 +165,7 @@ def greedy_partition(source, k: int) -> Partition:
         while len(group) < k and unassigned:
             best, pick = -1.0, None
             candidates = sorted(unassigned)
-            for q, val in zip(candidates, _candidate_mi(source, sorted(group), candidates)):
+            for q, val in zip(candidates, _candidate_mi(ds, sorted(group), candidates)):
                 if val > best:
                     best, pick = val, q
             group.append(pick)
@@ -293,19 +247,19 @@ def edge_order_partition(g: MIGraph, k: int) -> Partition:
     return Partition(tuple(groups), max_size=k)
 
 
-# partitioners by name, each ``(source, k) -> Partition``; the first is the
+# partitioners by name, each ``(dataset, k) -> Partition``; the first is the
 # default. Each entry looks its function up when called, so a replaced module
 # function (as the benchmark's tracer installs) is the one that runs.
 PARTITIONERS = {
-    "greedy": lambda source, k: greedy_partition(source, k),
-    "naive": lambda source, k: naive_partition(_source_info(source)[0], k),
-    "node": lambda source, k: node_order_partition(mi_graph(source), k),
-    "edge": lambda source, k: edge_order_partition(mi_graph(source), k),
+    "greedy": lambda ds, k: greedy_partition(ds, k),
+    "naive": lambda ds, k: naive_partition(_nonempty(ds).n, k),
+    "node": lambda ds, k: node_order_partition(mi_graph(ds), k),
+    "edge": lambda ds, k: edge_order_partition(mi_graph(ds), k),
 }
 
 
 def resolve_partitioner(spec):
-    """Map a partitioner name to a callable ``(source, k) -> Partition``."""
+    """Map a partitioner name to a callable ``(dataset, k) -> Partition``."""
     if callable(spec):
         return spec
     name = str(spec)
@@ -313,18 +267,3 @@ def resolve_partitioner(spec):
         raise ValueError(f"unknown partitioner {name!r}")
     return PARTITIONERS[name]
 
-
-def modularity(g: MIGraph, p: Partition) -> float:
-    """Newman weighted modularity of a partition of the MI graph."""
-    w = g.weights
-    total = w.sum()  # equals 2W
-    if total <= 0:
-        return 0.0
-    deg = w.sum(axis=1)
-    label = np.empty(g.n, dtype=int)
-    for c, group in enumerate(p.groups):
-        for q in group:
-            label[q] = c
-    same = label[:, None] == label[None, :]
-    q_val = (w[same].sum() - (np.outer(deg, deg)[same].sum()) / total) / total
-    return float(q_val)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import sampling
 from .algebra import stack_sum
-from .frames import GlobalDuals
+from .frames import DUALITY_TOL, GlobalDuals
 from .observables import PauliObservable, mask_term
 from .povm import ProductPOVM
 from .sampling import Dataset, SamplingPlan, flat_codes, joint_probability_tensor, sample_shots
@@ -148,6 +148,10 @@ def estimate(
         raise ValueError("qubit counts disagree")
     if cache is None:
         cache = CoefficientCache(duals)
+    if ds.d != cache.d:
+        raise ValueError(
+            f"the dataset has {ds.d} outcomes per qubit but the duals were built for {cache.d}"
+        )
     if ds.n <= sampling.JOINT_TENSOR_QUBIT_LIMIT:
         table, order = cache.table(obs)
         om = table.reshape(-1)[flat_codes(ds, order)]
@@ -223,7 +227,6 @@ def exact_moments(
     povm: ProductPOVM,
     duals: GlobalDuals,
     obs: PauliObservable,
-    pair_cap: int = PAIR_CAP,
 ) -> tuple[float, float]:
     """Exact E[omega] and E[omega^2] of the single-shot estimator.
 
@@ -233,15 +236,29 @@ def exact_moments(
     group contributes the operator Σ_m effect_m · Tr[D_m P] · Tr[D_m Q],
     and the moment is the state's expectation of their tensor product.
     The first moment uses the single-trace analogue. Either way
-    unbiasedness is measured rather than assumed.
+    unbiasedness is measured rather than assumed. Both routes require each
+    frame's effects to be the POVM's on its group (largest entry of the
+    difference within ``DUALITY_TOL``), so they compute the same thing.
     """
     if obs.n != state.n:
         raise ValueError(f"observable acts on {obs.n} qubits but the state has {state.n}")
+    if povm.n != state.n or duals.n != state.n:
+        raise ValueError(f"the state has {state.n} qubits, the POVM {povm.n} and the duals {duals.n}")
     groups = duals.partition.groups
     terms = obs.terms
     n_pairs = len(terms) * (len(terms) + 1) // 2
-    if n_pairs > pair_cap:
-        raise ValueError(f"{n_pairs} term pairs exceed the cap {pair_cap}")
+    if n_pairs > PAIR_CAP:
+        raise ValueError(f"{n_pairs} term pairs exceed the cap {PAIR_CAP}")
+    for frame in duals.frames:
+        want = povm.group_effects(frame.group)
+        # frames built from the POVM hold its cached stack itself
+        same = frame.effects is want or (
+            frame.effects.shape == want.shape and np.abs(frame.effects - want).max() <= DUALITY_TOL
+        )
+        if not same:
+            raise ValueError(
+                f"the duals of group {frame.group} were built for other effects than the POVM's"
+            )
 
     cache = CoefficientCache(duals)
     if obs.n <= sampling.JOINT_TENSOR_QUBIT_LIMIT:
@@ -305,10 +322,9 @@ def exact_variance(
     povm: ProductPOVM,
     duals: GlobalDuals,
     obs: PauliObservable,
-    pair_cap: int = PAIR_CAP,
 ) -> float:
     """Exact single-shot estimator variance E[omega^2] - E[omega]^2."""
-    mean, second = exact_moments(state, povm, duals, obs, pair_cap)
+    mean, second = exact_moments(state, povm, duals, obs)
     return second - mean * mean
 
 

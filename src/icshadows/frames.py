@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .algebra import hermitianize
 from .correlations import greedy_partition, resolve_partitioner
 from .partition import Partition
 from .povm import ProductPOVM, outcome_probabilities, pauli6_product
@@ -53,6 +54,9 @@ __all__ = [
 DUALITY_TOL = 1e-8
 CONDITION_BOUND = 1e12
 PROBABILITY_FLOOR = 1e-10
+PRODUCT_SWEEPS = 500
+PRODUCT_TOL = 1e-10
+PRODUCT_QUBIT_CAP = 4
 
 
 @dataclass(frozen=True)
@@ -217,7 +221,6 @@ def duals_from_weights(
     weights,
     group=None,
     provenance: str = "custom",
-    cond_bound: float = CONDITION_BOUND,
 ) -> DualFrame:
     """Solve the weighted frame equation for the dual operators.
 
@@ -241,7 +244,7 @@ def duals_from_weights(
         raise ValueError("frame weights must be strictly positive")
     root = np.sqrt(weights)[:, None]
     U, s, Vh = np.linalg.svd(root * hermitian_coords(effects), full_matrices=False)
-    if M < dim * dim or s[-1] <= 0 or (s[0] / s[-1]) ** 2 > cond_bound:
+    if M < dim * dim or s[-1] <= 0 or (s[0] / s[-1]) ** 2 > CONDITION_BOUND:
         raise ValueError(
             "frame operator is singular or ill-conditioned; "
             "the effect set is not informationally complete under these weights"
@@ -288,19 +291,24 @@ def optimal_duals(
 
     Weights are inverse predicted probabilities with an absolute floor,
     so zero or negative predictions degrade variance but never validity.
-    The floor must therefore be finite and positive.
+    The floor must therefore be finite and positive. A state (a 2-d
+    ``sigma``) must be a finite Hermitian matrix of the effects' dimension
+    (:func:`~icshadows.algebra.hermitianize`); a probability vector must
+    be finite.
     """
     if not (np.isfinite(floor) and floor > 0):
         raise ValueError(f"floor must be finite and positive, got {floor!r}")
     effects = np.asarray(effects, dtype=complex)
-    if isinstance(sigma, DensityMatrix):
-        probs = outcome_probabilities(effects, sigma.matrix)
+    sigma = np.asarray(sigma.matrix if isinstance(sigma, DensityMatrix) else sigma)
+    if sigma.ndim == 2:
+        dim = effects.shape[1]
+        if sigma.shape != (dim, dim):
+            raise ValueError(f"state of shape {sigma.shape} does not match the {dim} x {dim} effects")
+        probs = outcome_probabilities(effects, hermitianize(sigma))
     else:
-        sigma = np.asarray(sigma)
-        if sigma.ndim == 2:
-            probs = outcome_probabilities(effects, sigma)
-        else:
-            probs = sigma.real.astype(float)
+        if not np.isfinite(sigma).all():
+            raise ValueError("probability vector has non-finite entries")
+        probs = sigma.real.astype(float)
     if probs.shape != (effects.shape[0],):
         raise ValueError("probability vector length does not match the effect count")
     weights = 1.0 / np.maximum(probs, floor)
@@ -413,20 +421,19 @@ def optimize_product_duals(
     probabilities,
     partition: Partition,
     rho,
-    max_sweeps: int = 500,
-    tol: float = 1e-10,
-    cap: int = 4,
 ) -> tuple[GlobalDuals, float, int]:
     """Best product-structured duals for state estimation, by coordinate descent.
 
     Each site's duals move only along duality-preserving directions, so
     every iterate is a valid frame. With the other sites frozen the MSE
     is a convex quadratic in one site's coordinates and is minimized in
-    closed form; sweeps repeat until the objective stalls. Returns the
-    frames, the final MSE, and the sweep count.
+    closed form; sweeps repeat until one improves the objective by less
+    than ``PRODUCT_TOL``, at most ``PRODUCT_SWEEPS`` of them, on at most
+    ``PRODUCT_QUBIT_CAP`` qubits. Returns the frames, the final MSE, and
+    the sweep count.
     """
-    if partition.n > cap:
-        raise ValueError(f"{partition.n} qubits exceeds the optimizer cap {cap}")
+    if partition.n > PRODUCT_QUBIT_CAP:
+        raise ValueError(f"{partition.n} qubits exceeds the optimizer cap {PRODUCT_QUBIT_CAP}")
     probabilities = np.asarray(probabilities, dtype=float)
     rho_mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
     purity = np.einsum("ab,ba->", rho_mat, rho_mat).real
@@ -459,7 +466,7 @@ def optimize_product_duals(
 
     prev = objective()
     sweep = 0
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, PRODUCT_SWEEPS + 1):
         for s in range(len(sites)):
             q = site_weights(s)
             N = nulls[s]
@@ -472,7 +479,7 @@ def optimize_product_duals(
         cur = objective()
         if cur > prev + 1e-12:
             raise AssertionError("objective increased; optimizer step is broken")
-        if prev - cur < tol:
+        if prev - cur < PRODUCT_TOL:
             prev = cur
             break
         prev = cur

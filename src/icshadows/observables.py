@@ -109,10 +109,6 @@ class PauliObservable:
             kept = ((0.0, "I" * self.n),)
         return PauliObservable(self.n, kept)
 
-    @property
-    def identity_coefficient(self) -> float:
-        return sum(c for c, w in self.terms if set(w) == {"I"})
-
     @cached_property
     def _mask_terms(self) -> tuple[_MaskTerm, ...]:
         """The terms in mask form, in term order (see the module docstring)."""

@@ -50,9 +50,3 @@ class Partition:
 
     def as_sets(self) -> set[frozenset[int]]:
         return {frozenset(g) for g in self.groups}
-
-    def group_of(self, q: int) -> int:
-        for i, g in enumerate(self.groups):
-            if q in g:
-                return i
-        raise KeyError(q)

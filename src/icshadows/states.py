@@ -1,9 +1,8 @@
 """State representations: statevectors, density matrices, block products.
 
 Everything here is dense and intended for desk scale. Statevectors are
-capped at 14 qubits and density matrices at 12 by default; the caps guard
-against accidental exponential blowups rather than enforce a hard API
-limit, and ops that need more can pass an explicit cap.
+capped at 14 qubits, density matrices and ground-state solves at 12; the
+caps guard against accidental exponential blowups.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ __all__ = [
     "STATEVECTOR_CAP",
     "DENSITY_CAP",
     "reduced_density",
-    "grouped_product_state",
     "ground_state",
     "bell_state",
     "ghz_state",
@@ -38,6 +36,7 @@ __all__ = [
 
 STATEVECTOR_CAP = 14
 DENSITY_CAP = 12
+GROUND_STATE_CAP = 12
 
 NORM_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -159,17 +158,11 @@ def reduced_density(state, group) -> DensityMatrix:
     raise TypeError(f"unsupported state type {type(state).__name__}")
 
 
-def grouped_product_state(state, partition: Partition) -> BlockProductState:
-    """Product of the state's reduced densities over the partition."""
-    blocks = tuple(reduced_density(state, g) for g in partition.groups)
-    return BlockProductState(partition, blocks)
-
-
-def ground_state(obs: PauliObservable, cap: int = 12) -> tuple[float, PureState]:
+def ground_state(obs: PauliObservable) -> tuple[float, PureState]:
     """Lowest eigenpair of a Pauli-sum Hamiltonian, by dense or iterative solve."""
     n = obs.n
-    if n > cap:
-        raise ValueError(f"{n} qubits exceeds the dense ground-state cap {cap}")
+    if n > GROUND_STATE_CAP:
+        raise ValueError(f"{n} qubits exceeds the dense ground-state cap {GROUND_STATE_CAP}")
     if n <= 8:
         evals, evecs = np.linalg.eigh(obs.matrix())
         return float(evals[0]), PureState(n, evecs[:, 0])

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -37,6 +36,8 @@ __all__ = [
 ]
 
 DIMENSION_CAP = 16
+LAD_MAX_ITERS = 5000
+LAD_TOLERANCE = 1e-7
 LAD_WINDOW = 100
 
 
@@ -60,25 +61,11 @@ class LinearInversionPSD:
 class ConstrainedLAD:
     """Least-absolute-deviation fit constrained to density matrices.
 
-    ``step_schedule`` maps the 1-based iteration to a step size; the
-    default is 1/sqrt(t). Convergence is declared when the best residual
-    improves by less than ``tolerance`` over a 100-iteration window.
+    Projected subgradient descent with step 1/sqrt(t) at the 1-based
+    iteration t, for at most ``LAD_MAX_ITERS`` iterations. Convergence is
+    declared when the best residual improves by less than
+    ``LAD_TOLERANCE`` over a ``LAD_WINDOW``-iteration window.
     """
-
-    max_iters: int = 5000
-    tolerance: float = 1e-7
-    step_schedule: Callable[[int], float] | None = None
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
-
-    def step(self, t: int) -> float:
-        if self.step_schedule is not None:
-            return self.step_schedule(t)
-        return 1.0 / math.sqrt(t)
 
 
 @dataclass(frozen=True)
@@ -93,7 +80,7 @@ class ReconstructionReport:
             raise ValueError("residual must be non-negative")
 
 
-def linear_inversion(mt: MarginalTable, effects: np.ndarray, duals) -> np.ndarray:
+def linear_inversion(mt: MarginalTable, duals) -> np.ndarray:
     """Frequency-weighted dual sum; Hermitian and unit trace but not PSD."""
     stack = duals.duals if isinstance(duals, DualFrame) else np.asarray(duals)
     f = mt.frequencies
@@ -106,9 +93,7 @@ def _residual(f: np.ndarray, probs: np.ndarray) -> float:
     return float(np.abs(f - probs).sum())
 
 
-def reconstruct(
-    mt: MarginalTable, povm: ProductPOVM, backend, dim_cap: int = DIMENSION_CAP
-):
+def reconstruct(mt: MarginalTable, povm: ProductPOVM, backend):
     """Reconstruct the state of the table's group (or a surrogate probability vector).
 
     The group's effects are the POVM's on ``mt.group``. The physical
@@ -123,8 +108,8 @@ def reconstruct(
     if not all(0 <= q < povm.n for q in group):
         raise ValueError(f"marginal table group {group} does not match the {povm.n}-qubit POVM")
     dim = 2 ** len(group)
-    if dim > dim_cap:
-        raise ValueError(f"group dimension {dim} exceeds the cap {dim_cap}")
+    if dim > DIMENSION_CAP:
+        raise ValueError(f"group dimension {dim} exceeds the cap {DIMENSION_CAP}")
     f = mt.frequencies
     M = math.prod(povm.locals[q].d for q in group)
     if f.shape != (M,):
@@ -145,7 +130,7 @@ def reconstruct(
         if id(local) not in solved:
             solved[id(local)] = canonical_duals(local.effects).duals
     start = _kron_stacks([solved[id(povm.locals[q])] for q in group])
-    init = project_to_density(linear_inversion(mt, effects, start))
+    init = project_to_density(linear_inversion(mt, start))
     n = len(group)
     if isinstance(backend, LinearInversionPSD):
         report = ReconstructionReport(
@@ -164,16 +149,16 @@ def reconstruct(
         window_r = best_r
         converged = False
         it = 0
-        for it in range(1, backend.max_iters + 1):
+        for it in range(1, LAD_MAX_ITERS + 1):
             grad = -stack_sum(np.sign(f - p), effects)
-            sigma = project_to_density(sigma - backend.step(it) * grad)
+            sigma = project_to_density(sigma - (1.0 / math.sqrt(it)) * grad)
             p = outcome_probabilities(effects, sigma)
             rr = _residual(f, p)
             if rr < best_r:
                 best_r = rr
                 best = sigma
             if it % LAD_WINDOW == 0:
-                if window_r - best_r < backend.tolerance:
+                if window_r - best_r < LAD_TOLERANCE:
                     converged = True
                     break
                 window_r = best_r

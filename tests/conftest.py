@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from icshadows import (
+    BlockProductState,
+    LocalPOVM,
     bundled_hamiltonian,
     canonical_global,
     ground_state,
     pauli6_product,
+    reduced_density,
 )
 
 # filled by tests/test_acceptance.py; printed after the run
@@ -51,6 +54,20 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def sic4() -> LocalPOVM:
+    """The tetrahedral SIC POVM: four outcomes, (I + n.sigma) / 4."""
+    paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    r, s = np.sqrt(2.0) / 3.0, np.sqrt(2.0 / 3.0)
+    vertices = [(0, 0, 1), (2 * r, 0, -1 / 3), (-r, s, -1 / 3), (-r, -s, -1 / 3)]
+    effects = [(np.eye(2) + np.tensordot(v, paulis, axes=1)) / 4 for v in vertices]
+    return LocalPOVM(np.stack(effects))
+
+
+def grouped_product_state(state, partition) -> BlockProductState:
+    """Product of the state's reduced densities over the partition."""
+    return BlockProductState(partition, tuple(reduced_density(state, g) for g in partition.groups))
 
 
 def anti_hermitian_duals(duals: np.ndarray) -> np.ndarray:

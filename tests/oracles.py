@@ -8,10 +8,11 @@ from icshadows import (
     MIGraph,
     Partition,
     PauliObservable,
-    group_mutual_information,
-    pair_mutual_information,
+    marginal_counts,
+    tomography,
 )
 from icshadows.algebra import kron_all, project_to_density
+from icshadows.correlations import _mutual_information
 from icshadows.frames import canonical_duals
 from icshadows.observables import PAULI_MATRICES
 from icshadows.tomography import LAD_WINDOW, ReconstructionReport
@@ -180,16 +181,16 @@ def lad_loop(mt, effects, backend):
     window_r = best_r
     converged = False
     it = 0
-    for it in range(1, backend.max_iters + 1):
+    for it in range(1, tomography.LAD_MAX_ITERS + 1):
         r = f - einsum_traces(effects, sigma).real
         grad = -einsum_sum(np.sign(r), effects)
-        sigma = project_to_density(sigma - backend.step(it) * grad)
+        sigma = project_to_density(sigma - (1.0 / np.sqrt(it)) * grad)
         rr = residual(sigma)
         if rr < best_r:
             best_r = rr
             best = sigma
         if it % LAD_WINDOW == 0:
-            if window_r - best_r < backend.tolerance:
+            if window_r - best_r < tomography.LAD_TOLERANCE:
                 converged = True
                 break
             window_r = best_r
@@ -233,6 +234,24 @@ def walk_chunk(prefixes, u) -> np.ndarray:
         out[:, i] = m
         code = code * d + m
     return out
+
+
+def pair_mutual_information(ds, i: int, j: int) -> float:
+    """Plug-in MI of two qubits' outcomes in a dataset, from their joint histogram."""
+    if i == j:
+        raise ValueError("need two distinct qubits")
+    a, b = (i, j) if i < j else (j, i)
+    joint = marginal_counts(ds, (a, b)).frequencies.reshape(ds.d, ds.d)
+    return _mutual_information(joint)
+
+
+def group_mutual_information(ds, group, q: int) -> float:
+    """Plug-in MI between a group's joint outcome and one extra qubit's outcome."""
+    group = list(group)
+    if q in group:
+        raise ValueError("qubit already in the group")
+    joint = marginal_counts(ds, group + [q]).frequencies.reshape(ds.d ** len(group), ds.d)
+    return _mutual_information(joint)
 
 
 def mi_graph_loop(ds):

@@ -157,6 +157,34 @@ def test_duals_from_dataset_and_rdms(tmp_path):
     assert read_duals(from_rdm).provenance == "optimal-rdm"
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("nan", "non-finite"),
+    ("shape", "does not match"),
+    ("asymmetric", "not Hermitian"),
+])
+def test_duals_rejects_bad_rdm_file(tmp_path, capsys, bad, message):
+    ds_path = tmp_path / "ds.icsd"
+    assert run(["sample", "ghz-4", "-S", 3000, "--seed", 8, "--out", ds_path]) == 0
+    part = tmp_path / "part.txt"
+    part.write_text("0 1\n2 3\n")
+    prefix = tmp_path / "rec"
+    assert run(["tomo", ds_path, "--partition", part, "--backend", "psd",
+                "--out-prefix", prefix]) == 0
+    path = tmp_path / "rec-group1.npy"
+    sigma = np.load(path)
+    broken = {
+        "nan": np.where(np.eye(4, dtype=bool), np.nan, sigma),
+        "shape": sigma[:2, :2],
+        "asymmetric": sigma + np.triu(np.full((4, 4), 1e-3), 1),
+    }[bad]
+    np.save(path, broken)
+    out = tmp_path / "d.icdl"
+    assert run(["duals", "--rdm-prefix", prefix, "--partition", part, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and message in err
+    assert not out.exists()
+
+
 def test_dual_routes_agree(tmp_path):
     # duals --dataset and tomo + duals --rdm-prefix on the partition it chose
     ds_path = tmp_path / "ds.icsd"

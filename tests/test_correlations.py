@@ -6,26 +6,28 @@ from hypothesis import strategies as st
 from icshadows import (
     Dataset,
     MIGraph,
-    Partition,
     bell_pair_chain,
     bell_state,
     edge_order_partition,
     ghz_state,
     greedy_partition,
-    group_mutual_information,
+    joint_probabilities,
     mi_graph,
-    modularity,
     naive_partition,
     node_order_partition,
-    pair_mutual_information,
     pauli6_product,
     product_state,
     resolve_partitioner,
     sample_shots,
 )
-from icshadows.correlations import _mutual_information
+from icshadows.correlations import PARTITIONERS, _mutual_information
 
-from .oracles import greedy_partition_loop, mi_graph_loop
+from .oracles import (
+    greedy_partition_loop,
+    group_mutual_information,
+    mi_graph_loop,
+    pair_mutual_information,
+)
 
 
 def correlated_records(n, S, d, seed):
@@ -89,45 +91,38 @@ def test_plugin_mi_oracles():
     assert _mutual_information(joint) == pytest.approx(np.log(2), abs=1e-14)
 
 
+def bell_pairs_dataset():
+    """Shots of two independent Bell pairs, on qubits (0, 1) and (2, 3)."""
+    return sample_shots(bell_pair_chain(2), pauli6_product(4), 20_000, seed=3)
+
+
 def test_pair_mi_symmetric_and_zero_on_products():
-    povm = pauli6_product(2)
-    src = (product_state("0+"), povm)
-    assert pair_mutual_information(src, 0, 1) == pytest.approx(0.0, abs=1e-12)
-    src = (bell_state(), povm)
-    assert pair_mutual_information(src, 0, 1) == pytest.approx(
-        pair_mutual_information(src, 1, 0)
-    )
-    assert pair_mutual_information(src, 0, 1) > 0.1
+    # plug-in MI is positively biased by ~(cells-1)/(2S), 9e-4 here
+    ds = sample_shots(product_state("0+"), pauli6_product(2), 20_000, seed=4)
+    assert pair_mutual_information(ds, 0, 1) < 2e-3
+    ds = sample_shots(bell_state(), pauli6_product(2), 20_000, seed=4)
+    assert pair_mutual_information(ds, 0, 1) == pair_mutual_information(ds, 1, 0)
+    assert pair_mutual_information(ds, 0, 1) > 0.1
 
 
 def test_pair_mi_rejects_equal_indices():
     with pytest.raises(ValueError):
-        pair_mutual_information((bell_state(), pauli6_product(2)), 1, 1)
+        pair_mutual_information(bell_pairs_dataset(), 1, 1)
 
 
 def test_group_mi_extends_pair_mi():
-    povm = pauli6_product(3)
-    src = (ghz_state(3), povm)
-    pair = pair_mutual_information(src, 0, 2)
-    grp = group_mutual_information(src, [0], 2)
+    ds = sample_shots(ghz_state(3), pauli6_product(3), 5_000, seed=6)
+    pair = pair_mutual_information(ds, 0, 2)
+    grp = group_mutual_information(ds, [0], 2)
     assert grp == pytest.approx(pair, abs=1e-12)
     with pytest.raises(ValueError, match="already"):
-        group_mutual_information(src, [0, 2], 2)
-
-
-def test_mi_graph_exact_source_structure():
-    src = (bell_pair_chain(2), pauli6_product(4))
-    g = mi_graph(src)
-    assert g.weights[0, 1] > 0.1
-    assert g.weights[2, 3] > 0.1
-    assert g.weights[0, 2] == pytest.approx(0.0, abs=1e-10)
-    assert np.allclose(np.diag(g.weights), 0.0)
+        group_mutual_information(ds, [0, 2], 2)
 
 
 def test_mi_estimate_converges_to_exact():
     state = bell_state()
     povm = pauli6_product(2)
-    exact = pair_mutual_information((state, povm), 0, 1)
+    exact = _mutual_information(joint_probabilities(state, povm, (0, 1)).reshape(6, 6))
     ds = sample_shots(state, povm, 200_000, seed=12)
     estimated = pair_mutual_information(ds, 0, 1)
     assert abs(estimated - exact) < 5e-3
@@ -139,16 +134,10 @@ def test_mi_near_zero_for_sampled_product_state():
     assert pair_mutual_information(ds, 0, 1) < 5e-5
 
 
-def test_greedy_partition_exact_source():
-    src = (bell_pair_chain(2), pauli6_product(4))
-    part = greedy_partition(src, k=2)
-    assert part.as_sets() == {frozenset({0, 1}), frozenset({2, 3})}
-
-
 def test_greedy_partition_k1_and_leftovers():
-    src = (bell_pair_chain(2), pauli6_product(4))
-    assert greedy_partition(src, k=1).groups == ((0,), (1,), (2,), (3,))
-    part3 = greedy_partition(src, k=3)
+    ds = bell_pairs_dataset()
+    assert greedy_partition(ds, k=1).groups == ((0,), (1,), (2,), (3,))
+    part3 = greedy_partition(ds, k=3)
     sizes = sorted(len(g) for g in part3.groups)
     assert sizes == [1, 3]
 
@@ -183,24 +172,17 @@ def test_edge_order_zero_edges_stay_singletons():
 
 
 def test_resolve_partitioner_names_and_callable():
-    src = (bell_pair_chain(2), pauli6_product(4))
-    for name in ("greedy", "naive", "node", "edge"):
-        part = resolve_partitioner(name)(src, 2)
-        assert part.n == 4
+    ds = bell_pairs_dataset()
+    pairs = {frozenset({0, 1}), frozenset({2, 3})}
+    for name in ("greedy", "node", "edge"):
+        assert resolve_partitioner(name)(ds, 2).as_sets() == pairs
+    # naive ignores the MI: consecutive blocks
+    assert resolve_partitioner("naive")(ds, 3).groups == ((0, 1, 2), (3,))
     custom = resolve_partitioner(lambda s, k: naive_partition(4, k))
-    assert custom(src, 2).groups == ((0, 1), (2, 3))
+    assert custom(ds, 2).groups == ((0, 1), (2, 3))
     with pytest.raises(ValueError, match="unknown"):
         resolve_partitioner("leiden")
-
-
-def test_modularity_oracle():
-    # two disconnected cliques of equal weight split perfectly
-    w = np.zeros((4, 4))
-    w[0, 1] = w[1, 0] = 1.0
-    w[2, 3] = w[3, 2] = 1.0
-    g = MIGraph(4, w)
-    good = modularity(g, Partition(((0, 1), (2, 3))))
-    bad = modularity(g, Partition(((0, 2), (1, 3))))
-    assert good == pytest.approx(0.5)
-    assert bad == pytest.approx(-0.5)
-    assert modularity(MIGraph(3, np.zeros((3, 3))), Partition(((0,), (1,), (2,)))) == 0.0
+    empty = Dataset(n=4, d=6, S=0, records=np.zeros((0, 4), dtype=np.uint8), seed=0)
+    for name in PARTITIONERS:
+        with pytest.raises(ValueError, match="empty dataset"):
+            resolve_partitioner(name)(empty, 2)

@@ -8,8 +8,10 @@ from icshadows import (
     CoefficientCache,
     DensityMatrix,
     EstimateReport,
+    LocalPOVM,
     Partition,
     PauliObservable,
+    ProductPOVM,
     PureState,
     bell_pair_chain,
     bell_state,
@@ -19,21 +21,21 @@ from icshadows import (
     exact_moments,
     exact_variance,
     ghz_state,
-    grouped_product_state,
     maximally_mixed,
     optimal_duals,
+    pauli6,
     pauli6_product,
     reduced_density,
     rmse_experiment,
     sample_shots,
 )
-from icshadows import sampling
+from icshadows import estimation, sampling
 from icshadows.algebra import kron_all, stack_traces
 from icshadows.frames import GlobalDuals
 from icshadows.observables import PAULI_MATRICES
 from icshadows.povm import outcome_probabilities
 
-from .conftest import random_density
+from .conftest import grouped_product_state, random_density, sic4
 from .oracles import omega
 
 
@@ -216,9 +218,36 @@ def test_identity_shift_moves_mean_only(povm2, canonical2, monkeypatch):
 
 def test_exact_moments_pair_cap(povm2, canonical2, monkeypatch):
     obs = _random_observable(np.random.default_rng(0), 2, 40)
+    monkeypatch.setattr(estimation, "PAIR_CAP", 100)
     for _ in estimator_paths(monkeypatch):
         with pytest.raises(ValueError, match="cap"):
-            exact_moments(bell_state(), povm2, canonical2, obs, pair_cap=100)
+            exact_moments(bell_state(), povm2, canonical2, obs)
+
+
+def test_estimate_rejects_duals_of_another_measurement(canonical2):
+    # Pauli-6 duals read tetrahedral shots of a Bell pair as <ZZ> = 0.77, not 1
+    ds = sample_shots(bell_state(), ProductPOVM((sic4(),) * 2), 20_000, seed=0)
+    with pytest.raises(ValueError, match="4 outcomes per qubit but the duals were built for 6"):
+        estimate(ds, canonical2, PauliObservable.single("ZZ"))
+
+
+def test_exact_moments_rejects_duals_of_other_effects(povm2, monkeypatch):
+    u, _ = np.linalg.qr(np.array([[1.0, 2.0j], [0.5, -1.0]]))
+    rotated = LocalPOVM(u @ pauli6().effects @ u.conj().T)
+    zz = PauliObservable.single("ZZ")
+    # the same shape as Pauli-6's effects, then another outcome count
+    for local in (rotated, sic4()):
+        duals = canonical_global(ProductPOVM((local,) * 2))
+        for _ in estimator_paths(monkeypatch):
+            with pytest.raises(ValueError, match=r"group \(0,\) were built for other effects"):
+                exact_moments(bell_state(), povm2, duals, zz)
+
+
+def test_exact_moments_rejects_a_register_mismatch(povm2, canonical2):
+    zz = PauliObservable.single("ZZ")
+    for povm, duals in ((povm2, canonical_global(pauli6_product(3))), (pauli6_product(3), canonical2)):
+        with pytest.raises(ValueError, match="the state has 2 qubits, the POVM"):
+            exact_moments(bell_state(), povm, duals, zz)
 
 
 def test_exact_expectation_density_matches_trace():

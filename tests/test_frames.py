@@ -140,6 +140,27 @@ def test_optimal_duals_floor_handles_zero_probabilities():
     assert duality_residual(frame.duals, frame.effects) <= DUALITY_TOL
 
 
+def test_optimal_duals_validates_sigma():
+    effects = pauli6_product(2).group_effects((0, 1))
+    rho = toy_mixed(0.3).matrix
+    asymmetric = rho.copy()
+    asymmetric[0, 3] += 1e-3
+    probs = np.einsum("mab,ba->m", effects, rho).real
+    for sigma, message in (
+        (np.where(np.eye(4, dtype=bool), np.nan, rho), "non-finite"),
+        (np.append(probs[:-1], np.inf), "non-finite"),
+        (rho[:2, :2], r"shape \(2, 2\) does not match the 4 x 4 effects"),
+        (asymmetric, "not Hermitian"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            optimal_duals(sigma, effects)
+    # a linear-inversion estimate may predict negative probabilities; the floor takes them
+    indefinite = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
+    assert np.einsum("mab,ba->m", effects, indefinite).real.min() < 0
+    frame = optimal_duals(indefinite, effects)
+    assert duality_residual(frame.duals, frame.effects) <= DUALITY_TOL
+
+
 @pytest.mark.parametrize("floor", [float("nan"), float("inf"), 0.0, -1.0])
 def test_optimal_duals_rejects_bad_floor(floor):
     effects = pauli6_product(1).group_effects((0,))

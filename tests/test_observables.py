@@ -49,7 +49,6 @@ def test_from_terms_requires_terms():
 
 def test_without_identity_and_identity_coefficient():
     obs = PauliObservable(2, ((0.7, "II"), (1.5, "ZZ")))
-    assert obs.identity_coefficient == pytest.approx(0.7)
     stripped = obs.without_identity()
     assert stripped.terms == ((1.5, "ZZ"),)
     # all-identity observable degrades to an explicit zero term

@@ -1,4 +1,4 @@
-"""The claim verdict of tools/pair_runs.py on synthetic pairs."""
+"""The claim and no-regression verdicts of tools/pair_runs.py on synthetic pairs."""
 
 import importlib.util
 import os
@@ -11,9 +11,13 @@ pair_runs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(pair_runs)
 
 
-def _verdict(parent, change):
+def _summary(parent, change):
     pairs = [{"parent": {"wall_s": p}, "change": {"wall_s": c}} for p, c in zip(parent, change)]
-    return pair_runs.verdict(pair_runs.summarize(pairs, ["wall_s"]), "wall_s")
+    return pair_runs.summarize(pairs, ["wall_s"])
+
+
+def _verdict(parent, change):
+    return pair_runs.verdict(_summary(parent, change), "wall_s")
 
 
 def test_parse_seeds():
@@ -42,3 +46,24 @@ def test_verdict_needs_a_gap_above_the_parent_iqr():
     parent = [1.0 + 0.1 * i for i in range(10)]  # IQR 0.45
     change = [p - 0.2 for p in parent]  # lower in every pair, median gap 0.2
     assert _verdict(parent, change).startswith("claim NOT met:")
+
+
+@pytest.mark.parametrize(
+    "parent, change, want",
+    [
+        # a steady parent (IQR 0.0045 at median 1.0): a 20% rise is within a 0.25 bound
+        ([1.0 + 0.001 * i for i in range(10)], [1.2 + 0.001 * i for i in range(10)],
+         "within bound"),
+        # ... a 30% rise is worse, in every pair as in the medians
+        ([1.0 + 0.001 * i for i in range(10)], [1.3 + 0.001 * i for i in range(10)], "worse"),
+        # a parent IQR of 0.45 at median 1.45 is wider than the bound: unresolved,
+        # even with the change's median the lower one
+        ([1.0 + 0.1 * i for i in range(10)], [0.95 + 0.1 * i for i in range(10)],
+         "unresolved"),
+        # ... unless every change run is below every parent run
+        ([1.0 + 0.1 * i for i in range(10)], [0.9 - 0.01 * i for i in range(10)],
+         "within bound"),
+    ],
+)
+def test_no_regression_verdict(parent, change, want):
+    assert pair_runs.regression(_summary(parent, change), "wall_s", 0.25) == want

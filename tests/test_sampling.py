@@ -22,10 +22,10 @@ from icshadows import (
     shot_uniforms,
 )
 from icshadows import sampling
-from icshadows.povm import LocalPOVM, ProductPOVM, pauli6
+from icshadows.povm import ProductPOVM, pauli6
 from icshadows.sampling import flat_codes, joint_probability_tensor
 
-from .conftest import random_density
+from .conftest import random_density, sic4
 from .oracles import prefix_tensors, walk_chunk
 
 
@@ -369,15 +369,6 @@ def test_cdf_table_walk_matches_prefix_row_walk(case):
     # the tables take the joint's running sums in place, so hand them a copy
     got = sampling._walk_chunk(sampling._walk_tables(joint.copy()), u)
     assert got.tobytes() == want.tobytes()
-
-
-def sic4() -> LocalPOVM:
-    """The tetrahedral SIC POVM: four outcomes, (I + n.sigma) / 4."""
-    paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-    r, s = np.sqrt(2.0) / 3.0, np.sqrt(2.0 / 3.0)
-    vertices = [(0, 0, 1), (2 * r, 0, -1 / 3), (-r, s, -1 / 3), (-r, -s, -1 / 3)]
-    effects = [(np.eye(2) + np.tensordot(v, paulis, axes=1)) / 4 for v in vertices]
-    return LocalPOVM(np.stack(effects))
 
 
 def oracle_draw(state, povm, S, seed):

@@ -12,7 +12,6 @@ from icshadows import (
     bundled_hamiltonian,
     ghz_state,
     ground_state,
-    grouped_product_state,
     maximally_mixed,
     product_state,
     reduced_density,
@@ -22,7 +21,7 @@ from icshadows import (
 from icshadows.algebra import partial_trace
 from icshadows.states import reorder_qubits
 
-from .conftest import random_density
+from .conftest import grouped_product_state, random_density
 from .oracles import kron_matrix, outcome_probability, same_bits, tfim_ring
 
 

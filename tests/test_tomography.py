@@ -83,7 +83,7 @@ def test_linear_inversion_unit_trace_but_possibly_indefinite():
     effects = pauli6_product(1).group_effects((0,))
     mt = table([12, 0, 0, 0, 0, 0])  # impossible frequencies for any state
     duals = canonical_duals(effects)
-    est = linear_inversion(mt, effects, duals)
+    est = linear_inversion(mt, duals)
     assert np.abs(est - einsum_sum(mt.frequencies, duals.duals)).max() < 1e-14
     assert np.trace(est).real == pytest.approx(1.0)
     assert np.linalg.eigvalsh(est).min() < -1e-3
@@ -109,11 +109,12 @@ def test_lad_improves_on_linear_inversion_for_sampled_data():
     assert lad_report.iterations >= 1
 
 
-def test_reconstruct_rejects_oversized_groups():
+def test_reconstruct_rejects_oversized_groups(monkeypatch):
     povm = pauli6_product(2)
     mt = table(np.full(36, 1), group=(0, 1))
+    monkeypatch.setattr(tomography, "DIMENSION_CAP", 2)
     with pytest.raises(ValueError, match="exceeds the cap"):
-        reconstruct(mt, povm, LinearInversionPSD(), dim_cap=2)
+        reconstruct(mt, povm, LinearInversionPSD())
 
 
 def test_reconstruct_rejects_count_shape_mismatch():
@@ -142,17 +143,14 @@ def test_predicted_probabilities_roundtrip_on_product_state():
         assert np.abs(probs - np.array([1 / 3, 0, 1 / 6, 1 / 6, 1 / 6, 1 / 6])).max() < 0.01
 
 
-def test_lad_respects_iteration_budget():
+def test_lad_respects_iteration_budget(monkeypatch):
     ds = sample_shots(bell_state(), pauli6_product(2), 500, seed=34)
     mt = marginal_counts(ds, (0, 1))
     povm = pauli6_product(2)
-    _, report = reconstruct(mt, povm, ConstrainedLAD(max_iters=3))
+    monkeypatch.setattr(tomography, "LAD_MAX_ITERS", 3)
+    _, report = reconstruct(mt, povm, ConstrainedLAD())
     assert report.iterations == 3
     assert not report.converged
-    with pytest.raises(ValueError):
-        ConstrainedLAD(max_iters=0)
-    with pytest.raises(ValueError):
-        ConstrainedLAD(tolerance=0.0)
 
 
 def test_lad_matches_reference_loop(h2_4q_ground):
@@ -189,7 +187,7 @@ def test_factorized_canonical_start_equals_svd_start(group, monkeypatch):
     monkeypatch.setattr(tomography, "project_to_density", projected)
     reconstruct(mt, povm, LinearInversionPSD())
     # the start the group-sized SVD of the canonical frame gives
-    want = linear_inversion(mt, effects, canonical_duals(effects))
+    want = linear_inversion(mt, canonical_duals(effects))
     assert len(starts) == 1
     assert np.abs(starts[0] - want).max() < 1e-12
 

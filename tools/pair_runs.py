@@ -16,11 +16,19 @@ parent on even pair indices). Run length is left to ``perfbench/run.py``'s
 own ``--seconds`` default. It writes the output file after every pair:
 per metric of ``BENCHMARK.json``'s ``end_to_end`` list, the median and
 quartiles of each side, the number of pairs in which the change is
-strictly lower, the relative change of the medians, and every pair. With
-``--claim WORKLOAD:METRIC`` it adds a verdict: the claim holds when at
-least ten pairs ran, the change is lower in at least nine of ten of them,
-and the medians differ by more than the parent's interquartile range. With ``--trace-seed`` it adds
-one traced pass (``--trace 1``) per side and its per-layer metrics.
+strictly lower, the relative change of the medians, and every pair.
+
+Each workload gets a no-regression verdict per metric, against the
+metric's ``bound`` in ``BENCHMARK.json`` (every metric there is better
+lower): ``unresolved`` when the parent's interquartile range exceeds the
+bound times its median and not every change run is below every parent
+run, else ``worse`` when the change's median exceeds the parent's by more
+than the bound times the parent's median, else ``within bound``. With
+``--claim WORKLOAD:METRIC`` it adds a claim verdict: the claim holds when
+at least ten pairs ran, the change is lower in at least nine of ten of
+them, and the medians differ by more than the parent's interquartile
+range. With ``--trace-seed`` it adds one traced pass (``--trace 1``) per
+side and its per-layer metrics.
 """
 
 from __future__ import annotations
@@ -100,6 +108,7 @@ def summarize(pairs: list[dict], metrics: list[str]) -> dict:
             "change": cq,
             "pairs": len(pairs),
             "change_lower": sum(c < p for p, c in zip(par, chg)),
+            "change_below_all": max(chg) < min(par),
             "median_change_rel": round(float(np.median(chg) / np.median(par) - 1.0), 4),
         }
     return out
@@ -118,6 +127,15 @@ def verdict(summary: dict, metric: str) -> str:
             f"{s['change_lower']}/{s['pairs']} pairs, median {pm} -> {cm} "
             f"({100 * s['median_change_rel']:+.1f}%), a gap of {pm - cm:.4f} against a "
             f"parent IQR of {s['parent']['iqr']}")
+
+
+def regression(summary: dict, metric: str, bound: float) -> str:
+    """The no-regression verdict of one lower-is-better metric (module docstring)."""
+    s = summary[metric]
+    pm, cm = s["parent"]["median"], s["change"]["median"]
+    if s["parent"]["iqr"] > bound * pm and not s["change_below_all"]:
+        return "unresolved"
+    return "worse" if cm - pm > bound * pm else "within bound"
 
 
 def host() -> str:
@@ -145,7 +163,8 @@ def main(argv=None) -> int:
         if name:
             workloads[name] = own or args.seeds
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        metrics = [m["name"] for m in json.load(fh)["end_to_end"]]
+        bounds = {m["name"]: m["bound"] for m in json.load(fh)["end_to_end"]}
+    metrics = list(bounds)
     parent = git("rev-parse", "--short", args.parent).strip()
     scratch = args.scratch or tempfile.mkdtemp(prefix="pair_runs-")
     sides = make_sides(parent, scratch)
@@ -163,6 +182,8 @@ def main(argv=None) -> int:
         "quartiles": "numpy.percentile, linear interpolation; iqr = q3 - q1",
         "change_lower": "pairs in which the change's value is strictly lower "
                         "(ties count for neither side)",
+        "no_regression": "per end-to-end metric: within bound, worse or unresolved against "
+                         "its BENCHMARK.json bound (rule in tools/pair_runs.py)",
         "workloads": {},
     }
     claim_workload, _, claim_metric = (args.claim or "").partition(":")
@@ -189,14 +210,16 @@ def main(argv=None) -> int:
                 print(f"{w} seed {seed}: " + ", ".join(
                     f"{s} {pair[s]['wall_s']:.4f} s" for s in ("parent", "change")),
                     file=sys.stderr)
+                summary = summarize(pairs, metrics)
                 result["workloads"][w] = {
-                    "summary": summarize(pairs, metrics),
+                    "summary": summary,
+                    "no_regression": {m: regression(summary, m, bounds[m]) for m in metrics},
                     "correct": all(p[s]["correct"] for p in pairs for s in sides),
                     "failed": {s: sum(p[s]["failed"] for p in pairs) for s in sides},
                     "pairs": pairs,
                 }
                 if w == claim_workload:
-                    result["verdict"] = verdict(result["workloads"][w]["summary"], claim_metric)
+                    result["verdict"] = verdict(summary, claim_metric)
                 write()
         if args.trace_seed is not None:
             first = next(iter(workloads))
