@@ -9,14 +9,25 @@ Conventions used throughout the package:
 * A stack of M operators is an ``(M, dim, dim)`` array. Traces against
   a stack and weighted sums over it go through :func:`stack_traces` and
   :func:`stack_sum`, each one BLAS product on the ``(M, dim^2)`` view.
+* A Hermitian stack maps to its real ``(M, dim^2)`` coordinates in an
+  orthonormal Hermitian basis (the diagonal entries, then sqrt(2) Re and
+  -sqrt(2) Im of each upper-triangle entry, row by row), one gather each
+  way (:func:`hermitian_coords`, :func:`hermitian_stack`). The map is
+  unitary on Hermitian operators and drops an anti-Hermitian part, which
+  :func:`stack_asymmetry` measures.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 __all__ = [
     "hermitianize",
+    "hermitian_coords",
+    "hermitian_stack",
+    "stack_asymmetry",
     "kron_all",
     "partial_trace",
     "project_to_density",
@@ -59,6 +70,74 @@ def stack_sum(weights, stack: np.ndarray) -> np.ndarray:
     stack = np.asarray(stack)
     M, dim = stack.shape[0], stack.shape[1]
     return (np.asarray(weights) @ stack.reshape(M, -1)).reshape(dim, dim)
+
+
+@functools.lru_cache(maxsize=None)
+def _coordinate_maps(dim: int):
+    """Gather tables between a Hermitian matrix and its real coordinates.
+
+    Indices point into the ``2 dim^2`` floats of a row-major complex
+    matrix (real, imaginary, real, ...). The forward table picks the
+    diagonal real parts, then each upper-triangle entry's real and
+    imaginary parts, scaled by 1, sqrt(2) and -sqrt(2). The inverse table
+    fills every float from one coordinate: scale 1 on the diagonal (0 for
+    its imaginary parts), 1/sqrt(2) and -1/sqrt(2) above it, 1/sqrt(2)
+    and 1/sqrt(2) below it.
+    """
+    iu, ju = np.triu_indices(dim, 1)
+    diag, upper, lower = 2 * np.arange(dim) * (dim + 1), 2 * (iu * dim + ju), 2 * (ju * dim + iu)
+    sym = dim + 2 * np.arange(iu.size)
+    root2, inv_root2 = np.sqrt(2), 1.0 / np.sqrt(2)
+    fwd_idx = np.concatenate([diag, np.column_stack([upper, upper + 1]).ravel()])
+    fwd_scale = np.concatenate([np.ones(dim), np.tile([root2, -root2], iu.size)])
+    inv_idx = np.zeros(2 * dim * dim, dtype=np.intp)
+    inv_scale = np.zeros(2 * dim * dim)
+    inv_idx[diag], inv_scale[diag] = np.arange(dim), 1.0
+    for slots, part, scale in (
+        (upper, 0, inv_root2),
+        (upper + 1, 1, -inv_root2),
+        (lower, 0, inv_root2),
+        (lower + 1, 1, inv_root2),
+    ):
+        inv_idx[slots], inv_scale[slots] = sym + part, scale
+    tables = (fwd_idx, fwd_scale, inv_idx, inv_scale)
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+def hermitian_coords(stack: np.ndarray) -> np.ndarray:
+    """Real ``(M, dim^2)`` coordinates of a Hermitian ``(M, dim, dim)`` stack.
+
+    Coordinates are in the orthonormal Hermitian basis of the module
+    docstring. Only the diagonal and upper triangle are read, so an
+    anti-Hermitian part is silently dropped: callers check Hermiticity.
+    """
+    stack = np.ascontiguousarray(stack, dtype=complex)
+    M, dim = stack.shape[0], stack.shape[1]
+    idx, scale, _, _ = _coordinate_maps(dim)
+    return np.multiply(np.take(stack.reshape(M, -1).view(np.float64), idx, axis=1), scale)
+
+
+def hermitian_stack(coords: np.ndarray) -> np.ndarray:
+    """The Hermitian ``(M, dim, dim)`` stack with real coordinates ``coords``
+    (the inverse of :func:`hermitian_coords`); the result is exactly
+    Hermitian."""
+    coords = np.asarray(coords, dtype=float)
+    M = coords.shape[0]
+    dim = int(round(np.sqrt(coords.shape[1])))
+    _, _, idx, scale = _coordinate_maps(dim)
+    flat = np.multiply(np.take(coords, idx, axis=1), scale)
+    return flat.view(complex).reshape(M, dim, dim)
+
+
+def stack_asymmetry(stack: np.ndarray) -> float:
+    """Largest entry of |A - A^dag| over a stack; 0 for a Hermitian one."""
+    re, im = stack.real, stack.imag
+    return max(
+        float(np.abs(re - re.transpose(0, 2, 1)).max(initial=0.0)),
+        float(np.abs(im + im.transpose(0, 2, 1)).max(initial=0.0)),
+    )
 
 
 def partial_trace(op: np.ndarray, keep, n: int | None = None) -> np.ndarray:

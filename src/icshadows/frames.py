@@ -9,29 +9,28 @@ from reconstructed group states. Validity is never assumed: every
 constructed frame is checked against the duality identity at build time.
 
 Effects and duals are Hermitian, so the frame equation is solved and
-checked over the reals: a Hermitian ``(M, dim, dim)`` stack maps to its
-``(M, dim^2)`` coordinates in an orthonormal Hermitian basis (the
-diagonal entries, then sqrt(2) Re and -sqrt(2) Im of each upper-triangle
-entry, row by row), one gather each way (:func:`hermitian_coords`,
-:func:`hermitian_stack`). The map is unitary on Hermitian operators, so
-singular values, frame conditioning and Frobenius norms carry over
-unchanged; an anti-Hermitian part would be dropped, which is why
-:func:`duality_residual` (and so :class:`DualFrame`) rejects
-non-Hermitian stacks.
+checked over the reals, on each stack's ``(M, dim^2)`` coordinates in an
+orthonormal Hermitian basis (:func:`~icshadows.algebra.hermitian_coords`).
+The map is unitary on Hermitian operators, so singular values, frame
+conditioning and Frobenius norms carry over unchanged; an anti-Hermitian
+part would be dropped, which is why :func:`duality_residual` (and so
+:class:`DualFrame`) rejects non-Hermitian stacks. A POVM's cached group
+stack (:func:`~icshadows.povm.group_effects`) was checked finite and
+Hermitian, and its coordinates taken, when it was built, so those steps
+are skipped for it.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .algebra import hermitianize
+from .algebra import hermitian_coords, hermitian_stack, hermitianize, stack_asymmetry
 from .correlations import greedy_partition, resolve_partitioner
 from .partition import Partition
-from .povm import ProductPOVM, outcome_probabilities, pauli6_product
+from .povm import ProductPOVM, outcome_probabilities, pauli6_product, stack_coordinates
 from .sampling import Dataset, marginal_counts
 from .states import DensityMatrix
 
@@ -81,7 +80,11 @@ class DualFrame:
         du = np.asarray(self.duals, dtype=complex)
         if eff.shape != du.shape or eff.ndim != 3:
             raise ValueError("effects and duals must be matching (M, dim, dim) stacks")
-        if not (np.isfinite(eff).all() and np.isfinite(du).all()):
+        # a POVM's cached stack was checked finite when it was built
+        if not (
+            (stack_coordinates(eff) is not None or np.isfinite(eff).all())
+            and np.isfinite(du).all()
+        ):
             raise ValueError("effects and duals must be finite")
         resid = duality_residual(du, eff)
         if not resid <= DUALITY_TOL:
@@ -125,74 +128,6 @@ class GlobalDuals:
         return tags.pop() if len(tags) == 1 else "mixed"
 
 
-@functools.lru_cache(maxsize=None)
-def _coordinate_maps(dim: int):
-    """Gather tables between a Hermitian matrix and its real coordinates.
-
-    Indices point into the ``2 dim^2`` floats of a row-major complex
-    matrix (real, imaginary, real, ...). The forward table picks the
-    diagonal real parts, then each upper-triangle entry's real and
-    imaginary parts, scaled by 1, sqrt(2) and -sqrt(2). The inverse table
-    fills every float from one coordinate: scale 1 on the diagonal (0 for
-    its imaginary parts), 1/sqrt(2) and -1/sqrt(2) above it, 1/sqrt(2)
-    and 1/sqrt(2) below it.
-    """
-    iu, ju = np.triu_indices(dim, 1)
-    diag, upper, lower = 2 * np.arange(dim) * (dim + 1), 2 * (iu * dim + ju), 2 * (ju * dim + iu)
-    sym = dim + 2 * np.arange(iu.size)
-    root2, inv_root2 = np.sqrt(2), 1.0 / np.sqrt(2)
-    fwd_idx = np.concatenate([diag, np.column_stack([upper, upper + 1]).ravel()])
-    fwd_scale = np.concatenate([np.ones(dim), np.tile([root2, -root2], iu.size)])
-    inv_idx = np.zeros(2 * dim * dim, dtype=np.intp)
-    inv_scale = np.zeros(2 * dim * dim)
-    inv_idx[diag], inv_scale[diag] = np.arange(dim), 1.0
-    for slots, part, scale in (
-        (upper, 0, inv_root2),
-        (upper + 1, 1, -inv_root2),
-        (lower, 0, inv_root2),
-        (lower + 1, 1, inv_root2),
-    ):
-        inv_idx[slots], inv_scale[slots] = sym + part, scale
-    tables = (fwd_idx, fwd_scale, inv_idx, inv_scale)
-    for t in tables:
-        t.setflags(write=False)
-    return tables
-
-
-def hermitian_coords(stack: np.ndarray) -> np.ndarray:
-    """Real ``(M, dim^2)`` coordinates of a Hermitian ``(M, dim, dim)`` stack.
-
-    Coordinates are in the orthonormal Hermitian basis of the module
-    docstring. Only the diagonal and upper triangle are read, so an
-    anti-Hermitian part is silently dropped: callers check Hermiticity.
-    """
-    stack = np.ascontiguousarray(stack, dtype=complex)
-    M, dim = stack.shape[0], stack.shape[1]
-    idx, scale, _, _ = _coordinate_maps(dim)
-    return np.multiply(np.take(stack.reshape(M, -1).view(np.float64), idx, axis=1), scale)
-
-
-def hermitian_stack(coords: np.ndarray) -> np.ndarray:
-    """The Hermitian ``(M, dim, dim)`` stack with real coordinates ``coords``
-    (the inverse of :func:`hermitian_coords`); the result is exactly
-    Hermitian."""
-    coords = np.asarray(coords, dtype=float)
-    M = coords.shape[0]
-    dim = int(round(np.sqrt(coords.shape[1])))
-    _, _, idx, scale = _coordinate_maps(dim)
-    flat = np.multiply(np.take(coords, idx, axis=1), scale)
-    return flat.view(complex).reshape(M, dim, dim)
-
-
-def _asymmetry(stack: np.ndarray) -> float:
-    """Largest entry of |A - A^dag| over a stack; 0 for a Hermitian one."""
-    re, im = stack.real, stack.imag
-    return max(
-        float(np.abs(re - re.transpose(0, 2, 1)).max(initial=0.0)),
-        float(np.abs(im + im.transpose(0, 2, 1)).max(initial=0.0)),
-    )
-
-
 def duality_residual(duals: np.ndarray, effects: np.ndarray) -> float:
     """Frobenius norm of Σ_m |dual_m⟩⟩⟨⟨effect_m| − 1, for Hermitian stacks.
 
@@ -201,15 +136,23 @@ def duality_residual(duals: np.ndarray, effects: np.ndarray) -> float:
     complex one, so this is also the complex matrix's Frobenius norm and
     bounds its largest entry from above. The coordinates cannot see an
     anti-Hermitian part, so either stack having one (largest entry of
-    |A - A^dag| above ``DUALITY_TOL``) raises ``ValueError``.
+    |A - A^dag| above ``DUALITY_TOL``) raises ``ValueError``. A POVM's
+    cached group stack passed as ``effects`` was checked when it was
+    built, and its kept coordinates are used.
     """
-    for name, stack in (("effects", effects), ("duals", duals)):
-        asym = _asymmetry(np.asarray(stack))
+    effect_coords = stack_coordinates(effects)
+    stacks = (("duals", duals),) if effect_coords is not None else (
+        ("effects", effects), ("duals", duals)
+    )
+    for name, stack in stacks:
+        asym = stack_asymmetry(np.asarray(stack))
         if not asym <= DUALITY_TOL:
             raise ValueError(
                 f"{name} are not Hermitian (asymmetry {asym:.3e} exceeds {DUALITY_TOL})"
             )
-    gram = hermitian_coords(duals).T @ hermitian_coords(effects)
+    if effect_coords is None:
+        effect_coords = hermitian_coords(effects)
+    gram = hermitian_coords(duals).T @ effect_coords
     gram.flat[:: gram.shape[0] + 1] -= 1.0  # the identity's diagonal
     # huge finite entries (a corrupt file) overflow to an infinite residual
     with np.errstate(over="ignore"):
@@ -243,7 +186,10 @@ def duals_from_weights(
     if np.any(weights <= 0):
         raise ValueError("frame weights must be strictly positive")
     root = np.sqrt(weights)[:, None]
-    U, s, Vh = np.linalg.svd(root * hermitian_coords(effects), full_matrices=False)
+    coords = stack_coordinates(effects)
+    if coords is None:
+        coords = hermitian_coords(effects)
+    U, s, Vh = np.linalg.svd(root * coords, full_matrices=False)
     if M < dim * dim or s[-1] <= 0 or (s[0] / s[-1]) ** 2 > CONDITION_BOUND:
         raise ValueError(
             "frame operator is singular or ill-conditioned; "

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import hermitianize, stack_traces
+from .algebra import HERMITICITY_TOL, hermitian_coords, hermitianize, stack_asymmetry, stack_traces
 
 __all__ = [
     "LocalPOVM",
@@ -24,13 +24,15 @@ __all__ = [
     "pauli6_product",
     "completeness_rank",
     "group_effects",
+    "stack_coordinates",
     "outcome_probabilities",
 ]
 
 COMPLETENESS_TOL = 1e-12
 PSD_TOL = 1e-10
 # group effect stacks kept by group_effects, oldest first out;
-# a 4-qubit Pauli-6 stack is 5.3 MB, a 5-qubit one 127 MB (never kept)
+# a 4-qubit Pauli-6 stack is 5.3 MB, a 5-qubit one 127 MB (never kept).
+# Each kept stack's real coordinates, half its size, come on top.
 STACK_CACHE_BYTES = 64 * 2**20
 
 
@@ -141,6 +143,9 @@ def pauli6_product(n: int) -> ProductPOVM:
 
 _stacks: dict = {}
 _stacks_bytes = 0
+# (stack, coordinates) of each kept stack by the stack's id; an entry
+# holds its stack, so the id is not reused while the entry exists
+_stack_coords: dict = {}
 _stacks_lock = threading.Lock()
 
 
@@ -153,6 +158,9 @@ def group_effects(povm: ProductPOVM, group) -> np.ndarray:
     objects (by identity; the cache keeps those objects alive, so an
     identity is never reused while its entry exists) and kept up to
     ``STACK_CACHE_BYTES`` in total, the oldest entries evicted first.
+    A kept stack is checked finite and Hermitian once, when it is built,
+    and its real Hermitian coordinates are kept with it
+    (:func:`stack_coordinates`).
     """
     global _stacks_bytes
     locals_ = tuple(povm.locals[q] for q in group)
@@ -164,13 +172,30 @@ def group_effects(povm: ProductPOVM, group) -> np.ndarray:
     stack = _kron_stacks([p.effects for p in locals_])
     stack.setflags(write=False)
     if stack.nbytes <= STACK_CACHE_BYTES:
+        coords = hermitian_coords(stack)
+        # written so that a NaN fails the check instead of passing it
+        if not (np.isfinite(coords).all() and stack_asymmetry(stack) <= HERMITICITY_TOL):
+            raise ValueError(f"the effects of group {tuple(group)} are not finite and Hermitian")
+        coords.setflags(write=False)
         with _stacks_lock:
             if key not in _stacks:
                 _stacks[key] = (locals_, stack)
+                _stack_coords[id(stack)] = (stack, coords)
                 _stacks_bytes += stack.nbytes
             while _stacks_bytes > STACK_CACHE_BYTES:
-                _stacks_bytes -= _stacks.pop(next(iter(_stacks)))[1].nbytes
+                old = _stacks.pop(next(iter(_stacks)))[1]
+                _stack_coords.pop(id(old), None)
+                _stacks_bytes -= old.nbytes
     return stack
+
+
+def stack_coordinates(stack) -> np.ndarray | None:
+    """The real Hermitian coordinates kept with a stack that
+    :func:`group_effects` holds in its cache, or None for any other array
+    (the match is by identity). They were checked finite, and the stack
+    Hermitian, when the stack was built."""
+    hit = _stack_coords.get(id(stack))
+    return hit[1] if hit is not None and hit[0] is stack else None
 
 
 def _kron_stacks(stacks) -> np.ndarray:

@@ -9,7 +9,12 @@ chunks, or by several workers.
 Two samplers keep that contract. Up to ``JOINT_TENSOR_QUBIT_LIMIT``
 qubits (or per block of a block-product state) the joint Born tensor is
 turned once into per-level CDF tables, and each shot walks them, one
-outcome per level, by comparing its threshold with its row. Pure states
+outcome per level, by comparing its threshold with its row. One kernel
+builds that tensor, one batched matrix product per qubit from the last
+to the first: a pure state measured by rank-1 local effects (Pauli-6,
+SIC-4) contracts its 2^n amplitudes with each qubit's Kraus rows and
+squares the moduli, and any other state contracts its 4^n density
+matrix with the vectorized effects. Pure states
 above the limit are collapsed qubit by qubit down a prefix tree: at depth
 q the shots of a batch share one branch state per distinct outcome
 prefix, so the work is about ``sum_q min(S, d^q) 2^(n-q)`` amplitudes
@@ -21,6 +26,7 @@ chunk is.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -44,6 +50,8 @@ __all__ = [
 JOINT_TENSOR_QUBIT_LIMIT = 8
 MARGINAL_GROUP_CAP = 8
 DEFAULT_CHUNK = 65536
+# largest S x n record array a draw allocates (4 GiB of uint8)
+RECORD_BYTES_CAP = 1 << 32
 
 # Amplitude budget of one collapse sub-batch (4 MiB of complex128). A
 # sub-batch has ``_COLLAPSE_AMPLITUDES >> n`` shots, and no branch array
@@ -126,19 +134,61 @@ def joint_probability_tensor(state, povm: ProductPOVM) -> np.ndarray:
     """
     if state.n > JOINT_TENSOR_QUBIT_LIMIT:
         raise ValueError("state too large for the joint probability tensor")
-    return _joint_probability_tensor(_density_matrix(state), povm, range(state.n))
+    return _born_tensor(state, povm, range(state.n))
 
 
-def _joint_probability_tensor(rho: np.ndarray, povm: ProductPOVM, qubits) -> np.ndarray:
-    """Outcome probability tensor with one axis per qubit of ``qubits``."""
+def _born_tensor(state, povm: ProductPOVM, qubits) -> np.ndarray:
+    """Born tensor of a pure or density state, axis i measured on ``qubits[i]``.
+
+    A pure state whose local effects all have rank 1 contracts its
+    amplitudes with each qubit's Kraus row ``k_m`` (``E_m = k_m^H k_m``),
+    and each probability is ``|amplitude|^2``. Any other state contracts
+    its density matrix, each qubit's row and column index side by side,
+    with the effects vectorized to match (``E_m[c, r]`` at index ``2r + c``),
+    and keeps the real part clipped at 0.
+    """
+    qubits = list(qubits)
+    if isinstance(state, PureState):
+        factors = [_kraus_factors(povm.locals[q].effects) for q in qubits]
+        if all(f.shape[1] == 1 for f in factors):
+            return _contract_levels(state.amplitudes, [f[:, 0] for f in factors], squared=True)
     k = len(qubits)
-    t = rho.reshape((2,) * (2 * k))
-    for i, q in enumerate(qubits):
-        eff = povm.locals[q].effects
-        rem = k - i
-        # contract this qubit's (row, col) pair; outcome axis lands at the end
-        t = np.tensordot(t, eff, axes=([0, rem], [2, 1]))
-    return np.clip(t.real, 0.0, None)
+    rho = _density_matrix(state).reshape((2,) * (2 * k))
+    pairs = [ax for q in range(k) for ax in (q, k + q)]
+    rows = [povm.locals[q].effects.transpose(0, 2, 1).reshape(-1, 4) for q in qubits]
+    return _contract_levels(rho.transpose(pairs).reshape(-1), rows, squared=False)
+
+
+def _contract_levels(vec: np.ndarray, rows, squared: bool) -> np.ndarray:
+    """Real tensor ``T[m_0, .., m_last] = f(Σ_x Π_i rows[i][m_i, x_i] vec[x])``.
+
+    ``vec`` is flat over one index of size ``c`` per row matrix (the
+    first most significant), and ``rows[i]`` is ``(d_i, c)``. Indices are
+    contracted from the last to the first, each with one batched product
+    ``rows[i] @ t.reshape(c^i, c, tail)``, which puts the new outcome axis
+    ahead of those already done, so nothing is transposed and the axes
+    end in order. The first index's level is written one outcome at a
+    time straight into the real output, so no full-size complex array is
+    alive next to it. ``f`` is ``re^2 + im^2`` when ``squared``, else the
+    real part clipped at 0.
+    """
+    c = rows[0].shape[1]
+    t = vec
+    for i in range(len(rows) - 1, 0, -1):
+        t = np.matmul(rows[i], t.reshape(c**i, c, -1))
+    t = t.reshape(c, -1)
+    out = np.empty((len(rows[0]), t.shape[1]))
+    level = np.empty(t.shape[1], dtype=complex)
+    imag2 = np.empty(t.shape[1]) if squared else None
+    for m, row in enumerate(rows[0]):
+        np.matmul(row, t, out=level)
+        if squared:
+            np.multiply(level.real, level.real, out=out[m])
+            np.multiply(level.imag, level.imag, out=imag2)
+            out[m] += imag2
+        else:
+            np.maximum(level.real, 0.0, out=out[m])
+    return out.reshape([len(r) for r in rows])
 
 
 def joint_probabilities(state, povm: ProductPOVM, group) -> np.ndarray:
@@ -153,8 +203,7 @@ def joint_probabilities(state, povm: ProductPOVM, group) -> np.ndarray:
     if len(group) > MARGINAL_GROUP_CAP:
         raise ValueError(f"group larger than the cap {MARGINAL_GROUP_CAP}")
     srt = sorted(group)
-    sigma = reduced_density(state, srt)
-    t = _joint_probability_tensor(sigma.matrix, povm, srt)
+    t = _born_tensor(reduced_density(state, srt), povm, srt)
     perm = [srt.index(q) for q in group]
     return t.transpose(perm).reshape(-1)
 
@@ -314,6 +363,7 @@ class SamplingPlan:
         if any(dd != dims[0] for dd in dims):
             raise ValueError("datasets require a uniform outcome count per qubit")
         self.povm = povm
+        self.povm_id = povm.identifier
         self.n, self.d = n, dims[0]
         self._pure = None  # (amplitudes, effects, Kraus factors) above the limit
         self._blocks = []  # (columns, walk tables) per block
@@ -321,11 +371,9 @@ class SamplingPlan:
             for g, b in zip(state.partition.groups, state.blocks):
                 if b.n > JOINT_TENSOR_QUBIT_LIMIT:
                     raise ValueError("block too large for the joint-tensor sampler")
-                joint = _joint_probability_tensor(b.matrix, povm, g)
-                self._blocks.append((list(g), _walk_tables(joint)))
+                self._blocks.append((list(g), _walk_tables(_born_tensor(b, povm, g))))
         elif isinstance(state, (PureState, DensityMatrix)) and n <= JOINT_TENSOR_QUBIT_LIMIT:
-            joint = _joint_probability_tensor(_density_matrix(state), povm, range(n))
-            self._blocks = [(slice(None), _walk_tables(joint))]
+            self._blocks = [(slice(None), _walk_tables(_born_tensor(state, povm, range(n))))]
         elif isinstance(state, PureState):
             effects = [p.effects for p in povm.locals]
             factors = [_kraus_factors(e) for e in effects]
@@ -345,17 +393,28 @@ class SamplingPlan:
             out[start : start + cnt, cols] = _walk_chunk(tables, u[:, cols])
 
     def draw(self, S: int, seed: int, workers: int = 1, chunk: int = DEFAULT_CHUNK) -> Dataset:
-        """Draw S shots; the records depend on neither ``workers`` nor ``chunk``."""
+        """Draw S shots; the records depend on neither ``workers`` nor ``chunk``.
+
+        S x n record bytes above ``RECORD_BYTES_CAP`` raise ``ValueError``
+        before anything is allocated. At most one thread runs per chunk
+        and per CPU, however large ``workers`` is.
+        """
+        if S * self.n > RECORD_BYTES_CAP:
+            raise ValueError(
+                f"{S} shots of {self.n} qubits need {S * self.n} bytes of records, "
+                f"above the cap of {RECORD_BYTES_CAP}"
+            )
         records = np.empty((S, self.n), dtype=np.uint8)
         spans = [(s, min(chunk, S - s)) for s in range(0, S, chunk)]
-        if workers > 1 and len(spans) > 1:
+        workers = min(workers, len(spans), os.cpu_count() or 1)
+        if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 list(pool.map(lambda sp: self._run_chunk(seed, sp[0], sp[1], records), spans))
         else:
             for start, cnt in spans:
                 self._run_chunk(seed, start, cnt, records)
         return Dataset(
-            n=self.n, d=self.d, S=S, records=records, seed=seed, povm_id=self.povm.identifier
+            n=self.n, d=self.d, S=S, records=records, seed=seed, povm_id=self.povm_id
         )
 
 

@@ -201,6 +201,18 @@ def lad_loop(mt, effects, backend):
     return DensityMatrix(n, best), report
 
 
+def tensordot_joint_probabilities(rho: np.ndarray, povm, qubits) -> np.ndarray:
+    """Outcome probability tensor with one axis per qubit of ``qubits``."""
+    k = len(qubits)
+    t = rho.reshape((2,) * (2 * k))
+    for i, q in enumerate(qubits):
+        eff = povm.locals[q].effects
+        rem = k - i
+        # contract this qubit's (row, col) pair; outcome axis lands at the end
+        t = np.tensordot(t, eff, axes=([0, rem], [2, 1]))
+    return np.clip(t.real, 0.0, None)
+
+
 def prefix_tensors(joint) -> list:
     """Marginal tensors of a joint outcome tensor over each prefix of its axes.
 

@@ -432,3 +432,23 @@ def test_cli_defaults_are_run_config_defaults(command):
     argv, own = MINIMAL_ARGV[command]
     args = build_parser().parse_args([command] + argv)
     assert _config(args) == RunConfig(**own)
+
+
+def test_sample_above_the_record_cap_exits_one(tmp_path, capsys):
+    out = tmp_path / "x.icsd"
+    assert run(["sample", "bell", "-S", 10**12, "--workers", 10**15, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "cap" in err
+    assert not out.exists()
+
+
+def test_memory_error_exits_one(tmp_path, capsys, monkeypatch):
+    import icshadows.cli as cli
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.82 TiB for an array")
+
+    monkeypatch.setattr(cli, "sample_shots", out_of_memory)
+    assert run(["sample", "bell", "-S", 10, "--out", tmp_path / "x.icsd"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and "1.82 TiB" in err

@@ -431,3 +431,23 @@ def test_dual_frame_rejects_non_hermitian_stacks():
         DualFrame(group=(0,), effects=effects, duals=skewed)
     with pytest.raises(ValueError, match="effects are not Hermitian"):
         DualFrame(group=(0,), effects=np.conj(anti_hermitian_duals(frame.duals)), duals=frame.duals)
+
+
+def test_cached_effect_stack_is_not_checked_again(monkeypatch):
+    effects = pauli6_product(2).group_effects((0, 1))
+    seen = []
+    for name in ("hermitian_coords", "stack_asymmetry"):
+        fn = getattr(frames, name)
+        monkeypatch.setattr(frames, name, lambda s, fn=fn, name=name: seen.append((name, s)) or fn(s))
+    frame = canonical_duals(effects, group=(0, 1))
+    assert not any(s is effects for _, s in seen)
+    # the duals are still checked in full
+    assert {name for name, s in seen if s is frame.duals} == {"hermitian_coords", "stack_asymmetry"}
+    # any other effects are too, and the cached coordinates give the same residual
+    copy = effects.copy()
+    assert duality_residual(frame.duals, copy) == duality_residual(frame.duals, effects)
+    assert {name for name, s in seen if s is copy} == {"hermitian_coords", "stack_asymmetry"}
+    bad = frame.duals.copy()
+    bad[0, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        DualFrame(group=(0, 1), effects=effects, duals=bad)

@@ -145,3 +145,30 @@ def test_group_effects_cache_is_bounded(monkeypatch):
     kept = povm_module._stacks.values()
     assert povm_module._stacks_bytes == sum(stack.nbytes for _, stack in kept)
     assert povm_module._stacks_bytes <= povm_module.STACK_CACHE_BYTES
+
+
+def test_group_effects_checks_each_kept_stack_once(monkeypatch):
+    from icshadows.algebra import hermitian_coords
+    from icshadows.povm import stack_coordinates
+
+    from .oracles import same_bits
+
+    monkeypatch.setattr(povm_module, "_stacks", {})
+    monkeypatch.setattr(povm_module, "_stacks_bytes", 0)
+    monkeypatch.setattr(povm_module, "_stack_coords", {})
+    monkeypatch.setattr(povm_module, "STACK_CACHE_BYTES", 36 * 4 * 4 * 16)
+    pair = group_effects(pauli6_product(2), (0, 1))
+    coords = stack_coordinates(pair)
+    assert same_bits(coords, hermitian_coords(pair)) and not coords.flags.writeable
+    # the match is by identity, and an evicted stack loses its coordinates
+    assert stack_coordinates(pair.copy()) is None
+    group_effects(ProductPOVM((pauli6(), pauli6())), (0, 1))
+    assert stack_coordinates(pair) is None
+    assert len(povm_module._stack_coords) == len(povm_module._stacks) == 1
+    # a stack that is not finite and Hermitian is refused when it is built
+    for entry, value in (((0, 0, 0), np.nan), ((0, 0, 1), 1.0)):
+        bad = _kron_stacks([pauli6().effects, pauli6().effects])
+        bad[entry] = value
+        monkeypatch.setattr(povm_module, "_kron_stacks", lambda stacks, bad=bad: bad)
+        with pytest.raises(ValueError, match="not finite and Hermitian"):
+            group_effects(ProductPOVM((pauli6(), pauli6())), (0, 1))

@@ -7,12 +7,15 @@ from icshadows import (
     BlockProductState,
     Dataset,
     DensityMatrix,
+    LocalPOVM,
     Partition,
     PureState,
     SamplingPlan,
     bell_pair_chain,
     bell_state,
+    bundled_hamiltonian,
     ghz_state,
+    ground_state,
     joint_probabilities,
     marginal_counts,
     maximally_mixed,
@@ -26,7 +29,7 @@ from icshadows.povm import ProductPOVM, pauli6
 from icshadows.sampling import flat_codes, joint_probability_tensor
 
 from .conftest import random_density, sic4
-from .oracles import prefix_tensors, walk_chunk
+from .oracles import prefix_tensors, tensordot_joint_probabilities, walk_chunk
 
 
 def test_shot_uniforms_chunk_splittable():
@@ -191,6 +194,11 @@ def random_pure(rng, n):
     return PureState(n, v / np.linalg.norm(v))
 
 
+def depolarized_pauli6():
+    """Pauli-6 mixed with white noise: every effect has full rank 2."""
+    return LocalPOVM(0.8 * pauli6().effects + 0.2 * np.eye(2) / 6)
+
+
 def assert_within_sampling_error(freq, probs, S):
     # each cell within 5 binomial standard deviations (plus one count)
     tol = 5.0 * np.sqrt(probs * (1.0 - probs) / S) + 1.0 / S
@@ -220,10 +228,8 @@ def test_prefix_tree_collapse_matches_joint_marginals(monkeypatch):
 
 def test_prefix_tree_collapse_rank_two_effects(monkeypatch):
     from icshadows import sampling
-    from icshadows.povm import LocalPOVM, ProductPOVM, pauli6
 
-    # depolarized Pauli-6: every effect has full rank 2
-    noisy = LocalPOVM(0.8 * pauli6().effects + 0.2 * np.eye(2) / 6)
+    noisy = depolarized_pauli6()
     factors = sampling._kraus_factors(noisy.effects)
     assert factors.shape == (6, 2, 2)
     assert np.allclose(np.einsum("mja,mjb->mab", factors.conj(), factors), noisy.effects)
@@ -372,15 +378,16 @@ def test_cdf_table_walk_matches_prefix_row_walk(case):
 
 
 def oracle_draw(state, povm, S, seed):
-    """Records of the prefix-row walk, one block at a time."""
+    """Records of the prefix-row walk on the tensordot tensor, one block at a time."""
     u = shot_uniforms(seed, 0, S, povm.n)
     out = np.empty((S, povm.n), dtype=np.uint8)
     if isinstance(state, BlockProductState):
         for g, b in zip(state.partition.groups, state.blocks):
-            joint = sampling._joint_probability_tensor(b.matrix, povm, g)
+            joint = tensordot_joint_probabilities(b.matrix, povm, g)
             out[:, list(g)] = walk_chunk(prefix_tensors(joint), u[:, list(g)])
         return out
-    return walk_chunk(prefix_tensors(joint_probability_tensor(state, povm)), u)
+    joint = tensordot_joint_probabilities(state.density().matrix, povm, range(povm.n))
+    return walk_chunk(prefix_tensors(joint), u)
 
 
 @settings(max_examples=60, deadline=None)
@@ -439,3 +446,134 @@ def test_eight_qubit_plan_memory_stays_at_the_prefix_tensors():
     # the CDF is taken in place: planning makes no transient copy of the joint
     assert peak <= old_peak + joint // 5 + slack
 
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_born_kernel_matches_tensordot_oracle(n):
+    rng = np.random.default_rng(100 + n)
+    psi = random_pure(rng, n)
+    noisy = depolarized_pauli6()
+    assert sampling._kraus_factors(noisy.effects).shape[1] == 2  # takes the density route
+    cases = [
+        (psi, pauli6_product(n)),
+        (psi, ProductPOVM((sic4(),) * n)),
+        (psi, ProductPOVM((noisy,) * n)),
+        (DensityMatrix(n, random_density(rng, 2**n)), pauli6_product(n)),
+    ]
+    for state, povm in cases:
+        want = tensordot_joint_probabilities(state.density().matrix, povm, range(n))
+        got = joint_probability_tensor(state, povm)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15
+    # blocks of a block-product state, each on its own (shuffled) qubits
+    povm = ProductPOVM(tuple(rng.permutation([pauli6(), sic4(), pauli6()] * 3)[:n]))
+    groups = [tuple(sorted(int(q) for q in g)) for g in np.array_split(rng.permutation(n), 2)]
+    groups = [g for g in groups if g]
+    blocks = [DensityMatrix(len(g), random_density(rng, 2 ** len(g))) for g in groups]
+    for g, b in zip(groups, blocks):
+        want = tensordot_joint_probabilities(b.matrix, povm, g)
+        assert np.abs(sampling._born_tensor(b, povm, g) - want).max() <= 1e-15
+    chain = BlockProductState(Partition(tuple(groups)), tuple(blocks))
+    want = tensordot_joint_probabilities(chain.density().matrix, povm, range(n))
+    assert np.abs(joint_probability_tensor(chain, povm) - want).max() <= 1e-15
+    # a group in shuffled order: the flat index runs over the listed order
+    group = [int(q) for q in rng.permutation(n)]
+    srt = sorted(group)
+    want = tensordot_joint_probabilities(psi.density().matrix, pauli6_product(n), srt)
+    want = want.transpose([srt.index(q) for q in group]).reshape(-1)
+    assert np.abs(joint_probabilities(psi, pauli6_product(n), group) - want).max() <= 1e-15
+
+
+def test_pure_born_tensor_peak_memory_is_below_the_oracle():
+    import tracemalloc
+
+    n = 8
+    psi = random_pure(np.random.default_rng(37), n)
+    povm = pauli6_product(n)
+    joint_probability_tensor(psi, povm)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        joint_probability_tensor(psi, povm)
+        peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
+        tensordot_joint_probabilities(rho, povm, range(n))
+        oracle_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < oracle_peak
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_eight_qubit_h2_records_match_the_oracle_walk(seed):
+    psi = ground_state(bundled_hamiltonian("h2_631g_8q.txt"))[1]
+    povm = pauli6_product(8)
+    got = SamplingPlan(psi, povm).draw(10**5, seed).records
+    assert got.tobytes() == oracle_draw(psi, povm, 10**5, seed).tobytes()
+
+
+def test_draw_rejects_records_above_the_cap_before_allocating(monkeypatch):
+    class NoAllocation:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def empty(self, *args, **kwargs):
+            raise AssertionError("allocated before the size check")
+
+    povm = pauli6_product(2)
+    plan = SamplingPlan(bell_state(), povm)
+    monkeypatch.setattr(sampling, "np", NoAllocation())
+    for S in (10**12, sampling.RECORD_BYTES_CAP // 2 + 1):
+        with pytest.raises(ValueError, match="cap"):
+            plan.draw(S, seed=0)
+    with pytest.raises(ValueError, match="cap"):
+        sample_shots(plan, povm, 10**15, seed=0, workers=10**15)
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, S, chunk, pool",
+    [
+        (10**6, 64, 10, 4, 3),  # clamped to the chunk count
+        (10**6, 2, 10, 4, 2),  # clamped to the CPU count
+        (10**6, None, 10, 4, None),  # unknown CPU count: serial
+        (8, 64, 10, 100, None),  # one chunk: serial
+    ],
+)
+def test_draw_clamps_workers_to_chunks_and_cpus(monkeypatch, workers, cpus, S, chunk, pool):
+    made = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(sampling, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(sampling.os, "cpu_count", lambda: cpus)
+    plan = SamplingPlan(ghz_state(3), pauli6_product(3))
+    got = plan.draw(S, seed=5, workers=workers, chunk=chunk)
+    assert made == ([] if pool is None else [pool])
+    assert got.records.tobytes() == plan.draw(S, seed=5).records.tobytes()
+
+
+def test_plan_looks_up_the_povm_identifier_once(monkeypatch):
+    calls = []
+    identifier = ProductPOVM.identifier
+
+    def counted(self):
+        calls.append(1)
+        return identifier.fget(self)
+
+    monkeypatch.setattr(ProductPOVM, "identifier", property(counted))
+    plan = SamplingPlan(bell_state(), pauli6_product(2))
+    for seed in range(3):
+        assert plan.draw(10, seed).povm_id == "pauli6"
+    assert len(calls) == 1
