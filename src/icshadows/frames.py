@@ -8,6 +8,10 @@ duals apply the optimal rule per qubit group with probabilities predicted
 from reconstructed group states. Validity is never assumed: every
 constructed frame is checked against the duality identity at build time.
 
+The weights 1/p are optimal by one identity: over all duals of effects Π,
+Σ_m p_m Tr[D_m²] is least at D_m = F⁻¹(Π_m) / p_m, F = Σ_m |Π_m⟩⟩⟨⟨Π_m| / p_m,
+so each site step of :func:`optimize_product_duals` is one weighted solve.
+
 Effects and duals are Hermitian, so the frame equation is solved and
 checked over the reals, on each stack's ``(M, dim^2)`` coordinates in an
 orthonormal Hermitian basis (:func:`~icshadows.algebra.hermitian_coords`).
@@ -25,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import hermitian_coords, hermitian_stack, hermitianize, stack_asymmetry
 from .correlations import greedy_partition, resolve_partitioner
@@ -344,25 +347,6 @@ def state_mse(duals, probabilities, rho) -> float:
     return float(probabilities @ tr2 - purity)
 
 
-def _hermitian_basis(dim: int) -> np.ndarray:
-    """Orthonormal Hermitian basis, so real coefficient vectors stay Hermitian:
-    the stacks whose coordinates are the unit vectors."""
-    return hermitian_stack(np.eye(dim * dim))
-
-
-def _duality_null_directions(effects: np.ndarray) -> np.ndarray:
-    """Hermitian stacks N with Σ_m |N_m⟩⟩⟨⟨Π_m| = 0 (duality-preserving moves)."""
-    M, dim = effects.shape[0], effects.shape[1]
-    herm = _hermitian_basis(dim)
-    evecs = effects.reshape(M, -1).conj()
-    hvecs = herm.reshape(dim * dim, -1)
-    # column (m, a) of the constraint map is vec(E_a) ⊗ ⟨⟨Π_m|
-    cols = np.einsum("ai,mj->ijma", hvecs, evecs).reshape(dim**4, M * dim * dim)
-    null = scipy.linalg.null_space(np.vstack([cols.real, cols.imag]))
-    coeffs = null.T.reshape(-1, M, dim * dim)
-    return np.einsum("xma,aij->xmij", coeffs, herm)
-
-
 def optimize_product_duals(
     probabilities,
     partition: Partition,
@@ -370,25 +354,24 @@ def optimize_product_duals(
 ) -> tuple[GlobalDuals, float, int]:
     """Best product-structured duals for state estimation, by coordinate descent.
 
-    Each site's duals move only along duality-preserving directions, so
-    every iterate is a valid frame. With the other sites frozen the MSE
-    is a convex quadratic in one site's coordinates and is minimized in
-    closed form; sweeps repeat until one improves the objective by less
-    than ``PRODUCT_TOL``, at most ``PRODUCT_SWEEPS`` of them, on at most
-    ``PRODUCT_QUBIT_CAP`` qubits. Returns the frames, the final MSE, and
-    the sweep count.
+    With the other sites frozen, the MSE is Σ_m q_m Tr[D_m²] − Tr[ρ²] over
+    one site's duals, q being the site's outcome probabilities weighted by
+    the frozen sites' Tr[D²]. Its minimiser under the frame equation is the
+    weighted dual D_m = (1/q_m) F⁻¹(Π_m), F = Σ_m |Π_m⟩⟩⟨⟨Π_m| / q_m, so each
+    site step is one :func:`duals_from_weights` solve with weights 1/q and
+    every iterate is a validated frame. Sweeps start from canonical duals
+    and stop once one improves the MSE by less than ``PRODUCT_TOL``, after at
+    most ``PRODUCT_SWEEPS``, on at most ``PRODUCT_QUBIT_CAP`` qubits. Returns
+    the frames, the final MSE and the sweep count.
     """
     if partition.n > PRODUCT_QUBIT_CAP:
         raise ValueError(f"{partition.n} qubits exceeds the optimizer cap {PRODUCT_QUBIT_CAP}")
     probabilities = np.asarray(probabilities, dtype=float)
     rho_mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
     purity = np.einsum("ab,ba->", rho_mat, rho_mat).real
-
     povm = pauli6_product(partition.n)
     groups = partition.groups
-    effects = [povm.group_effects(g) for g in groups]
-    sites = [canonical_duals(e, group=g).duals.copy() for e, g in zip(effects, groups)]
-    nulls = [_duality_null_directions(e) for e in effects]
+    sites = [canonical_duals(povm.group_effects(g), group=g) for g in groups]
 
     # joint probabilities arrive row-major over qubit index; fold to one
     # axis per group, in group order
@@ -396,41 +379,27 @@ def optimize_product_duals(
     per_qubit = probabilities.reshape((6,) * partition.n)
     p_grouped = per_qubit.transpose(order).reshape([6 ** len(g) for g in groups])
 
-    def site_weights(s: int) -> np.ndarray:
+    def site_weights(s: int | None = None) -> np.ndarray:
+        """The probabilities contracted with every site's Tr[D²] but site s's."""
         q = p_grouped
         for t in reversed(range(len(sites))):
-            if t == s:
-                continue
-            q = np.tensordot(q, _tr2(sites[t]), axes=([t], [0]))
+            if t != s:
+                q = np.tensordot(q, _tr2(sites[t].duals), axes=([t], [0]))
         return q
 
-    def objective() -> float:
-        q = p_grouped
-        for t in reversed(range(len(sites))):
-            q = np.tensordot(q, _tr2(sites[t]), axes=([t], [0]))
-        return float(q - purity)
-
-    prev = objective()
+    cur = float(site_weights() - purity)
     sweep = 0
     for sweep in range(1, PRODUCT_SWEEPS + 1):
-        for s in range(len(sites)):
-            q = site_weights(s)
-            N = nulls[s]
-            nn = np.einsum("xmab,ymba->xym", N, N).real
-            H = 2.0 * np.einsum("xym,m->xy", nn, q)
-            dn = np.einsum("mab,xmba->xm", sites[s], N).real
-            c = 2.0 * np.einsum("xm,m->x", dn, q)
-            x, *_ = np.linalg.lstsq(H, -c, rcond=None)
-            sites[s] = sites[s] + np.einsum("x,xmab->mab", x, N)
-        cur = objective()
-        if cur > prev + 1e-12:
+        prev = cur
+        for s, g in enumerate(groups):
+            weights = 1.0 / np.maximum(site_weights(s), PROBABILITY_FLOOR)
+            sites[s] = duals_from_weights(
+                sites[s].effects, weights, group=g, provenance="optimized-product"
+            )
+        cur = float(site_weights() - purity)
+        # exact per-site minimisers raise the MSE by no more than re-solve round-off
+        if cur > prev + 1e-12 + 64 * np.finfo(float).eps * abs(prev):
             raise AssertionError("objective increased; optimizer step is broken")
         if prev - cur < PRODUCT_TOL:
-            prev = cur
             break
-        prev = cur
-    frames = tuple(
-        DualFrame(group=g, effects=e, duals=d, provenance="optimized-product")
-        for g, e, d in zip(groups, effects, sites)
-    )
-    return GlobalDuals(partition=partition, frames=frames), prev, sweep
+    return GlobalDuals(partition=partition, frames=tuple(sites)), cur, sweep

@@ -46,6 +46,7 @@ __all__ = [
 DATASET_MAGIC = b"ICSD"
 DUALS_MAGIC = b"ICDL"
 DATASET_HEADER = struct.Struct("<4sHHHQQ")
+QUBIT_FIELD_MAX = 2**16 - 1  # both formats store the qubit count as a uint16
 _PAULI6_OUTCOMES = 6
 
 
@@ -144,9 +145,15 @@ def bundled_hamiltonian(name: str) -> PauliObservable:
         return read_hamiltonian(path)
 
 
+def _check_qubit_field(n: int, kind: str) -> None:
+    if n > QUBIT_FIELD_MAX:
+        raise ValueError(f"{n} qubits exceeds {QUBIT_FIELD_MAX}, the most a {kind} file holds")
+
+
 def write_dataset(path, ds: Dataset) -> None:
     if ds.povm_id != "pauli6":
         raise ValueError("dataset format v1 stores Pauli-6 datasets only")
+    _check_qubit_field(ds.n, "dataset")
     header = DATASET_HEADER.pack(DATASET_MAGIC, 1, ds.n, ds.d, ds.S, ds.seed)
     with open(path, "wb") as fh:
         fh.write(header)
@@ -209,6 +216,7 @@ def read_partition(path) -> Partition:
 def write_duals(path, duals: GlobalDuals) -> None:
     """Serialize per-group dual operators; v1 covers Pauli-6 frames."""
     n = duals.n
+    _check_qubit_field(n, "duals")
     povm = pauli6_product(n)
     out = bytearray()
     out += struct.pack("<4sHH", DUALS_MAGIC, 1, n)

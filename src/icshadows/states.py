@@ -37,6 +37,8 @@ __all__ = [
 STATEVECTOR_CAP = 14
 DENSITY_CAP = 12
 GROUND_STATE_CAP = 12
+# 2P qubits must fit the 16-bit qubit count of the dataset and duals files
+BELL_PAIRS_CAP = (2**16 - 1) // 2
 
 NORM_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -53,7 +55,8 @@ class PureState:
             raise ValueError(f"{self.n} qubits exceeds the statevector cap")
         if amps.size != 2**self.n:
             raise ValueError("amplitude length is not 2^n")
-        if not abs(np.linalg.norm(amps) - 1.0) <= NORM_TOL:
+        # the squared norm is the density's trace, held to the same tolerance
+        if not abs(np.vdot(amps, amps).real - 1.0) <= NORM_TOL:
             raise ValueError("state is not normalized")
         object.__setattr__(self, "amplitudes", amps)
         self.amplitudes.setflags(write=False)
@@ -245,6 +248,7 @@ def toy_pure(q: float) -> PureState:
 
 def bell_pair_chain(pairs: int) -> BlockProductState:
     """Independent Bell pairs on qubits (0,1), (2,3), ..."""
+    _check_size(2 * pairs, 2 * BELL_PAIRS_CAP, "Bell-pair chain")
     part = Partition(tuple((2 * i, 2 * i + 1) for i in range(pairs)), max_size=2)
     bell = bell_state().density()
     return BlockProductState(part, (bell,) * pairs)

@@ -4,6 +4,7 @@ import pytest
 from icshadows import (
     BlockProductState,
     LocalPOVM,
+    PureState,
     bundled_hamiltonian,
     canonical_global,
     ground_state,
@@ -54,6 +55,11 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def random_pure(rng: np.random.Generator, n: int) -> PureState:
+    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return PureState(n, v / np.linalg.norm(v))
 
 
 def sic4() -> LocalPOVM:

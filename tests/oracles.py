@@ -1,6 +1,7 @@
 """Reference implementations that the library's fast paths are checked against."""
 
 import numpy as np
+import scipy.linalg
 
 from icshadows import (
     CoefficientCache,
@@ -9,11 +10,21 @@ from icshadows import (
     Partition,
     PauliObservable,
     marginal_counts,
+    pauli6_product,
     tomography,
 )
 from icshadows.algebra import kron_all, project_to_density
 from icshadows.correlations import _mutual_information
-from icshadows.frames import canonical_duals
+from icshadows.frames import (
+    PRODUCT_QUBIT_CAP,
+    PRODUCT_SWEEPS,
+    PRODUCT_TOL,
+    DualFrame,
+    GlobalDuals,
+    _tr2,
+    canonical_duals,
+    hermitian_stack,
+)
 from icshadows.observables import PAULI_MATRICES
 from icshadows.tomography import LAD_WINDOW, ReconstructionReport
 
@@ -164,6 +175,101 @@ def hermitian_basis_loop(dim) -> np.ndarray:
             e[j, i] = 1j / np.sqrt(2)
             basis.append(e)
     return np.stack(basis)
+
+
+def _hermitian_basis(dim: int) -> np.ndarray:
+    """Orthonormal Hermitian basis, so real coefficient vectors stay Hermitian:
+    the stacks whose coordinates are the unit vectors."""
+    return hermitian_stack(np.eye(dim * dim))
+
+
+def _duality_null_directions(effects: np.ndarray) -> np.ndarray:
+    """Hermitian stacks N with Σ_m |N_m⟩⟩⟨⟨Π_m| = 0 (duality-preserving moves)."""
+    M, dim = effects.shape[0], effects.shape[1]
+    herm = _hermitian_basis(dim)
+    evecs = effects.reshape(M, -1).conj()
+    hvecs = herm.reshape(dim * dim, -1)
+    # column (m, a) of the constraint map is vec(E_a) ⊗ ⟨⟨Π_m|
+    cols = np.einsum("ai,mj->ijma", hvecs, evecs).reshape(dim**4, M * dim * dim)
+    null = scipy.linalg.null_space(np.vstack([cols.real, cols.imag]))
+    coeffs = null.T.reshape(-1, M, dim * dim)
+    return np.einsum("xma,aij->xmij", coeffs, herm)
+
+
+def null_space_product_duals(
+    probabilities,
+    partition: Partition,
+    rho,
+) -> tuple[GlobalDuals, float, int]:
+    """Best product-structured duals for state estimation, by coordinate descent.
+
+    Each site's duals move only along duality-preserving directions, so
+    every iterate is a valid frame. With the other sites frozen the MSE
+    is a convex quadratic in one site's coordinates and is minimized in
+    closed form; sweeps repeat until one improves the objective by less
+    than ``PRODUCT_TOL``, at most ``PRODUCT_SWEEPS`` of them, on at most
+    ``PRODUCT_QUBIT_CAP`` qubits. Returns the frames, the final MSE, and
+    the sweep count.
+
+    The null-space build for a k-qubit group is a 2·16^k x 24^k real
+    matrix, so run this on groups of at most 2 qubits.
+    """
+    if partition.n > PRODUCT_QUBIT_CAP:
+        raise ValueError(f"{partition.n} qubits exceeds the optimizer cap {PRODUCT_QUBIT_CAP}")
+    probabilities = np.asarray(probabilities, dtype=float)
+    rho_mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    purity = np.einsum("ab,ba->", rho_mat, rho_mat).real
+
+    povm = pauli6_product(partition.n)
+    groups = partition.groups
+    effects = [povm.group_effects(g) for g in groups]
+    sites = [canonical_duals(e, group=g).duals.copy() for e, g in zip(effects, groups)]
+    nulls = [_duality_null_directions(e) for e in effects]
+
+    # joint probabilities arrive row-major over qubit index; fold to one
+    # axis per group, in group order
+    order = [q for g in groups for q in g]
+    per_qubit = probabilities.reshape((6,) * partition.n)
+    p_grouped = per_qubit.transpose(order).reshape([6 ** len(g) for g in groups])
+
+    def site_weights(s: int) -> np.ndarray:
+        q = p_grouped
+        for t in reversed(range(len(sites))):
+            if t == s:
+                continue
+            q = np.tensordot(q, _tr2(sites[t]), axes=([t], [0]))
+        return q
+
+    def objective() -> float:
+        q = p_grouped
+        for t in reversed(range(len(sites))):
+            q = np.tensordot(q, _tr2(sites[t]), axes=([t], [0]))
+        return float(q - purity)
+
+    prev = objective()
+    sweep = 0
+    for sweep in range(1, PRODUCT_SWEEPS + 1):
+        for s in range(len(sites)):
+            q = site_weights(s)
+            N = nulls[s]
+            nn = np.einsum("xmab,ymba->xym", N, N).real
+            H = 2.0 * np.einsum("xym,m->xy", nn, q)
+            dn = np.einsum("mab,xmba->xm", sites[s], N).real
+            c = 2.0 * np.einsum("xm,m->x", dn, q)
+            x, *_ = np.linalg.lstsq(H, -c, rcond=None)
+            sites[s] = sites[s] + np.einsum("x,xmab->mab", x, N)
+        cur = objective()
+        if cur > prev + 1e-12:
+            raise AssertionError("objective increased; optimizer step is broken")
+        if prev - cur < PRODUCT_TOL:
+            prev = cur
+            break
+        prev = cur
+    frames = tuple(
+        DualFrame(group=g, effects=e, duals=d, provenance="optimized-product")
+        for g, e, d in zip(groups, effects, sites)
+    )
+    return GlobalDuals(partition=partition, frames=frames), prev, sweep
 
 
 def lad_loop(mt, effects, backend):

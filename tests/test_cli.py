@@ -52,6 +52,8 @@ def test_parse_state_spec_forms():
         ("product-" + "0" * 40, "statevector cap"),
         ("max-mixed-40", "density cap"),
         ("ghz-0", "statevector cap"),
+        ("bell-pairs-1000000000000000", "Bell-pair chain cap"),
+        ("bell-pairs-33000", "Bell-pair chain cap"),
     ],
 )
 def test_state_family_outside_its_cap_exits_one(tmp_path, capsys, monkeypatch, spec, cap):

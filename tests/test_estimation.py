@@ -12,7 +12,6 @@ from icshadows import (
     Partition,
     PauliObservable,
     ProductPOVM,
-    PureState,
     bell_pair_chain,
     bell_state,
     canonical_global,
@@ -35,7 +34,7 @@ from icshadows.frames import GlobalDuals
 from icshadows.observables import PAULI_MATRICES
 from icshadows.povm import outcome_probabilities
 
-from .conftest import grouped_product_state, random_density, sic4
+from .conftest import grouped_product_state, random_density, random_pure, sic4
 from .oracles import omega
 
 
@@ -314,8 +313,7 @@ def test_h2_ground_state_canonical_variance(h2_4q, h2_4q_ground, povm4, monkeypa
 
 def _random_state(kind, n, rng):
     if kind == "pure":
-        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-        return PureState(n, amps / np.linalg.norm(amps))
+        return random_pure(rng, n)
     if kind == "density":
         return DensityMatrix(n, random_density(rng, 2**n))
     # blocks of at most two qubits, cut differently from the duals' groups

@@ -1,9 +1,12 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icshadows import (
+    DensityMatrix,
     DualFrame,
     GlobalDuals,
     LocalPOVM,
@@ -14,33 +17,35 @@ from icshadows import (
     canonical_global,
     duality_residual,
     duals_from_weights,
+    joint_probabilities,
     klo_duals,
     maximally_mixed,
     optimal_duals,
     optimize_product_duals,
     pauli6,
     pauli6_product,
+    reduced_density,
     sample_shots,
     state_mse,
     toy_mixed,
+    toy_pure,
 )
 from icshadows import frames
 from icshadows.frames import (
     DUALITY_TOL,
-    _hermitian_basis,
     canonical_weights,
     hermitian_coords,
     hermitian_stack,
 )
 from icshadows.tomography import ConstrainedLAD, FrequencyBias
 
-from .conftest import anti_hermitian_duals, random_density
+from .conftest import anti_hermitian_duals, random_density, random_pure
 from .oracles import (
     complex_svd_duals,
     frame_operator,
     hermitian_basis_loop,
     max_entry_residual,
-    same_bits,
+    null_space_product_duals,
     wide_svd_duals,
 )
 
@@ -324,22 +329,88 @@ def random_hermitian_stack(rng, M: int, dim: int) -> np.ndarray:
 
 @pytest.mark.parametrize("dim", [1, 2, 4, 8, 16])
 def test_hermitian_basis_is_the_hand_built_one(dim):
-    basis = _hermitian_basis(dim)
+    basis = hermitian_stack(np.eye(dim * dim))
     assert np.array_equal(basis, hermitian_basis_loop(dim))
     # the basis' own coordinates are the unit vectors
     assert np.array_equal(hermitian_coords(basis), np.eye(dim * dim))
 
 
-def test_product_dual_optimizer_unchanged_by_the_derived_basis(monkeypatch):
-    rho = toy_mixed(0.3)
-    probs = np.einsum("mab,ba->m", pauli6_product(2).group_effects((0, 1)), rho.matrix).real
-    part = Partition.singletons(2)
+def _assert_matches_null_space_oracle(state, groups):
+    """The weighted-solve descent against the null-space descent it replaced:
+    same MSE to 1e-12 relative, same sweep count, duals within 1e-9."""
+    n = state.n
+    probs = joint_probabilities(state, pauli6_product(n), range(n))
+    rho = reduced_density(state, range(n))
+    part = Partition(groups)
     got, mse, sweeps = optimize_product_duals(probs, part, rho)
-    monkeypatch.setattr(frames, "_hermitian_basis", hermitian_basis_loop)
-    want, want_mse, want_sweeps = optimize_product_duals(probs, part, rho)
-    assert (mse, sweeps) == (want_mse, want_sweeps)
-    for a, b in zip(got.frames, want.frames):
-        assert same_bits(a.duals, b.duals)
+    want, want_mse, want_sweeps = null_space_product_duals(probs, part, rho)
+    assert sweeps == want_sweeps
+    assert abs(mse - want_mse) <= 1e-12 * abs(want_mse)
+    for a, b in zip(got.frames, want.frames, strict=True):
+        assert a.group == b.group and a.provenance == b.provenance == "optimized-product"
+        assert np.abs(a.duals - b.duals).max() <= 1e-9
+
+
+TOY_QS = [0.0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0]
+
+
+@pytest.mark.parametrize("make", [toy_mixed, toy_pure], ids=["mixed", "pure"])
+def test_product_dual_optimizer_matches_the_null_space_oracle_on_the_toy_sweep(make):
+    for q in TOY_QS:
+        _assert_matches_null_space_oracle(make(q), ((0,), (1,)))
+
+
+# the oracle's null-space build for a k-qubit group is a 2*16^k x 24^k real
+# matrix, so it only ever sees groups of at most 2 qubits
+@pytest.mark.parametrize(
+    "seed, n, groups",
+    [
+        (0, 2, ((0,), (1,))),
+        (1, 2, ((0, 1),)),
+        (2, 3, ((0,), (1, 2))),
+        (3, 3, ((0, 2), (1,))),
+        (4, 3, ((0,), (1,), (2,))),
+        (5, 4, ((0, 1), (2, 3))),
+        (6, 4, ((0, 3), (1,), (2,))),
+        (7, 4, ((0,), (1,), (2,), (3,))),
+    ],
+)
+@pytest.mark.parametrize("pure", [True, False])
+def test_product_dual_optimizer_matches_the_null_space_oracle(seed, n, groups, pure):
+    rng = np.random.default_rng(seed)
+    state = random_pure(rng, n) if pure else DensityMatrix(n, random_density(rng, 2**n))
+    _assert_matches_null_space_oracle(state, groups)
+
+
+@pytest.mark.parametrize("groups", [((0,), (1, 2, 3)), ((0, 1, 2, 3),)])
+def test_product_dual_optimizer_finishes_groups_of_three_and_four_qubits(groups):
+    state = random_pure(np.random.default_rng(11), 4)
+    povm = pauli6_product(4)
+    probs = joint_probabilities(state, povm, range(4))
+    rho = reduced_density(state, range(4))
+    start = time.perf_counter()
+    gd, mse, sweeps = optimize_product_duals(probs, Partition(groups), rho)
+    assert time.perf_counter() - start < 5.0
+    assert sweeps >= 1 and gd.partition.groups == groups
+    assert mse == pytest.approx(state_mse(gd, probs, rho), rel=1e-12)
+    assert mse <= state_mse(canonical_global(povm, Partition(groups)), probs, rho)
+    if len(groups) == 1:
+        # one group: the product optimum is the optimal dual
+        best = state_mse(optimal_duals(probs, povm.group_effects(groups[0])), probs, rho)
+        assert mse == pytest.approx(best, rel=1e-10)
+
+
+def test_product_dual_optimizer_rejects_a_step_that_raises_the_mse(monkeypatch):
+    solve = frames.duals_from_weights
+
+    def inverted(effects, weights, **kwargs):  # weights p where 1/p is optimal
+        return solve(effects, 1.0 / weights, **kwargs)
+
+    monkeypatch.setattr(frames, "duals_from_weights", inverted)
+    rho = toy_mixed(0.3)
+    probs = joint_probabilities(rho, pauli6_product(2), range(2))
+    with pytest.raises(AssertionError, match="objective increased"):
+        optimize_product_duals(probs, Partition.singletons(2), rho)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 4, 16])

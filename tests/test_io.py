@@ -27,7 +27,7 @@ from icshadows import (
     write_partition,
 )
 from icshadows.frames import DUALITY_TOL, duality_residual
-from icshadows.io import config_hash, write_csv
+from icshadows.io import QUBIT_FIELD_MAX, config_hash, write_csv
 
 from .conftest import anti_hermitian_duals
 from .oracles import max_entry_residual
@@ -284,6 +284,21 @@ def test_read_duals_rejects_group_outside_register(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(ValueError, match=r"frames.icdl: group \(5,\) is not a Pauli-6 group"):
         read_duals(path)
+
+
+def test_writers_name_the_qubit_field_limit(tmp_path):
+    from types import SimpleNamespace
+
+    from icshadows.sampling import Dataset
+
+    n = QUBIT_FIELD_MAX + 1
+    ds = Dataset(n=n, d=6, S=1, records=np.zeros((1, n), dtype=np.uint8), seed=0)
+    with pytest.raises(ValueError, match=f"{n} qubits exceeds 65535, the most a dataset file"):
+        write_dataset(tmp_path / "x.icsd", ds)
+    # the count is checked before any frame is read, so a stand-in register will do
+    with pytest.raises(ValueError, match=f"{n} qubits exceeds 65535, the most a duals file"):
+        write_duals(tmp_path / "x.icdl", SimpleNamespace(n=n, frames=()))
+    assert not any(tmp_path.iterdir())
 
 
 def test_duals_round_trip_canonical(tmp_path):

@@ -1,6 +1,7 @@
 """The claim and no-regression verdicts of tools/pair_runs.py on synthetic pairs."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -67,3 +68,30 @@ def test_verdict_needs_a_gap_above_the_parent_iqr():
 )
 def test_no_regression_verdict(parent, change, want):
     assert pair_runs.regression(_summary(parent, change), "wall_s", 0.25) == want
+
+
+def test_trace_seed_traces_every_workload(monkeypatch, tmp_path):
+    calls = []
+
+    def fake_run(side_dir, workload, seed, trace):
+        calls.append((side_dir, workload, seed, trace))
+        names = ["wall_s", "setup_s", "peak_rss_mb"] + (["trace.wall_s"] if trace else [])
+        return {"metrics": {m: {"value": 1.0} for m in names}, "correct": True, "failed": 0,
+                "attempted": 1}
+
+    monkeypatch.setattr(pair_runs, "run_once", fake_run)
+    monkeypatch.setattr(pair_runs, "make_sides",
+                        lambda parent, scratch: {"parent": "P", "change": "C"})
+    monkeypatch.setattr(pair_runs, "git", lambda *args: "abc1234\n")
+    out = tmp_path / "bench.json"
+    assert pair_runs.main(["--parent", "HEAD", "--workloads", "w1,w2:5", "--seeds", "0-1",
+                           "--out", str(out), "--trace-seed", "3",
+                           "--scratch", str(tmp_path)]) == 0
+    traced = [c for c in calls if c[3] == 1]
+    assert traced == [("P", "w1", 3, 1), ("C", "w1", 3, 1), ("P", "w2", 3, 1), ("C", "w2", 3, 1)]
+    result = json.loads(out.read_text())
+    keys = sorted(k for k in result if k.startswith("trace_seed"))
+    assert keys == ["trace_seed3_w1", "trace_seed3_w2"]
+    assert result["trace_seed3_w2"]["trace.wall_s"] == {"parent": 1.0, "change": 1.0}
+    assert "of w2," in result["trace_seed3_w2"]["note"]
+    assert [p["seed"] for p in result["workloads"]["w2"]["pairs"]] == [5]

@@ -28,7 +28,7 @@ from icshadows import sampling
 from icshadows.povm import ProductPOVM, pauli6
 from icshadows.sampling import flat_codes, joint_probability_tensor
 
-from .conftest import random_density, sic4
+from .conftest import random_density, random_pure, sic4
 from .oracles import prefix_tensors, tensordot_joint_probabilities, walk_chunk
 
 
@@ -187,11 +187,6 @@ def test_marginal_counts_rejects_bad_group():
 def test_sample_shots_qubit_mismatch():
     with pytest.raises(ValueError, match="differ"):
         sample_shots(bell_state(), pauli6_product(3), 10, seed=0)
-
-
-def random_pure(rng, n):
-    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    return PureState(n, v / np.linalg.norm(v))
 
 
 def depolarized_pauli6():

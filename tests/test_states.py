@@ -19,7 +19,8 @@ from icshadows import (
     toy_pure,
 )
 from icshadows.algebra import partial_trace
-from icshadows.states import reorder_qubits
+from icshadows.io import QUBIT_FIELD_MAX
+from icshadows.states import BELL_PAIRS_CAP, reorder_qubits
 
 from .conftest import grouped_product_state, random_density
 from .oracles import kron_matrix, outcome_probability, same_bits, tfim_ring
@@ -32,6 +33,11 @@ def test_pure_state_validation():
         PureState(2, np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="not normalized"):
         PureState(1, np.array([np.nan, 0.0]))
+    # the squared norm, the density's trace, is what must be 1 within NORM_TOL
+    with pytest.raises(ValueError, match="not normalized"):
+        PureState(1, np.array([1 + 0.9e-10, 0.0]))
+    near = PureState(1, np.array([1 + 0.4e-10, 0.0]))
+    assert near.density().matrix[0, 0].real == pytest.approx(1.0, abs=1e-10)
 
 
 def test_density_validation():
@@ -150,6 +156,22 @@ def test_bell_pair_chain_structure():
     bell = bell_state().density().matrix
     for block in chain.blocks:
         assert np.allclose(block.matrix, bell)
+
+
+@pytest.mark.parametrize("pairs", [0, -1, BELL_PAIRS_CAP + 1, 33_000, 10**15])
+def test_bell_pair_chain_checks_its_size_first(monkeypatch, pairs):
+    from icshadows import states
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a partition was built before the size check")
+
+    monkeypatch.setattr(states, "Partition", no_build)
+    with pytest.raises(ValueError, match="Bell-pair chain cap"):
+        bell_pair_chain(pairs)
+
+
+def test_bell_pair_chain_cap_fits_the_file_qubit_field():
+    assert 2 * BELL_PAIRS_CAP <= QUBIT_FIELD_MAX < 2 * (BELL_PAIRS_CAP + 1)
 
 
 def test_statevector_cap_enforced():

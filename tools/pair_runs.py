@@ -27,8 +27,9 @@ than the bound times the parent's median, else ``within bound``. With
 ``--claim WORKLOAD:METRIC`` it adds a claim verdict: the claim holds when
 at least ten pairs ran, the change is lower in at least nine of ten of
 them, and the medians differ by more than the parent's interquartile
-range. With ``--trace-seed`` it adds one traced pass (``--trace 1``) per
-side and its per-layer metrics.
+range. With ``--trace-seed`` it adds, for every workload, one traced pass
+(``--trace 1``) per side and its per-layer metrics, under
+``trace_seed<seed>_<workload>``.
 """
 
 from __future__ import annotations
@@ -222,17 +223,17 @@ def main(argv=None) -> int:
                     result["verdict"] = verdict(summary, claim_metric)
                 write()
         if args.trace_seed is not None:
-            first = next(iter(workloads))
-            traced = {}
-            for side in ("parent", "change"):
-                res = run_once(sides[side], first, args.trace_seed, 1)
-                for name, m in res["metrics"].items():
-                    traced.setdefault(name, {})[side] = round(m["value"], 4)
-            result[f"trace_seed{args.trace_seed}"] = {
-                "note": f"one traced run per side of {first}, --trace 1, seed {args.trace_seed}",
-                **traced,
-            }
-            write()
+            for w in workloads:
+                traced = {}
+                for side in ("parent", "change"):
+                    res = run_once(sides[side], w, args.trace_seed, 1)
+                    for name, m in res["metrics"].items():
+                        traced.setdefault(name, {})[side] = round(m["value"], 4)
+                result[f"trace_seed{args.trace_seed}_{w}"] = {
+                    "note": f"one traced run per side of {w}, --trace 1, seed {args.trace_seed}",
+                    **traced,
+                }
+                write()
     finally:
         if not args.scratch:
             shutil.rmtree(scratch, ignore_errors=True)
