@@ -6,20 +6,21 @@ Conventions used throughout the package:
 * Vectorization is row-major, ``|O>> = sum_ij O[i, j] |i, j>``, so the
   induced inner product ``<<A|B>> = Tr[A^dag B]`` is the plain ``vdot``
   of the flattened arrays.
-* A stack of M operators is an ``(M, dim, dim)`` array. Traces against
-  a stack and weighted sums over it go through :func:`stack_traces` and
-  :func:`stack_sum`, each one BLAS product on the ``(M, dim^2)`` view.
-* A Hermitian stack maps to its real ``(M, dim^2)`` coordinates in an
-  orthonormal Hermitian basis (the diagonal entries, then sqrt(2) Re and
-  -sqrt(2) Im of each upper-triangle entry, row by row), one gather each
-  way (:func:`hermitian_coords`, :func:`hermitian_stack`). The map is
-  unitary on Hermitian operators and drops an anti-Hermitian part, which
-  :func:`stack_asymmetry` measures.
+* Inside the package a stack of M Hermitian operators is held only as
+  its real ``(M, dim^2)`` coordinates in an orthonormal Hermitian basis
+  (the diagonal entries, then sqrt(2) Re and -sqrt(2) Im of each
+  upper-triangle entry, row by row; :func:`hermitian_coords` and
+  :func:`hermitian_stack` map each way). The map is unitary on Hermitian
+  operators, so with A a stack's coordinates ``A @ hermitian_coords(B)``
+  is Tr[A_m B] for every m and ``hermitian_stack(w @ A)`` is
+  Σ_m w_m A_m, each one real BLAS product. It drops an anti-Hermitian
+  part, which :func:`stack_asymmetry` measures where complex data enters.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -29,11 +30,10 @@ __all__ = [
     "hermitian_stack",
     "stack_asymmetry",
     "kron_all",
+    "kron_coords",
     "partial_trace",
     "project_to_density",
     "simplex_project",
-    "stack_traces",
-    "stack_sum",
 ]
 
 # asymmetry beyond this is a bug in the caller, not float drift
@@ -59,36 +59,25 @@ def kron_all(ops) -> np.ndarray:
     return out
 
 
-def stack_traces(stack: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """Tr[A_m B] for every operator A_m of a stack, as one matrix-vector product."""
-    stack = np.asarray(stack)
-    return stack.reshape(stack.shape[0], -1) @ np.asarray(op).T.reshape(-1)
-
-
-def stack_sum(weights, stack: np.ndarray) -> np.ndarray:
-    """Σ_m w_m A_m over a stack, as one vector-matrix product."""
-    stack = np.asarray(stack)
-    M, dim = stack.shape[0], stack.shape[1]
-    return (np.asarray(weights) @ stack.reshape(M, -1)).reshape(dim, dim)
-
-
 @functools.lru_cache(maxsize=None)
 def _coordinate_maps(dim: int):
     """Gather tables between a Hermitian matrix and its real coordinates.
 
-    Indices point into the ``2 dim^2`` floats of a row-major complex
-    matrix (real, imaginary, real, ...). The forward table picks the
-    diagonal real parts, then each upper-triangle entry's real and
-    imaginary parts, scaled by 1, sqrt(2) and -sqrt(2). The inverse table
-    fills every float from one coordinate: scale 1 on the diagonal (0 for
-    its imaginary parts), 1/sqrt(2) and -1/sqrt(2) above it, 1/sqrt(2)
-    and 1/sqrt(2) below it.
+    The forward tables list the entries the coordinates read (``rows``,
+    ``cols``: the diagonal, then the upper triangle row by row) and pick
+    from their floats (real, imaginary, real, ...) the diagonal real parts,
+    then each upper entry's real and imaginary parts (``keep``), scaled by
+    1, sqrt(2) and -sqrt(2). The inverse table indexes the ``2 dim^2``
+    floats of a row-major complex matrix and fills each from one
+    coordinate: scale 1 on the diagonal (0 for its imaginary parts),
+    1/sqrt(2) and -1/sqrt(2) above it, 1/sqrt(2) and 1/sqrt(2) below it.
     """
     iu, ju = np.triu_indices(dim, 1)
+    rows, cols = np.concatenate([np.arange(dim), iu]), np.concatenate([np.arange(dim), ju])
+    keep = np.concatenate([2 * np.arange(dim), np.arange(2 * dim, 2 * rows.size)])
     diag, upper, lower = 2 * np.arange(dim) * (dim + 1), 2 * (iu * dim + ju), 2 * (ju * dim + iu)
     sym = dim + 2 * np.arange(iu.size)
     root2, inv_root2 = np.sqrt(2), 1.0 / np.sqrt(2)
-    fwd_idx = np.concatenate([diag, np.column_stack([upper, upper + 1]).ravel()])
     fwd_scale = np.concatenate([np.ones(dim), np.tile([root2, -root2], iu.size)])
     inv_idx = np.zeros(2 * dim * dim, dtype=np.intp)
     inv_scale = np.zeros(2 * dim * dim)
@@ -100,35 +89,57 @@ def _coordinate_maps(dim: int):
         (lower + 1, 1, inv_root2),
     ):
         inv_idx[slots], inv_scale[slots] = sym + part, scale
-    tables = (fwd_idx, fwd_scale, inv_idx, inv_scale)
+    tables = (rows, cols, keep, fwd_scale, inv_idx, inv_scale)
     for t in tables:
         t.setflags(write=False)
     return tables
 
 
 def hermitian_coords(stack: np.ndarray) -> np.ndarray:
-    """Real ``(M, dim^2)`` coordinates of a Hermitian ``(M, dim, dim)`` stack.
+    """Real ``(..., dim^2)`` coordinates of Hermitian ``(..., dim, dim)`` operators.
 
     Coordinates are in the orthonormal Hermitian basis of the module
     docstring. Only the diagonal and upper triangle are read, so an
     anti-Hermitian part is silently dropped: callers check Hermiticity.
     """
-    stack = np.ascontiguousarray(stack, dtype=complex)
-    M, dim = stack.shape[0], stack.shape[1]
-    idx, scale, _, _ = _coordinate_maps(dim)
-    return np.multiply(np.take(stack.reshape(M, -1).view(np.float64), idx, axis=1), scale)
+    stack = np.asarray(stack, dtype=complex)
+    dim = stack.shape[-1]
+    return kron_coords([stack.reshape(-1, dim, dim)]).reshape(*stack.shape[:-2], dim * dim)
 
 
 def hermitian_stack(coords: np.ndarray) -> np.ndarray:
-    """The Hermitian ``(M, dim, dim)`` stack with real coordinates ``coords``
-    (the inverse of :func:`hermitian_coords`); the result is exactly
-    Hermitian."""
+    """The Hermitian ``(..., dim, dim)`` operators with real coordinates
+    ``(..., dim^2)`` (the inverse of :func:`hermitian_coords`); the result
+    is exactly Hermitian."""
     coords = np.asarray(coords, dtype=float)
-    M = coords.shape[0]
-    dim = int(round(np.sqrt(coords.shape[1])))
-    _, _, idx, scale = _coordinate_maps(dim)
-    flat = np.multiply(np.take(coords, idx, axis=1), scale)
-    return flat.view(complex).reshape(M, dim, dim)
+    dim = math.isqrt(coords.shape[-1])
+    *_, idx, scale = _coordinate_maps(dim)
+    flat = np.multiply(np.take(coords, idx, axis=-1), scale)
+    return flat.view(complex).reshape(*coords.shape[:-1], dim, dim)
+
+
+def kron_coords(stacks) -> np.ndarray:
+    """Coordinates of the Kronecker products of one operator from each of
+    the Hermitian stacks, without building the products.
+
+    Row ``(m1, ..., mk)`` (flattened, the first stack's index most
+    significant) is :func:`hermitian_coords` of ``stacks[0][m1] x ... x
+    stacks[k-1][mk]``. Only the entries that the coordinates read are
+    multiplied out, each in the same order and by the same kernel as in
+    the full product, to the same bits.
+    """
+    stacks = list(stacks)
+    if not stacks:
+        raise ValueError("need at least one operator stack")
+    dim = math.prod(s.shape[1] for s in stacks)
+    rows, cols, keep, scale, _, _ = _coordinate_maps(dim)
+    out, place = None, dim
+    for s in stacks:
+        d = s.shape[1]
+        place //= d
+        picked = np.asarray(s, dtype=complex)[:, rows // place % d, cols // place % d]
+        out = picked if out is None else np.einsum("mp,np->mnp", out, picked).reshape(-1, rows.size)
+    return np.multiply(np.ascontiguousarray(out).view(np.float64)[:, keep], scale)
 
 
 def stack_asymmetry(stack: np.ndarray) -> float:

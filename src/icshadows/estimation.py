@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sampling
-from .algebra import stack_sum
+from .algebra import hermitian_coords, hermitian_stack
 from .frames import DUALITY_TOL, GlobalDuals
-from .observables import PauliObservable, mask_term
+from .observables import PauliObservable
 from .povm import ProductPOVM
 from .sampling import Dataset, SamplingPlan, flat_codes, joint_probability_tensor, sample_shots
 from .states import BlockProductState, DensityMatrix, PureState, reduced_density
@@ -59,12 +59,9 @@ class CoefficientCache:
 
     Shot evaluation reduces to gathering one cached vector per group and
     multiplying, so the 10^6-shot loop never touches operators. Each
-    vector is a gather in the substring's mask form (see
-    :mod:`icshadows.observables`): with P|j> = phase[j] |j XOR x>,
-    Tr[D_m P] = Σ_j D_m[j, j XOR x] phase[j], so no Pauli matrix is built
-    and each trace reads dim entries of D_m, not dim^2. The
-    whole-outcome tables of :meth:`table` are cached here too, one per
-    observable.
+    vector is one real product ``X @ hermitian_coords(P)`` of the frame's
+    dual coordinates X with the substring's. The whole-outcome tables of
+    :meth:`table` are cached here too, one per observable.
     """
 
     def __init__(self, duals: GlobalDuals):
@@ -81,10 +78,8 @@ class CoefficientCache:
     def vector(self, group_index: int, substring: str) -> np.ndarray:
         key = (group_index, substring)
         if key not in self._vectors:
-            duals = self.duals.frames[group_index].duals
-            _, x, _, phase = mask_term(1.0, substring)
-            rows = np.arange(len(phase))
-            self._vectors[key] = (duals[:, rows, rows ^ x] @ phase).real.copy()
+            pauli = PauliObservable.single(substring).matrix()
+            self._vectors[key] = self.duals.frames[group_index].duals @ hermitian_coords(pauli)
         return self._vectors[key]
 
     def _block_matrix(self, group_indices, obs: PauliObservable) -> np.ndarray:
@@ -234,10 +229,11 @@ def exact_moments(
     of the Born probability times the tabulated estimate (squared).
     Above it, both moments factorize over groups: per term pair, each
     group contributes the operator Σ_m effect_m · Tr[D_m P] · Tr[D_m Q],
-    and the moment is the state's expectation of their tensor product.
+    built from the effect coordinates as ``hermitian_stack(w @ A)``, and
+    the moment is the state's expectation of their tensor product.
     The first moment uses the single-trace analogue. Either way
     unbiasedness is measured rather than assumed. Both routes require each
-    frame's effects to be the POVM's on its group (largest entry of the
+    frame's effects to be the POVM's on its group (largest coordinate
     difference within ``DUALITY_TOL``), so they compute the same thing.
     """
     if obs.n != state.n:
@@ -250,12 +246,8 @@ def exact_moments(
     if n_pairs > PAIR_CAP:
         raise ValueError(f"{n_pairs} term pairs exceed the cap {PAIR_CAP}")
     for frame in duals.frames:
-        want = povm.group_effects(frame.group)
-        # frames built from the POVM hold its cached stack itself
-        same = frame.effects is want or (
-            frame.effects.shape == want.shape and np.abs(frame.effects - want).max() <= DUALITY_TOL
-        )
-        if not same:
+        have, want = frame.effects, povm.group_effects(frame.group)
+        if have.shape != want.shape or np.abs(have - want).max() > DUALITY_TOL:
             raise ValueError(
                 f"the duals of group {frame.group} were built for other effects than the POVM's"
             )
@@ -287,7 +279,7 @@ def exact_moments(
         key = (gi, sub)
         if key not in first_ops:
             tv = cache.vector(gi, sub)
-            first_ops[key] = stack_sum(tv, effects[gi])
+            first_ops[key] = hermitian_stack(tv @ effects[gi])
         return first_ops[key]
 
     def a_op(gi: int, sub_p: str, sub_q: str) -> np.ndarray:
@@ -296,7 +288,7 @@ def exact_moments(
         key = (gi, sub_p, sub_q)
         if key not in second_ops:
             tv = cache.vector(gi, sub_p) * cache.vector(gi, sub_q)
-            second_ops[key] = stack_sum(tv, effects[gi])
+            second_ops[key] = hermitian_stack(tv @ effects[gi])
         return second_ops[key]
 
     mean = 0.0

@@ -12,28 +12,30 @@ The weights 1/p are optimal by one identity: over all duals of effects Π,
 Σ_m p_m Tr[D_m²] is least at D_m = F⁻¹(Π_m) / p_m, F = Σ_m |Π_m⟩⟩⟨⟨Π_m| / p_m,
 so each site step of :func:`optimize_product_duals` is one weighted solve.
 
-Effects and duals are Hermitian, so the frame equation is solved and
-checked over the reals, on each stack's ``(M, dim^2)`` coordinates in an
-orthonormal Hermitian basis (:func:`~icshadows.algebra.hermitian_coords`).
-The map is unitary on Hermitian operators, so singular values, frame
-conditioning and Frobenius norms carry over unchanged; an anti-Hermitian
-part would be dropped, which is why :func:`duality_residual` (and so
-:class:`DualFrame`) rejects non-Hermitian stacks. A POVM's cached group
-stack (:func:`~icshadows.povm.group_effects`) was checked finite and
-Hermitian, and its coordinates taken, when it was built, so those steps
-are skipped for it.
+Effects and duals are Hermitian, so ``DualFrame.effects`` and
+``DualFrame.duals`` are real ``(M, dim^2)`` coordinate matrices in an
+orthonormal Hermitian basis (:func:`~icshadows.algebra.hermitian_coords`),
+the form :func:`~icshadows.povm.group_effects` returns: every frame is
+Hermitian by construction, and the frame equation is solved and checked
+over the reals. The map is unitary on Hermitian operators, so singular
+values, frame conditioning and Frobenius norms carry over unchanged. The
+coordinates would drop an anti-Hermitian part, so a complex
+``(M, dim, dim)`` stack given to :class:`DualFrame`,
+:func:`duals_from_weights` or :func:`duality_residual` is checked finite
+and Hermitian and converted once, where it enters.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import hermitian_coords, hermitian_stack, hermitianize, stack_asymmetry
+from .algebra import hermitian_coords, hermitianize, stack_asymmetry
 from .correlations import greedy_partition, resolve_partitioner
 from .partition import Partition
-from .povm import ProductPOVM, outcome_probabilities, pauli6_product, stack_coordinates
+from .povm import ProductPOVM, outcome_probabilities, pauli6_product
 from .sampling import Dataset, marginal_counts
 from .states import DensityMatrix
 
@@ -65,30 +67,24 @@ PRODUCT_QUBIT_CAP = 4
 class DualFrame:
     """Dual operators for one group's effects, validated at construction.
 
-    ``effects[m]`` and ``duals[m]`` are Hermitian (each stack's largest
-    entry of |A - A^dag| is at most ``DUALITY_TOL``) and the stacks satisfy
-    the duality identity to within ``DUALITY_TOL``, which is the
-    unbiasedness certificate for any estimator built on this frame. Both
-    are checked by :func:`duality_residual`.
+    ``effects`` and ``duals`` are real ``(M, dim^2)`` coordinates (complex
+    stacks are converted, see the module docstring) that satisfy the
+    duality identity to within ``DUALITY_TOL``, checked once by
+    :func:`duality_residual`: the unbiasedness certificate for any
+    estimator built on this frame.
     """
 
     group: tuple[int, ...]
-    effects: np.ndarray  # (M, dim, dim)
-    duals: np.ndarray  # (M, dim, dim)
+    effects: np.ndarray  # (M, dim^2) real coordinates
+    duals: np.ndarray  # (M, dim^2) real coordinates
     provenance: str = "custom"
 
     def __post_init__(self):
         object.__setattr__(self, "group", tuple(int(q) for q in self.group))
-        eff = np.asarray(self.effects, dtype=complex)
-        du = np.asarray(self.duals, dtype=complex)
-        if eff.shape != du.shape or eff.ndim != 3:
-            raise ValueError("effects and duals must be matching (M, dim, dim) stacks")
-        # a POVM's cached stack was checked finite when it was built
-        if not (
-            (stack_coordinates(eff) is not None or np.isfinite(eff).all())
-            and np.isfinite(du).all()
-        ):
-            raise ValueError("effects and duals must be finite")
+        eff = _coordinates(self.effects, "effects")
+        du = _coordinates(self.duals, "duals")
+        if eff.shape != du.shape:
+            raise ValueError("effects and duals must be matching stacks")
         resid = duality_residual(du, eff)
         if not resid <= DUALITY_TOL:
             raise ValueError(f"duality residual {resid:.3e} exceeds {DUALITY_TOL}")
@@ -103,7 +99,7 @@ class DualFrame:
 
     @property
     def dim(self) -> int:
-        return self.duals.shape[1]
+        return math.isqrt(self.duals.shape[1])
 
 
 @dataclass(frozen=True)
@@ -131,31 +127,39 @@ class GlobalDuals:
         return tags.pop() if len(tags) == 1 else "mixed"
 
 
-def duality_residual(duals: np.ndarray, effects: np.ndarray) -> float:
-    """Frobenius norm of Σ_m |dual_m⟩⟩⟨⟨effect_m| − 1, for Hermitian stacks.
-
-    In real Hermitian coordinates X (duals) and A (effects) the frame
-    superoperator is the real matrix Xᵀ A, unitarily similar to the
-    complex one, so this is also the complex matrix's Frobenius norm and
-    bounds its largest entry from above. The coordinates cannot see an
-    anti-Hermitian part, so either stack having one (largest entry of
-    |A - A^dag| above ``DUALITY_TOL``) raises ``ValueError``. A POVM's
-    cached group stack passed as ``effects`` was checked when it was
-    built, and its kept coordinates are used.
-    """
-    effect_coords = stack_coordinates(effects)
-    stacks = (("duals", duals),) if effect_coords is not None else (
-        ("effects", effects), ("duals", duals)
-    )
-    for name, stack in stacks:
-        asym = stack_asymmetry(np.asarray(stack))
+def _coordinates(stack, name: str) -> np.ndarray:
+    """Real ``(M, dim^2)`` coordinates as they are, or those of a complex
+    ``(M, dim, dim)`` stack checked finite and Hermitian (largest entry of
+    |A - A^dag| at most ``DUALITY_TOL``)."""
+    stack = np.asarray(stack)
+    if stack.ndim == 2 and not np.iscomplexobj(stack):
+        if math.isqrt(stack.shape[1]) ** 2 == stack.shape[1]:
+            return stack.astype(float, copy=False)
+    elif stack.ndim == 3 and stack.shape[1] == stack.shape[2]:
+        if not np.isfinite(stack).all():
+            raise ValueError(f"{name} must be finite")
+        asym = stack_asymmetry(stack)
         if not asym <= DUALITY_TOL:
             raise ValueError(
                 f"{name} are not Hermitian (asymmetry {asym:.3e} exceeds {DUALITY_TOL})"
             )
-    if effect_coords is None:
-        effect_coords = hermitian_coords(effects)
-    gram = hermitian_coords(duals).T @ effect_coords
+        return hermitian_coords(stack)
+    raise ValueError(f"{name} must be real (M, dim^2) coordinates or an (M, dim, dim) stack")
+
+
+def duality_residual(duals: np.ndarray, effects: np.ndarray) -> float:
+    """Frobenius norm of Σ_m |dual_m⟩⟩⟨⟨effect_m| − 1, from coordinates.
+
+    With X (duals) and A (effects) the real Hermitian coordinates, the
+    frame superoperator is the real matrix Xᵀ A, unitarily similar to the
+    complex one, so this is also the complex matrix's Frobenius norm and
+    bounds its largest entry from above. Non-finite entries raise
+    ``ValueError``, and so does a complex stack that is not Hermitian.
+    """
+    X, A = _coordinates(duals, "duals"), _coordinates(effects, "effects")
+    if not (np.isfinite(X).all() and np.isfinite(A).all()):
+        raise ValueError("effects and duals must be finite")
+    gram = X.T @ A
     gram.flat[:: gram.shape[0] + 1] -= 1.0  # the identity's diagonal
     # huge finite entries (a corrupt file) overflow to an infinite residual
     with np.errstate(over="ignore"):
@@ -178,34 +182,35 @@ def duals_from_weights(
     operators, so s are the singular values of the complex weighted
     effect matrix and conditioning stays at the square root of the frame
     operator's. The SVD is taken of A itself rather than of its wide
-    transpose (LAPACK is faster on the tall, C-contiguous form), and the
-    duals come back exactly Hermitian.
+    transpose (LAPACK is faster on the tall, C-contiguous form), and its
+    output coordinates are the frame's duals.
     """
-    effects = np.asarray(effects, dtype=complex)
+    effects = _coordinates(effects, "effects")
     weights = np.asarray(weights, dtype=float)
-    M, dim = effects.shape[0], effects.shape[1]
+    M, dim2 = effects.shape
     if weights.shape != (M,):
         raise ValueError("need one weight per effect")
-    if np.any(weights <= 0):
-        raise ValueError("frame weights must be strictly positive")
+    # written so that a NaN fails the check instead of passing it
+    if not (np.isfinite(weights).all() and np.all(weights > 0)):
+        raise ValueError("frame weights must be finite and strictly positive")
     root = np.sqrt(weights)[:, None]
-    coords = stack_coordinates(effects)
-    if coords is None:
-        coords = hermitian_coords(effects)
-    U, s, Vh = np.linalg.svd(root * coords, full_matrices=False)
-    if M < dim * dim or s[-1] <= 0 or (s[0] / s[-1]) ** 2 > CONDITION_BOUND:
+    U, s, Vh = np.linalg.svd(root * effects, full_matrices=False)
+    if M < dim2 or s[-1] <= 0 or (s[0] / s[-1]) ** 2 > CONDITION_BOUND:
         raise ValueError(
             "frame operator is singular or ill-conditioned; "
             "the effect set is not informationally complete under these weights"
         )
-    duals = hermitian_stack(((root * U) / s) @ Vh)
     if group is None:
-        group = range(int(round(np.log2(dim))))
+        group = range(int(round(np.log2(dim2) / 2)))
+    duals = ((root * U) / s) @ Vh
     return DualFrame(group=tuple(group), effects=effects, duals=duals, provenance=provenance)
 
 
 def canonical_weights(effects: np.ndarray) -> np.ndarray:
-    traces = np.einsum("maa->m", np.asarray(effects, dtype=complex)).real
+    """1/Tr[effect] per effect; a row's diagonal coordinates sum to the trace."""
+    effects = np.asarray(effects, dtype=float)
+    # summed left to right, as a trace of the complex stack is, to the same bits
+    traces = np.cumsum(effects[:, : math.isqrt(effects.shape[1])], axis=1)[:, -1]
     if np.any(traces <= 0):
         raise ValueError("every effect needs a positive trace")
     return 1.0 / traces
@@ -247,10 +252,10 @@ def optimal_duals(
     """
     if not (np.isfinite(floor) and floor > 0):
         raise ValueError(f"floor must be finite and positive, got {floor!r}")
-    effects = np.asarray(effects, dtype=complex)
+    effects = _coordinates(effects, "effects")
     sigma = np.asarray(sigma.matrix if isinstance(sigma, DensityMatrix) else sigma)
     if sigma.ndim == 2:
-        dim = effects.shape[1]
+        dim = math.isqrt(effects.shape[1])
         if sigma.shape != (dim, dim):
             raise ValueError(f"state of shape {sigma.shape} does not match the {dim} x {dim} effects")
         probs = outcome_probabilities(effects, hermitianize(sigma))
@@ -315,8 +320,8 @@ def klo_duals(
 
 
 def _tr2(duals: np.ndarray) -> np.ndarray:
-    """Tr[D_m^2] per outcome (= squared Frobenius norm for Hermitian D)."""
-    return np.einsum("mab,mba->m", duals, duals).real
+    """Tr[D_m^2] per outcome: the squared norm of each coordinate row."""
+    return np.einsum("ma,ma->m", duals, duals)
 
 
 def state_mse(duals, probabilities, rho) -> float:

@@ -19,6 +19,7 @@ from importlib import resources
 
 import numpy as np
 
+from .algebra import hermitian_stack
 from .correlations import PARTITIONERS
 from .frames import PROBABILITY_FLOOR, DualFrame, GlobalDuals
 from .observables import PauliObservable
@@ -46,7 +47,7 @@ __all__ = [
 DATASET_MAGIC = b"ICSD"
 DUALS_MAGIC = b"ICDL"
 DATASET_HEADER = struct.Struct("<4sHHHQQ")
-QUBIT_FIELD_MAX = 2**16 - 1  # both formats store the qubit count as a uint16
+QUBIT_FIELD_MAX = 2**16 - 1  # uint16 fields: each qubit count, a provenance's UTF-8 bytes
 _PAULI6_OUTCOMES = 6
 
 
@@ -145,15 +146,15 @@ def bundled_hamiltonian(name: str) -> PauliObservable:
         return read_hamiltonian(path)
 
 
-def _check_qubit_field(n: int, kind: str) -> None:
-    if n > QUBIT_FIELD_MAX:
-        raise ValueError(f"{n} qubits exceeds {QUBIT_FIELD_MAX}, the most a {kind} file holds")
+def _check_field(value: int, unit: str, kind: str) -> None:
+    if value > QUBIT_FIELD_MAX:
+        raise ValueError(f"{value} {unit} exceeds {QUBIT_FIELD_MAX}, the most a {kind} file holds")
 
 
 def write_dataset(path, ds: Dataset) -> None:
     if ds.povm_id != "pauli6":
         raise ValueError("dataset format v1 stores Pauli-6 datasets only")
-    _check_qubit_field(ds.n, "dataset")
+    _check_field(ds.n, "qubits", "dataset")
     header = DATASET_HEADER.pack(DATASET_MAGIC, 1, ds.n, ds.d, ds.S, ds.seed)
     with open(path, "wb") as fh:
         fh.write(header)
@@ -214,9 +215,10 @@ def read_partition(path) -> Partition:
 
 
 def write_duals(path, duals: GlobalDuals) -> None:
-    """Serialize per-group dual operators; v1 covers Pauli-6 frames."""
+    """Serialize per-group dual operators; v1 covers Pauli-6 frames, each
+    stored as the complex128 ``(M, dim, dim)`` stack of its coordinates."""
     n = duals.n
-    _check_qubit_field(n, "duals")
+    _check_field(n, "qubits", "duals")
     povm = pauli6_product(n)
     out = bytearray()
     out += struct.pack("<4sHH", DUALS_MAGIC, 1, n)
@@ -224,12 +226,16 @@ def write_duals(path, duals: GlobalDuals) -> None:
     for frame in duals.frames:
         if not np.array_equal(frame.effects, povm.group_effects(frame.group)):
             raise ValueError("duals format v1 stores Pauli-6 frames only")
-        prov = frame.provenance.encode()
+        try:
+            prov = frame.provenance.encode()
+        except UnicodeEncodeError:
+            raise ValueError("provenance is not encodable as UTF-8") from None
+        _check_field(len(prov), "provenance bytes", "duals")
         out += struct.pack("<H", len(frame.group))
         out += struct.pack(f"<{len(frame.group)}H", *frame.group)
         out += struct.pack("<IHH", frame.outcomes, frame.dim, len(prov))
         out += prov
-        out += np.ascontiguousarray(frame.duals, dtype=np.complex128).tobytes()
+        out += hermitian_stack(frame.duals).tobytes()
     with open(path, "wb") as fh:
         fh.write(bytes(out))
 
@@ -270,6 +276,7 @@ def read_duals(path) -> GlobalDuals:
                 prov = take(prov_len).decode()
             except UnicodeDecodeError:
                 raise ValueError("provenance is not UTF-8") from None
+            # the complex stack is checked Hermitian and converted by DualFrame
             duals = np.frombuffer(take(outcomes * dim * dim * 16), dtype=np.complex128)
             frames.append(
                 DualFrame(

@@ -6,6 +6,11 @@ of the on-disk dataset contract and must never change:
 
     0: |0><0|/3   1: |1><1|/3   2: |+><+|/3   3: |-><-|/3
     4: |+i><+i|/3 5: |-i><-i|/3
+
+A ``LocalPOVM`` holds its effects as a complex ``(d, 2, 2)`` stack, which
+the sampler reads. Group effects (:func:`group_effects`, and so
+:func:`outcome_probabilities`) are a real ``(M, 4^k)`` coordinate matrix
+(:mod:`icshadows.algebra`), the one form frames and estimators use.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import HERMITICITY_TOL, hermitian_coords, hermitianize, stack_asymmetry, stack_traces
+from .algebra import HERMITICITY_TOL, hermitian_coords, hermitianize, kron_coords, stack_asymmetry
 
 __all__ = [
     "LocalPOVM",
@@ -24,16 +29,14 @@ __all__ = [
     "pauli6_product",
     "completeness_rank",
     "group_effects",
-    "stack_coordinates",
     "outcome_probabilities",
 ]
 
 COMPLETENESS_TOL = 1e-12
 PSD_TOL = 1e-10
-# group effect stacks kept by group_effects, oldest first out;
-# a 4-qubit Pauli-6 stack is 5.3 MB, a 5-qubit one 127 MB (never kept).
-# Each kept stack's real coordinates, half its size, come on top.
-STACK_CACHE_BYTES = 64 * 2**20
+# group effect coordinates kept by group_effects, oldest first out;
+# a 4-qubit Pauli-6 group's are 2.7 MB, a 5-qubit one's 64 MB (never kept)
+STACK_CACHE_BYTES = 32 * 2**20
 
 
 def completeness_rank(effects) -> int:
@@ -143,24 +146,22 @@ def pauli6_product(n: int) -> ProductPOVM:
 
 _stacks: dict = {}
 _stacks_bytes = 0
-# (stack, coordinates) of each kept stack by the stack's id; an entry
-# holds its stack, so the id is not reused while the entry exists
-_stack_coords: dict = {}
 _stacks_lock = threading.Lock()
 
 
 def group_effects(povm: ProductPOVM, group) -> np.ndarray:
-    """All group effects stacked in row-major outcome order.
+    """All group effects, as the real coordinates of their Hermitian stack.
 
-    Returns a read-only ``(M, 2^k, 2^k)`` array with ``M = prod of local d``
-    and the first listed qubit as the most significant outcome digit.
-    Stacks are built once per process for each sequence of ``LocalPOVM``
-    objects (by identity; the cache keeps those objects alive, so an
-    identity is never reused while its entry exists) and kept up to
-    ``STACK_CACHE_BYTES`` in total, the oldest entries evicted first.
-    A kept stack is checked finite and Hermitian once, when it is built,
-    and its real Hermitian coordinates are kept with it
-    (:func:`stack_coordinates`).
+    Returns a read-only ``(M, 4^k)`` array with ``M = prod of local d``
+    and the first listed qubit as the most significant outcome digit:
+    row m holds the coordinates of the Kronecker product of the listed
+    qubits' effects for outcome m (:func:`~icshadows.algebra.kron_coords`;
+    the complex products are never built). They are checked finite, and
+    the factors Hermitian, when they are built, once per process for each
+    sequence of ``LocalPOVM`` objects (by identity; the cache keeps those
+    objects alive, so an identity is never reused while its entry exists),
+    and kept up to ``STACK_CACHE_BYTES`` in total, the oldest entries
+    evicted first.
     """
     global _stacks_bytes
     locals_ = tuple(povm.locals[q] for q in group)
@@ -169,56 +170,27 @@ def group_effects(povm: ProductPOVM, group) -> np.ndarray:
         hit = _stacks.get(key)
     if hit is not None:
         return hit[1]
-    stack = _kron_stacks([p.effects for p in locals_])
-    stack.setflags(write=False)
-    if stack.nbytes <= STACK_CACHE_BYTES:
-        coords = hermitian_coords(stack)
-        # written so that a NaN fails the check instead of passing it
-        if not (np.isfinite(coords).all() and stack_asymmetry(stack) <= HERMITICITY_TOL):
-            raise ValueError(f"the effects of group {tuple(group)} are not finite and Hermitian")
-        coords.setflags(write=False)
+    factors = [p.effects for p in locals_]
+    coords = kron_coords(factors)
+    # Hermitian factors make Hermitian products; written so that a NaN fails the check
+    if not (np.isfinite(coords).all() and max(map(stack_asymmetry, factors)) <= HERMITICITY_TOL):
+        raise ValueError(f"the effects of group {tuple(group)} are not finite and Hermitian")
+    coords.setflags(write=False)
+    if coords.nbytes <= STACK_CACHE_BYTES:
         with _stacks_lock:
             if key not in _stacks:
-                _stacks[key] = (locals_, stack)
-                _stack_coords[id(stack)] = (stack, coords)
-                _stacks_bytes += stack.nbytes
+                _stacks[key] = (locals_, coords)
+                _stacks_bytes += coords.nbytes
             while _stacks_bytes > STACK_CACHE_BYTES:
-                old = _stacks.pop(next(iter(_stacks)))[1]
-                _stack_coords.pop(id(old), None)
-                _stacks_bytes -= old.nbytes
-    return stack
-
-
-def stack_coordinates(stack) -> np.ndarray | None:
-    """The real Hermitian coordinates kept with a stack that
-    :func:`group_effects` holds in its cache, or None for any other array
-    (the match is by identity). They were checked finite, and the stack
-    Hermitian, when the stack was built."""
-    hit = _stack_coords.get(id(stack))
-    return hit[1] if hit is not None and hit[0] is stack else None
-
-
-def _kron_stacks(stacks) -> np.ndarray:
-    """Kronecker products of one operator from each stack, in row-major order.
-
-    Entry ``(m1, ..., mk)`` (flattened, the first stack's index most
-    significant) is ``stacks[0][m1] x ... x stacks[k-1][mk]``.
-    """
-    stacks = list(stacks)
-    if not stacks:
-        raise ValueError("need at least one operator stack")
-    out = stacks[0]
-    for nxt in stacks[1:]:
-        d0 = out.shape[1]
-        d1 = nxt.shape[1]
-        out = np.einsum("mab,ncd->mnacbd", out, nxt).reshape(-1, d0 * d1, d0 * d1)
-    return out
+                _stacks_bytes -= _stacks.pop(next(iter(_stacks)))[1].nbytes
+    return coords
 
 
 def outcome_probabilities(effects, rho: np.ndarray) -> np.ndarray:
     """Born probabilities Tr[effect rho], one real entry per effect.
 
-    One matrix-vector product through the shared stack-trace kernel,
-    :func:`icshadows.algebra.stack_traces`.
+    ``effects`` are coordinates as :func:`group_effects` returns them, and
+    the probabilities are one real matrix-vector product with the
+    coordinates of the Hermitian matrix ``rho``.
     """
-    return stack_traces(np.asarray(effects, dtype=complex), rho).real
+    return np.asarray(effects) @ hermitian_coords(rho)

@@ -78,6 +78,8 @@ class Dataset:
             raise ValueError("records shape does not match (S, n)")
         if rec.size and rec.max() >= self.d:
             raise ValueError("outcome index out of range")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed {self.seed} is outside [0, 2^64)")
         object.__setattr__(self, "records", rec)
         self.records.setflags(write=False)
 

@@ -6,11 +6,12 @@ inversion snapped to the closest density matrix, and a least-absolute-
 deviation fit over the density-matrix set by projected subgradient
 descent. All are deterministic.
 
-Every contraction with the effect or dual stack runs on the shared
-kernel of :mod:`icshadows.algebra`: predicted probabilities through
-``povm.outcome_probabilities`` (:func:`~icshadows.algebra.stack_traces`),
-and the linear-inversion estimate and the LAD subgradient through
-:func:`~icshadows.algebra.stack_sum`.
+Effects and duals are real coordinate matrices (:mod:`icshadows.algebra`),
+so every contraction with them is one real product: predicted
+probabilities are ``A @ hermitian_coords(rho)``
+(:func:`~icshadows.povm.outcome_probabilities`), and the linear-inversion
+estimate and the LAD subgradient are ``hermitian_stack(f @ X)`` and
+``hermitian_stack(w @ A)``, exactly Hermitian.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import hermitianize, project_to_density, stack_sum
+from .algebra import hermitian_stack, kron_coords, project_to_density
 from .frames import canonical_duals, DualFrame
-from .povm import ProductPOVM, _kron_stacks, outcome_probabilities
+from .povm import ProductPOVM, outcome_probabilities
 from .sampling import MarginalTable
 from .states import DensityMatrix
 
@@ -81,12 +82,15 @@ class ReconstructionReport:
 
 
 def linear_inversion(mt: MarginalTable, duals) -> np.ndarray:
-    """Frequency-weighted dual sum; Hermitian and unit trace but not PSD."""
-    stack = duals.duals if isinstance(duals, DualFrame) else np.asarray(duals)
+    """Frequency-weighted dual sum; Hermitian and unit trace but not PSD.
+
+    ``duals`` is a DualFrame or a real ``(M, dim^2)`` coordinate matrix.
+    """
+    coords = duals.duals if isinstance(duals, DualFrame) else np.asarray(duals)
     f = mt.frequencies
-    if stack.shape[0] != f.shape[0]:
+    if coords.shape[0] != f.shape[0]:
         raise ValueError("dual count does not match the outcome count")
-    return hermitianize(stack_sum(f, stack))
+    return hermitian_stack(f @ coords)
 
 
 def _residual(f: np.ndarray, probs: np.ndarray) -> float:
@@ -128,8 +132,8 @@ def reconstruct(mt: MarginalTable, povm: ProductPOVM, backend):
     for q in group:
         local = povm.locals[q]
         if id(local) not in solved:
-            solved[id(local)] = canonical_duals(local.effects).duals
-    start = _kron_stacks([solved[id(povm.locals[q])] for q in group])
+            solved[id(local)] = hermitian_stack(canonical_duals(povm.group_effects((q,))).duals)
+    start = kron_coords([solved[id(povm.locals[q])] for q in group])
     init = project_to_density(linear_inversion(mt, start))
     n = len(group)
     if isinstance(backend, LinearInversionPSD):
@@ -150,7 +154,7 @@ def reconstruct(mt: MarginalTable, povm: ProductPOVM, backend):
         converged = False
         it = 0
         for it in range(1, LAD_MAX_ITERS + 1):
-            grad = -stack_sum(np.sign(f - p), effects)
+            grad = -hermitian_stack(np.sign(f - p) @ effects)
             sigma = project_to_density(sigma - (1.0 / math.sqrt(it)) * grad)
             p = outcome_probabilities(effects, sigma)
             rr = _residual(f, p)

@@ -13,7 +13,7 @@ from icshadows import (
     pauli6_product,
     tomography,
 )
-from icshadows.algebra import kron_all, project_to_density
+from icshadows.algebra import hermitian_coords, hermitian_stack, kron_all, project_to_density
 from icshadows.correlations import _mutual_information
 from icshadows.frames import (
     PRODUCT_QUBIT_CAP,
@@ -21,9 +21,7 @@ from icshadows.frames import (
     PRODUCT_TOL,
     DualFrame,
     GlobalDuals,
-    _tr2,
     canonical_duals,
-    hermitian_stack,
 )
 from icshadows.observables import PAULI_MATRICES
 from icshadows.tomography import LAD_WINDOW, ReconstructionReport
@@ -45,6 +43,17 @@ def devectorize(vec) -> np.ndarray:
     vec = np.asarray(vec)
     dim = int(round(np.sqrt(vec.size)))
     return vec.reshape(dim, dim)
+
+
+def kron_stacks(stacks) -> np.ndarray:
+    """Kronecker products of one operator from each stack, in row-major order
+    (the first stack's index most significant), one einsum per factor."""
+    stacks = list(stacks)
+    out = stacks[0]
+    for nxt in stacks[1:]:
+        d0, d1 = out.shape[1], nxt.shape[1]
+        out = np.einsum("mab,ncd->mnacbd", out, nxt).reshape(-1, d0 * d1, d0 * d1)
+    return out
 
 
 def group_effect(povm, group, idx) -> np.ndarray:
@@ -109,6 +118,11 @@ def einsum_traces(stack, op) -> np.ndarray:
 def einsum_sum(weights, stack) -> np.ndarray:
     """Σ_m w_m A_m over a stack, by einsum."""
     return np.einsum("m,mab->ab", weights, stack)
+
+
+def stack_tr2(stack) -> np.ndarray:
+    """Tr[A_m^2] for every operator of a stack, by einsum."""
+    return np.einsum("mab,mba->m", stack, stack).real
 
 
 def frame_operator(effects, weights) -> tuple[np.ndarray, float]:
@@ -222,8 +236,9 @@ def null_space_product_duals(
 
     povm = pauli6_product(partition.n)
     groups = partition.groups
-    effects = [povm.group_effects(g) for g in groups]
-    sites = [canonical_duals(e, group=g).duals.copy() for e, g in zip(effects, groups)]
+    coords = [povm.group_effects(g) for g in groups]
+    effects = [hermitian_stack(a) for a in coords]
+    sites = [hermitian_stack(canonical_duals(a, group=g).duals) for a, g in zip(coords, groups)]
     nulls = [_duality_null_directions(e) for e in effects]
 
     # joint probabilities arrive row-major over qubit index; fold to one
@@ -237,13 +252,13 @@ def null_space_product_duals(
         for t in reversed(range(len(sites))):
             if t == s:
                 continue
-            q = np.tensordot(q, _tr2(sites[t]), axes=([t], [0]))
+            q = np.tensordot(q, stack_tr2(sites[t]), axes=([t], [0]))
         return q
 
     def objective() -> float:
         q = p_grouped
         for t in reversed(range(len(sites))):
-            q = np.tensordot(q, _tr2(sites[t]), axes=([t], [0]))
+            q = np.tensordot(q, stack_tr2(sites[t]), axes=([t], [0]))
         return float(q - purity)
 
     prev = objective()
@@ -273,14 +288,15 @@ def null_space_product_duals(
 
 
 def lad_loop(mt, effects, backend):
-    """Constrained LAD by einsum, recomputing every iterate's probabilities."""
+    """Constrained LAD by einsum on the complex effect stack, recomputing
+    every iterate's probabilities."""
     effects = np.asarray(effects, dtype=complex)
     f = mt.frequencies
 
     def residual(sigma):
         return float(np.abs(f - einsum_traces(effects, sigma).real).sum())
 
-    init = einsum_sum(f, canonical_duals(effects).duals)
+    init = einsum_sum(f, hermitian_stack(canonical_duals(hermitian_coords(effects)).duals))
     sigma = project_to_density(0.5 * (init + init.conj().T))
     best = sigma
     best_r = residual(sigma)

@@ -4,17 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icshadows.algebra import (
+    hermitian_coords,
+    hermitian_stack,
     hermitianize,
     kron_all,
+    kron_coords,
     partial_trace,
     project_to_density,
     simplex_project,
-    stack_sum,
-    stack_traces,
 )
 
 from .conftest import random_density
-from .oracles import devectorize, einsum_sum, einsum_traces, vectorize
+from .oracles import devectorize, einsum_sum, einsum_traces, kron_stacks, same_bits, vectorize
 
 
 def test_hermitianize_symmetrizes_small_drift():
@@ -119,12 +120,25 @@ def test_project_to_density_fixes_densities():
 
 @pytest.mark.parametrize("dim", [2, 4, 16])
 def test_stack_kernels_match_einsum(dim):
+    # traces against a Hermitian stack and weighted sums over it are real
+    # products on its coordinates
     rng = np.random.default_rng(dim)
     M = 3 * dim * dim
-    shape = (M, dim, dim)
-    # complex and not Hermitian, so a missing transpose or conjugate shows
-    stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    op = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    assert np.abs(stack_traces(stack, op) - einsum_traces(stack, op)).max() < 1e-12
-    for weights in (rng.normal(size=M), rng.normal(size=M) + 1j * rng.normal(size=M)):
-        assert np.abs(stack_sum(weights, stack) - einsum_sum(weights, stack)).max() < 1e-12
+    a = rng.normal(size=(M + 1, dim, dim)) + 1j * rng.normal(size=(M + 1, dim, dim))
+    hermitian = a + np.conj(np.transpose(a, (0, 2, 1)))
+    stack, op = hermitian[:M], hermitian[M]
+    coords = hermitian_coords(stack)
+    assert np.abs(coords @ hermitian_coords(op) - einsum_traces(stack, op)).max() < 1e-12
+    weights = rng.normal(size=M)
+    assert np.abs(hermitian_stack(weights @ coords) - einsum_sum(weights, stack)).max() < 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_kron_coords_are_the_coordinates_of_the_full_products(k):
+    # random Hermitian factors of unequal size, so a slip in digit order shows
+    rng = np.random.default_rng(k)
+    stacks = []
+    for dim in (2, 4, 2, 2)[:k]:
+        a = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
+        stacks.append(a + np.conj(np.transpose(a, (0, 2, 1))))
+    assert same_bits(kron_coords(stacks), hermitian_coords(kron_stacks(stacks)))

@@ -29,13 +29,13 @@ from icshadows import (
     sample_shots,
 )
 from icshadows import estimation, sampling
-from icshadows.algebra import kron_all, stack_traces
+from icshadows.algebra import hermitian_stack, kron_all
 from icshadows.frames import GlobalDuals
 from icshadows.observables import PAULI_MATRICES
 from icshadows.povm import outcome_probabilities
 
 from .conftest import grouped_product_state, random_density, random_pure, sic4
-from .oracles import omega
+from .oracles import einsum_traces, omega
 
 
 def estimator_paths(monkeypatch):
@@ -64,15 +64,16 @@ def brute_force_moments(rho, duals, obs):
     order = [q for g in duals.partition.groups for q in g]
     effects = np.ones((1, 1, 1), dtype=complex)
     for frame in duals.frames:
-        d0, d1 = effects.shape[1], frame.effects.shape[1]
-        effects = np.einsum("mab,ncd->mnacbd", effects, frame.effects).reshape(
+        frame_effects = hermitian_stack(frame.effects)
+        d0, d1 = effects.shape[1], frame_effects.shape[1]
+        effects = np.einsum("mab,ncd->mnacbd", effects, frame_effects).reshape(
             -1, d0 * d1, d0 * d1
         )
     # effects live in group-listed qubit order; reorder rho to match
     t = rho.reshape((2,) * (2 * duals.n))
     perm = order + [q + duals.n for q in order]
     rho_l = t.transpose(perm).reshape(rho.shape)
-    probs = outcome_probabilities(effects, rho_l)
+    probs = einsum_traces(effects, rho_l).real
 
     omegas = np.zeros(effects.shape[0])
     for coeff, word in obs.terms:
@@ -81,7 +82,7 @@ def brute_force_moments(rho, duals, obs):
             sub = "".join(word[q] for q in group)
             p = PauliObservable.single(sub).matrix()
             tr = np.multiply.outer(
-                tr, np.einsum("mab,ba->m", frame.duals, p).real
+                tr, np.einsum("mab,ba->m", hermitian_stack(frame.duals), p).real
             ).reshape(-1)
         omegas = omegas + coeff * tr
     mean = float(probs @ omegas)
@@ -403,12 +404,13 @@ def test_exact_variance_above_density_cap_fails_before_dense_build(monkeypatch):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_coefficient_vectors_match_dense_traces(k):
-    # the cache gathers Tr[D_m P] from P's mask form; the dense product is the reference
+    # the cache takes Tr[D_m P] from coordinates; the dense complex product is the reference
     group = tuple(range(k))
     rho = DensityMatrix(k, random_density(np.random.default_rng(k), 2**k))
     frame = optimal_duals(rho, pauli6_product(k).group_effects(group), group=group)
     cache = CoefficientCache(GlobalDuals(Partition((group,)), (frame,)))
     for letters in itertools.product("IXYZ", repeat=k):
         sub = "".join(letters)
-        want = stack_traces(frame.duals, kron_all(PAULI_MATRICES[ch] for ch in sub)).real
+        pauli = kron_all(PAULI_MATRICES[ch] for ch in sub)
+        want = einsum_traces(hermitian_stack(frame.duals), pauli).real
         assert np.abs(cache.vector(0, sub) - want).max() <= 1e-12 * np.abs(want).max()

@@ -31,12 +31,8 @@ from icshadows import (
     toy_pure,
 )
 from icshadows import frames
-from icshadows.frames import (
-    DUALITY_TOL,
-    canonical_weights,
-    hermitian_coords,
-    hermitian_stack,
-)
+from icshadows.algebra import hermitian_coords, hermitian_stack
+from icshadows.frames import DUALITY_TOL, canonical_weights
 from icshadows.tomography import ConstrainedLAD, FrequencyBias
 
 from .conftest import anti_hermitian_duals, random_density, random_pure
@@ -61,21 +57,22 @@ def kets():
 
 
 def test_canonical_single_qubit_closed_form():
-    frame = canonical_duals(pauli6_product(1).group_effects((0,)))
-    assert np.allclose(frame.duals[0], np.diag([2.0, -1.0]))
-    for dual, ket in zip(frame.duals, kets()):
+    duals = hermitian_stack(canonical_duals(pauli6_product(1).group_effects((0,))).duals)
+    assert np.allclose(duals[0], np.diag([2.0, -1.0]))
+    for dual, ket in zip(duals, kets()):
         assert np.allclose(dual, 3 * np.outer(ket, ket.conj()) - np.eye(2), atol=1e-12)
 
 
 def test_canonical_dual_trace_square_is_five():
-    frame = canonical_duals(pauli6_product(1).group_effects((0,)))
-    tr2 = np.einsum("mab,mba->m", frame.duals, frame.duals).real
+    duals = hermitian_stack(canonical_duals(pauli6_product(1).group_effects((0,))).duals)
+    tr2 = np.einsum("mab,mba->m", duals, duals).real
     assert np.allclose(tr2, 5.0)
 
 
 def test_canonical_frame_operator_spectrum():
-    effects = pauli6_product(1).group_effects((0,))
-    weights = canonical_weights(effects)
+    coords = pauli6_product(1).group_effects((0,))
+    weights = canonical_weights(coords)
+    effects = hermitian_stack(coords)
     matrix, condition = frame_operator(effects, weights)
     assert condition == pytest.approx(3.0)
     ident = np.eye(2, dtype=complex).reshape(-1)
@@ -84,16 +81,21 @@ def test_canonical_frame_operator_spectrum():
     assert np.allclose(matrix @ sz, sz / 3)
     # canonical duals are the weighted effects mapped through the inverse frame operator
     want = weights[:, None] * (np.linalg.inv(matrix) @ effects.reshape(6, -1).T).T
-    assert np.allclose(canonical_duals(effects).duals.reshape(6, -1), want, atol=1e-12)
+    duals = hermitian_stack(canonical_duals(coords).duals)
+    assert np.allclose(duals.reshape(6, -1), want, atol=1e-12)
 
 
 def test_frame_operator_rejects_bad_weights():
-    effects = pauli6_product(1).group_effects((0,))
+    effects = hermitian_stack(pauli6_product(1).group_effects((0,)))
     for build in (frame_operator, duals_from_weights):
         with pytest.raises(ValueError, match="positive"):
             build(effects, np.array([1.0, -1, 1, 1, 1, 1]))
         with pytest.raises(ValueError, match="one weight"):
             build(effects, np.ones(5))
+    # a NaN or infinite weight is refused before the SVD, which would not converge
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            duals_from_weights(effects, np.array([1.0, bad, 1, 1, 1, 1]))
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
@@ -101,8 +103,8 @@ def test_tall_svd_duals_match_wide_form(k):
     effects = pauli6_product(k).group_effects(tuple(range(k)))
     rng = np.random.default_rng(40 + k)
     for weights in (canonical_weights(effects), rng.uniform(0.1, 10.0, effects.shape[0])):
-        got = duals_from_weights(effects, weights).duals
-        assert np.abs(got - wide_svd_duals(effects, weights)).max() < 1e-10
+        got = hermitian_stack(duals_from_weights(effects, weights).duals)
+        assert np.abs(got - wide_svd_duals(hermitian_stack(effects), weights)).max() < 1e-10
 
 
 def test_duals_reject_ill_conditioned_weights():
@@ -110,7 +112,7 @@ def test_duals_reject_ill_conditioned_weights():
     # with a condition number near 1e13, above the 1e12 bound
     effects = pauli6_product(1).group_effects((0,))
     weights = np.array([1.0, 1.0, 1e-13, 1e-13, 1e-13, 1e-13])
-    assert frame_operator(effects, weights)[1] > 1e12
+    assert frame_operator(hermitian_stack(effects), weights)[1] > 1e12
     with pytest.raises(ValueError, match="ill-conditioned"):
         duals_from_weights(effects, weights)
     duals_from_weights(effects, np.array([1.0, 1.0, 1e-9, 1e-9, 1e-9, 1e-9]))
@@ -129,7 +131,7 @@ def test_optimal_duals_input_routes_agree():
     rho = toy_mixed(0.3)
     by_state = optimal_duals(rho, effects, group=(0, 1))
     by_matrix = optimal_duals(rho.matrix, effects, group=(0, 1))
-    probs = np.einsum("mab,ba->m", effects, rho.matrix).real
+    probs = np.einsum("mab,ba->m", hermitian_stack(effects), rho.matrix).real
     by_probs = optimal_duals(probs, effects, group=(0, 1))
     assert np.allclose(by_state.duals, by_matrix.duals)
     assert np.allclose(by_state.duals, by_probs.duals)
@@ -150,7 +152,7 @@ def test_optimal_duals_validates_sigma():
     rho = toy_mixed(0.3).matrix
     asymmetric = rho.copy()
     asymmetric[0, 3] += 1e-3
-    probs = np.einsum("mab,ba->m", effects, rho).real
+    probs = np.einsum("mab,ba->m", hermitian_stack(effects), rho).real
     for sigma, message in (
         (np.where(np.eye(4, dtype=bool), np.nan, rho), "non-finite"),
         (np.append(probs[:-1], np.inf), "non-finite"),
@@ -161,7 +163,7 @@ def test_optimal_duals_validates_sigma():
             optimal_duals(sigma, effects)
     # a linear-inversion estimate may predict negative probabilities; the floor takes them
     indefinite = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
-    assert np.einsum("mab,ba->m", effects, indefinite).real.min() < 0
+    assert np.einsum("mab,ba->m", hermitian_stack(effects), indefinite).real.min() < 0
     frame = optimal_duals(indefinite, effects)
     assert duality_residual(frame.duals, frame.effects) <= DUALITY_TOL
 
@@ -182,7 +184,7 @@ def test_duals_from_weights_rejects_non_ic_sets():
 
 def test_dual_frame_rejects_broken_duality():
     frame = canonical_duals(pauli6_product(1).group_effects((0,)))
-    broken = frame.duals.copy()
+    broken = hermitian_stack(frame.duals)
     broken[0] = broken[0] + 1e-3 * np.eye(2)
     with pytest.raises(ValueError, match="duality residual"):
         DualFrame(group=(0,), effects=frame.effects, duals=broken)
@@ -192,11 +194,13 @@ def test_dual_frame_rejects_non_finite_entries():
     # a NaN residual compares False against any tolerance, so it must be
     # rejected on its own rather than slip through the duality check
     frame = canonical_duals(pauli6_product(1).group_effects((0,)))
-    for name in ("duals", "effects"):
-        poisoned = {"duals": frame.duals.copy(), "effects": frame.effects.copy()}
-        poisoned[name][2, 0, 1] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            DualFrame(group=(0,), **poisoned)
+    # as coordinates, and as complex stacks
+    for form, entry in ((np.copy, (2, 1)), (hermitian_stack, (2, 0, 1))):
+        for name in ("duals", "effects"):
+            poisoned = {"duals": form(frame.duals), "effects": form(frame.effects)}
+            poisoned[name][entry] = np.nan
+            with pytest.raises(ValueError, match="finite"):
+                DualFrame(group=(0,), **poisoned)
 
 
 @settings(max_examples=30, deadline=None)
@@ -206,7 +210,8 @@ def test_weighted_duals_always_satisfy_duality(ws):
     frame = duals_from_weights(effects, np.array(ws), group=(0, 1))
     assert duality_residual(frame.duals, effects) <= DUALITY_TOL
     # each dual is Hermitian by construction
-    assert np.allclose(frame.duals, np.conj(np.transpose(frame.duals, (0, 2, 1))))
+    duals = hermitian_stack(frame.duals)
+    assert np.array_equal(duals, np.conj(np.transpose(duals, (0, 2, 1))))
 
 
 def test_state_mse_canonical_on_maximally_mixed():
@@ -290,7 +295,7 @@ def test_klo_duals_requires_known_povm():
 def test_optimize_product_duals_beats_canonical():
     rho = toy_mixed(0.3)
     povm = pauli6_product(2)
-    probs = np.einsum("mab,ba->m", povm.group_effects((0, 1)), rho.matrix).real
+    probs = np.einsum("mab,ba->m", hermitian_stack(povm.group_effects((0, 1))), rho.matrix).real
     part = Partition.singletons(2)
     gd, mse, sweeps = optimize_product_duals(probs, part, rho)
     base = state_mse(canonical_global(povm, part), probs, rho)
@@ -445,13 +450,13 @@ def test_real_solve_matches_complex_oracle(k, rotated, seed, spread):
     povm = rotated_povm(rng, k) if rotated else pauli6_product(k)
     effects = povm.group_effects(tuple(range(k)))
     weights = 10.0 ** rng.uniform(0.0, spread, effects.shape[0])
-    want, s = complex_svd_duals(effects, weights)
+    want, s = complex_svd_duals(hermitian_stack(effects), weights)
     kappa = s[0] / s[-1]
     if kappa**2 > frames.CONDITION_BOUND:
         with pytest.raises(ValueError, match="ill-conditioned"):
             duals_from_weights(effects, weights)
         return
-    got = duals_from_weights(effects, weights).duals
+    got = hermitian_stack(duals_from_weights(effects, weights).duals)
     # both solves are backward stable, so they may differ by about
     # dim^2 * eps * kappa (kappa: the weighted effect matrix's singular-value
     # ratio); on well-conditioned frames that is below 1e-12
@@ -464,11 +469,12 @@ def test_real_solve_matches_complex_oracle_on_learned_weights(k):
     # weights as optimal_duals forms them for a full-rank group state:
     # inverse Born probabilities, here up to about 3e3
     rng = np.random.default_rng(70 + k)
-    effects = rotated_povm(rng, k).group_effects(tuple(range(k)))
+    coords = rotated_povm(rng, k).group_effects(tuple(range(k)))
+    effects = hermitian_stack(coords)
     probs = np.einsum("mab,ba->m", effects, random_density(rng, 2**k)).real
     weights = 1.0 / np.maximum(probs, frames.PROBABILITY_FLOOR)
     want, _ = complex_svd_duals(effects, weights)
-    got = duals_from_weights(effects, weights).duals
+    got = hermitian_stack(duals_from_weights(coords, weights).duals)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -480,8 +486,8 @@ def test_real_solve_matches_complex_oracle_on_learned_weights(k):
 )
 def test_frobenius_residual_bounds_max_entry_oracle(k, seed, scale):
     rng = np.random.default_rng(seed)
-    effects = pauli6_product(k).group_effects(tuple(range(k)))
-    duals = canonical_duals(effects).duals
+    coords = pauli6_product(k).group_effects(tuple(range(k)))
+    effects, duals = hermitian_stack(coords), hermitian_stack(canonical_duals(coords).duals)
     perturbed = duals + scale * random_hermitian_stack(rng, *duals.shape[:2])
     for d in (duals, perturbed):
         # the real-coordinate Frobenius norm equals the complex one, which is
@@ -492,33 +498,36 @@ def test_frobenius_residual_bounds_max_entry_oracle(k, seed, scale):
 def test_dual_frame_rejects_non_hermitian_stacks():
     effects = pauli6_product(1).group_effects((0,))
     frame = canonical_duals(effects)
-    skewed = anti_hermitian_duals(frame.duals)
+    duals = hermitian_stack(frame.duals)
+    skewed = anti_hermitian_duals(duals)
     # duality holds for the complex stack; only Hermiticity fails
-    assert max_entry_residual(skewed, effects) < 1e-15
+    assert max_entry_residual(skewed, hermitian_stack(effects)) < 1e-15
     # the public check itself refuses, rather than under-reporting
     with pytest.raises(ValueError, match="duals are not Hermitian"):
         duality_residual(skewed, effects)
     with pytest.raises(ValueError, match="duals are not Hermitian"):
         DualFrame(group=(0,), effects=effects, duals=skewed)
     with pytest.raises(ValueError, match="effects are not Hermitian"):
-        DualFrame(group=(0,), effects=np.conj(anti_hermitian_duals(frame.duals)), duals=frame.duals)
+        DualFrame(group=(0,), effects=np.conj(anti_hermitian_duals(duals)), duals=frame.duals)
 
 
 def test_cached_effect_stack_is_not_checked_again(monkeypatch):
+    # a solved frame is checked once, by one duality residual; neither its
+    # effects nor its duals are checked for Hermiticity or converted
     effects = pauli6_product(2).group_effects((0, 1))
     seen = []
-    for name in ("hermitian_coords", "stack_asymmetry"):
+    for name in ("hermitian_coords", "stack_asymmetry", "duality_residual"):
         fn = getattr(frames, name)
-        monkeypatch.setattr(frames, name, lambda s, fn=fn, name=name: seen.append((name, s)) or fn(s))
+        monkeypatch.setattr(frames, name, lambda *a, fn=fn, name=name: seen.append(name) or fn(*a))
     frame = canonical_duals(effects, group=(0, 1))
-    assert not any(s is effects for _, s in seen)
-    # the duals are still checked in full
-    assert {name for name, s in seen if s is frame.duals} == {"hermitian_coords", "stack_asymmetry"}
-    # any other effects are too, and the cached coordinates give the same residual
-    copy = effects.copy()
-    assert duality_residual(frame.duals, copy) == duality_residual(frame.duals, effects)
-    assert {name for name, s in seen if s is copy} == {"hermitian_coords", "stack_asymmetry"}
+    assert seen == ["duality_residual"]
+    assert frame.effects is effects
+    # a complex stack is checked and converted where it enters, once
+    seen.clear()
+    again = DualFrame(group=(0, 1), effects=effects, duals=hermitian_stack(frame.duals))
+    assert seen == ["stack_asymmetry", "hermitian_coords", "duality_residual"]
+    assert np.array_equal(hermitian_stack(again.duals), hermitian_stack(frame.duals))
     bad = frame.duals.copy()
-    bad[0, 0, 0] = np.nan
+    bad[0, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
         DualFrame(group=(0, 1), effects=effects, duals=bad)

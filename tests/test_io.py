@@ -1,6 +1,9 @@
+import hashlib
 import os
 import tempfile
+from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +29,10 @@ from icshadows import (
     write_hamiltonian,
     write_partition,
 )
-from icshadows.frames import DUALITY_TOL, duality_residual
+from icshadows.algebra import hermitian_stack
+from icshadows.frames import DUALITY_TOL, GlobalDuals, duality_residual
 from icshadows.io import QUBIT_FIELD_MAX, config_hash, write_csv
+from icshadows.sampling import Dataset
 
 from .conftest import anti_hermitian_duals
 from .oracles import max_entry_residual
@@ -308,8 +313,9 @@ def test_duals_round_trip_canonical(tmp_path):
     back = read_duals(path)
     assert back.partition.groups == gd.partition.groups
     assert back.provenance == "canonical"
+    # the file stores the complex stack, which round-trips bit for bit
     for fa, fb in zip(back.frames, gd.frames):
-        assert np.array_equal(fa.duals, fb.duals)
+        assert np.array_equal(hermitian_stack(fa.duals), hermitian_stack(fb.duals))
 
 
 def test_duals_round_trip_learned(tmp_path):
@@ -319,7 +325,55 @@ def test_duals_round_trip_learned(tmp_path):
     write_duals(path, gd)
     back = read_duals(path)
     assert back.provenance == "klo-ConstrainedLAD"
-    assert np.array_equal(back.frames[0].duals, gd.frames[0].duals)
+    assert np.array_equal(hermitian_stack(back.frames[0].duals), hermitian_stack(gd.frames[0].duals))
+
+
+# Golden duals files: the canonical frame of test_duals_round_trip_canonical
+# and the learned one of test_duals_round_trip_learned, as written when
+# frames still held complex stacks. The canonical file's bytes are pinned.
+GOLDEN = Path(__file__).parent / "data"
+CANONICAL_SHA256 = "b58e18d8da8363c1d9b8c45c6e71f59a8286a115b4d19fe3f584108cbc5d3c95"
+
+
+@pytest.mark.parametrize("name", ["canonical_3q.icdl", "klo_bell_2q.icdl"])
+def test_golden_duals_files_round_trip_byte_for_byte(tmp_path, name):
+    path = tmp_path / name
+    write_duals(path, read_duals(GOLDEN / name))
+    assert path.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_canonical_duals_file_bytes_are_pinned(tmp_path):
+    path = tmp_path / "frames.icdl"
+    write_duals(path, canonical_global(pauli6_product(3), Partition(((0, 1), (2,)))))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CANONICAL_SHA256
+    assert path.read_bytes() == (GOLDEN / "canonical_3q.icdl").read_bytes()
+
+
+def test_dataset_rejects_seeds_the_file_cannot_hold():
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"is outside \[0, 2\^64\)"):
+            Dataset(n=1, d=6, S=1, records=np.zeros((1, 1), dtype=np.uint8), seed=seed)
+    Dataset(n=1, d=6, S=1, records=np.zeros((1, 1), dtype=np.uint8), seed=2**64 - 1)
+
+
+def test_write_duals_rejects_provenances_the_file_cannot_hold(tmp_path):
+    frame = canonical_global(pauli6_product(1)).frames[0]
+
+    def register(provenance):
+        return GlobalDuals(Partition.singletons(1), (replace(frame, provenance=provenance),))
+
+    # the length field counts UTF-8 bytes: 32768 two-byte letters are one too many
+    for provenance, message in (
+        ("x" * 65536, "65536 provenance bytes exceeds 65535, the most a duals file"),
+        ("\u00e9" * 32768, "65536 provenance bytes exceeds 65535"),
+        ("lone \ud800 surrogate", "not encodable as UTF-8"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            write_duals(tmp_path / "x.icdl", register(provenance))
+    assert not any(tmp_path.iterdir())
+    longest = "\u00e9" * 32767 + "x"
+    write_duals(tmp_path / "x.icdl", register(longest))
+    assert read_duals(tmp_path / "x.icdl").provenance == longest
 
 
 def test_duals_format_errors(tmp_path):
@@ -362,7 +416,7 @@ def test_read_duals_rejects_non_hermitian_duals(tmp_path):
     blob = bytearray(path.read_bytes())
     payload = np.frombuffer(bytes(blob[-6 * 4 * 16 :]), dtype=np.complex128).reshape(6, 2, 2)
     skewed = anti_hermitian_duals(payload)
-    assert max_entry_residual(skewed, gd.frames[0].effects) < 1e-15
+    assert max_entry_residual(skewed, hermitian_stack(gd.frames[0].effects)) < 1e-15
     blob[-6 * 4 * 16 :] = skewed.tobytes()
     path.write_bytes(bytes(blob))
     with pytest.raises(ValueError, match="frames.icdl.*duals are not Hermitian"):

@@ -12,10 +12,10 @@ from icshadows import (
 )
 
 from icshadows import povm as povm_module
-from icshadows.povm import _kron_stacks
+from icshadows.algebra import hermitian_coords, hermitian_stack
 
 from .conftest import random_density
-from .oracles import group_effect
+from .oracles import group_effect, kron_stacks, same_bits
 
 
 def test_pauli6_outcome_order_is_pinned():
@@ -68,8 +68,8 @@ def test_product_povm_identifier():
 
 def test_group_effects_are_kron_products():
     povm = pauli6_product(3)
-    effects = group_effects(povm, (0, 2))
-    assert effects.shape == (36, 4, 4)
+    assert group_effects(povm, (0, 2)).shape == (36, 16)
+    effects = hermitian_stack(group_effects(povm, (0, 2)))
     e1 = povm.locals[0].effects
     idx = 0
     for m0 in range(6):
@@ -83,8 +83,8 @@ def test_group_effects_are_kron_products():
 def test_group_effects_follow_listed_order():
     povm = pauli6_product(2)
     single = povm.locals[0].effects
-    fwd = group_effects(povm, (0, 1))
-    rev = group_effects(povm, (1, 0))
+    fwd = hermitian_stack(group_effects(povm, (0, 1)))
+    rev = hermitian_stack(group_effects(povm, (1, 0)))
     # first listed qubit is the most significant digit and first kron factor
     assert np.allclose(fwd[2 * 6 + 1], np.kron(single[2], single[1]))
     assert np.allclose(rev[1 * 6 + 2], np.kron(single[1], single[2]))
@@ -93,7 +93,7 @@ def test_group_effects_follow_listed_order():
 def test_outcome_probabilities_born_rule():
     rng = np.random.default_rng(13)
     rho = random_density(rng, 2)
-    probs = outcome_probabilities(pauli6().effects, rho)
+    probs = outcome_probabilities(group_effects(pauli6_product(1), (0,)), rho)
     assert probs.shape == (6,)
     assert np.isclose(probs.sum(), 1.0)
     want = [np.trace(e @ rho).real for e in pauli6().effects]
@@ -104,10 +104,11 @@ def test_group_effects_cache_returns_read_only_kron_stacks():
     povm = pauli6_product(4)
     locals_ = [povm.locals[q].effects for q in (0, 1, 2)]
     stack = group_effects(povm, (0, 1, 2))
-    assert np.array_equal(stack, _kron_stacks(locals_))
+    # the coordinates of the Kronecker stack, which itself is not kept
+    assert same_bits(stack, hermitian_coords(kron_stacks(locals_)))
     assert not stack.flags.writeable
     with pytest.raises(ValueError):
-        stack[0, 0, 0] = 1.0
+        stack[0, 0] = 1.0
     # built once: any group over the same local POVM objects gets the same array
     assert group_effects(povm, (1, 2, 3)) is stack
     assert group_effects(pauli6_product(3), (0, 1, 2)) is stack
@@ -122,14 +123,14 @@ def test_group_effects_cache_keys_on_local_povm_identity():
     assert a is not b and np.array_equal(a, b)
     flipped = LocalPOVM(effects[::-1])
     mixed = ProductPOVM((first.locals[0], flipped))
-    assert np.array_equal(group_effects(mixed, (0, 1)), _kron_stacks([effects, effects[::-1]]))
-    assert np.array_equal(group_effects(mixed, (1, 0)), _kron_stacks([effects[::-1], effects]))
+    for group, stacks in (((0, 1), [effects, effects[::-1]]), ((1, 0), [effects[::-1], effects])):
+        assert np.array_equal(group_effects(mixed, group), hermitian_coords(kron_stacks(stacks)))
 
 
 def test_group_effects_cache_is_bounded(monkeypatch):
     monkeypatch.setattr(povm_module, "_stacks", {})
     monkeypatch.setattr(povm_module, "_stacks_bytes", 0)
-    monkeypatch.setattr(povm_module, "STACK_CACHE_BYTES", 36 * 4 * 4 * 16)
+    monkeypatch.setattr(povm_module, "STACK_CACHE_BYTES", 36 * 16 * 8)
     povm = pauli6_product(3)
     pair = group_effects(povm, (0, 1))
     assert group_effects(povm, (1, 2)) is pair
@@ -143,32 +144,27 @@ def test_group_effects_cache_is_bounded(monkeypatch):
     assert group_effects(other, (0, 1)) is not pair
     assert group_effects(povm, (0, 1)) is not pair
     kept = povm_module._stacks.values()
-    assert povm_module._stacks_bytes == sum(stack.nbytes for _, stack in kept)
+    assert povm_module._stacks_bytes == sum(coords.nbytes for _, coords in kept)
     assert povm_module._stacks_bytes <= povm_module.STACK_CACHE_BYTES
 
 
 def test_group_effects_checks_each_kept_stack_once(monkeypatch):
-    from icshadows.algebra import hermitian_coords
-    from icshadows.povm import stack_coordinates
-
-    from .oracles import same_bits
-
     monkeypatch.setattr(povm_module, "_stacks", {})
     monkeypatch.setattr(povm_module, "_stacks_bytes", 0)
-    monkeypatch.setattr(povm_module, "_stack_coords", {})
-    monkeypatch.setattr(povm_module, "STACK_CACHE_BYTES", 36 * 4 * 4 * 16)
+    checked = []
+    asymmetry = povm_module.stack_asymmetry
+    monkeypatch.setattr(
+        povm_module, "stack_asymmetry", lambda s: checked.append(s.shape) or asymmetry(s)
+    )
     pair = group_effects(pauli6_product(2), (0, 1))
-    coords = stack_coordinates(pair)
-    assert same_bits(coords, hermitian_coords(pair)) and not coords.flags.writeable
-    # the match is by identity, and an evicted stack loses its coordinates
-    assert stack_coordinates(pair.copy()) is None
-    group_effects(ProductPOVM((pauli6(), pauli6())), (0, 1))
-    assert stack_coordinates(pair) is None
-    assert len(povm_module._stack_coords) == len(povm_module._stacks) == 1
-    # a stack that is not finite and Hermitian is refused when it is built
+    assert group_effects(pauli6_product(3), (1, 2)) is pair
+    # each factor once, when the pair is built, and never the products
+    assert checked == [(6, 2, 2), (6, 2, 2)]
+    # effects that are not finite and Hermitian are refused when they are built
     for entry, value in (((0, 0, 0), np.nan), ((0, 0, 1), 1.0)):
-        bad = _kron_stacks([pauli6().effects, pauli6().effects])
+        local = pauli6()
+        bad = local.effects.copy()
         bad[entry] = value
-        monkeypatch.setattr(povm_module, "_kron_stacks", lambda stacks, bad=bad: bad)
+        object.__setattr__(local, "effects", bad)  # past LocalPOVM's own checks
         with pytest.raises(ValueError, match="not finite and Hermitian"):
-            group_effects(ProductPOVM((pauli6(), pauli6())), (0, 1))
+            group_effects(ProductPOVM((pauli6(), local)), (0, 1))

@@ -25,6 +25,7 @@ from icshadows import (
     shot_uniforms,
 )
 from icshadows import sampling
+from icshadows.algebra import hermitian_stack
 from icshadows.povm import ProductPOVM, pauli6
 from icshadows.sampling import flat_codes, joint_probability_tensor
 
@@ -143,7 +144,7 @@ def test_joint_probabilities_match_dense_enumeration():
     povm = pauli6_product(2)
     probs = joint_probabilities(rho, povm, (0, 1))
     effects = povm.group_effects((0, 1))
-    want = np.einsum("mab,ba->m", effects, rho.matrix).real
+    want = np.einsum("mab,ba->m", hermitian_stack(effects), rho.matrix).real
     assert np.allclose(probs, want, atol=1e-12)
     assert np.isclose(probs.sum(), 1.0)
 

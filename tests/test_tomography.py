@@ -16,7 +16,7 @@ from icshadows import (
     sample_shots,
 )
 from icshadows import tomography
-from icshadows.algebra import project_to_density
+from icshadows.algebra import hermitian_stack, project_to_density
 from icshadows.povm import outcome_probabilities
 from icshadows.sampling import MarginalTable
 from icshadows.tomography import linear_inversion
@@ -84,7 +84,7 @@ def test_linear_inversion_unit_trace_but_possibly_indefinite():
     mt = table([12, 0, 0, 0, 0, 0])  # impossible frequencies for any state
     duals = canonical_duals(effects)
     est = linear_inversion(mt, duals)
-    assert np.abs(est - einsum_sum(mt.frequencies, duals.duals)).max() < 1e-14
+    assert np.abs(est - einsum_sum(mt.frequencies, hermitian_stack(duals.duals))).max() < 1e-14
     assert np.trace(est).real == pytest.approx(1.0)
     assert np.linalg.eigvalsh(est).min() < -1e-3
 
@@ -160,7 +160,7 @@ def test_lad_matches_reference_loop(h2_4q_ground):
     effects = povm.group_effects((0, 1, 2, 3))
     mt = marginal_counts(sample_shots(psi, povm, 3000, seed=2), (0, 1, 2, 3))
     rho, report = reconstruct(mt, povm, ConstrainedLAD())
-    want_rho, want = lad_loop(mt, effects, ConstrainedLAD())
+    want_rho, want = lad_loop(mt, hermitian_stack(effects), ConstrainedLAD())
     assert (report.iterations, report.converged) == (want.iterations, want.converged)
     assert report.iterations > 100
     assert np.abs(rho.matrix - want_rho.matrix).max() < 1e-10
