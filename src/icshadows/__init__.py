@@ -50,7 +50,6 @@ from .povm import (
     LocalPOVM,
     ProductPOVM,
     completeness_rank,
-    group_effects,
     outcome_probabilities,
     pauli6,
     pauli6_product,

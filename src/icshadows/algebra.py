@@ -143,12 +143,13 @@ def kron_coords(stacks) -> np.ndarray:
 
 
 def stack_asymmetry(stack: np.ndarray) -> float:
-    """Largest entry of |A - A^dag| over a stack; 0 for a Hermitian one."""
+    """Largest entry of |A - A^dag| over a stack; 0 for a Hermitian one, NaN
+    for one with a NaN entry."""
     re, im = stack.real, stack.imag
-    return max(
-        float(np.abs(re - re.transpose(0, 2, 1)).max(initial=0.0)),
-        float(np.abs(im + im.transpose(0, 2, 1)).max(initial=0.0)),
-    )
+    return float(np.maximum(
+        np.abs(re - re.transpose(0, 2, 1)).max(initial=0.0),
+        np.abs(im + im.transpose(0, 2, 1)).max(initial=0.0),
+    ))
 
 
 def partial_trace(op: np.ndarray, keep, n: int | None = None) -> np.ndarray:

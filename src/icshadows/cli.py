@@ -364,7 +364,7 @@ def cmd_toy(args) -> int:
     rows = []
     for q in qs:
         state = toy_mixed(q) if args.family == "mixed" else toy_pure(q)
-        rho = reduced_density(state, range(2))
+        rho = state.density()
         probs = joint_probabilities(state, povm, range(2))
         singles = Partition.singletons(2)
 

@@ -8,7 +8,8 @@ Up to ``sampling.JOINT_TENSOR_QUBIT_LIMIT`` qubits the estimator is
 tabulated once over every joint outcome (one GEMM, see
 :meth:`CoefficientCache.table`): shots are then table lookups, and the
 exact moments are sums of the table against the joint Born tensor the
-sampler plans with. Above the limit the table would not fit, so shots
+sampler plans with (:func:`~icshadows.sampling.joint_probabilities` over
+the whole register). Above the limit the table would not fit, so shots
 are scored term by term and the exact moments are computed by group
 factorization, one state contraction per term pair, never enumerating
 the joint outcome space.
@@ -25,8 +26,8 @@ from .algebra import hermitian_coords, hermitian_stack
 from .frames import DUALITY_TOL, GlobalDuals
 from .observables import PauliObservable
 from .povm import ProductPOVM
-from .sampling import Dataset, SamplingPlan, flat_codes, joint_probability_tensor, sample_shots
-from .states import BlockProductState, DensityMatrix, PureState, reduced_density
+from .sampling import Dataset, SamplingPlan, flat_codes, joint_probabilities, sample_shots
+from .states import BlockProductState, DensityMatrix, PureState
 
 __all__ = [
     "EstimateReport",
@@ -230,8 +231,9 @@ def exact_moments(
     Above it, both moments factorize over groups: per term pair, each
     group contributes the operator Σ_m effect_m · Tr[D_m P] · Tr[D_m Q],
     built from the effect coordinates as ``hermitian_stack(w @ A)``, and
-    the moment is the state's expectation of their tensor product.
-    The first moment uses the single-trace analogue. Either way
+    the moment is the state's expectation of their tensor product. The
+    first moment is the case without Q, Σ_m effect_m · Tr[D_m P], and one
+    cache holds the operators of both. Either way
     unbiasedness is measured rather than assumed. Both routes require each
     frame's effects to be the POVM's on its group (largest coordinate
     difference within ``DUALITY_TOL``), so they compute the same thing.
@@ -255,7 +257,7 @@ def exact_moments(
     cache = CoefficientCache(duals)
     if obs.n <= sampling.JOINT_TENSOR_QUBIT_LIMIT:
         # p first, so the table is not yet alive at p's larger build peak
-        p = joint_probability_tensor(state, povm)
+        p = joint_probabilities(state, povm, range(obs.n)).reshape((cache.d,) * obs.n)
         table, order = cache.table(obs)
         w = table.reshape((cache.d,) * obs.n)
         p_axes = "".join(chr(ord("a") + q) for q in range(obs.n))
@@ -264,48 +266,39 @@ def exact_moments(
         second = np.einsum(f"{p_axes},{w_axes},{w_axes}->", p, w, w)
         return float(mean), float(second)
 
-    effects = [frame.effects for frame in duals.frames]
-
     if isinstance(state, PureState):
         contract = lambda ops: _grouped_trace_pure(state.amplitudes, state.n, groups, ops)
     else:
-        rho = state if isinstance(state, DensityMatrix) else reduced_density(state, range(state.n))
+        rho = state.density()
         contract = lambda ops: _grouped_trace_density(rho.matrix, rho.n, groups, ops)
 
-    first_ops: dict[tuple[int, str], np.ndarray] = {}
-    second_ops: dict[tuple[int, str, str], np.ndarray] = {}
+    effects = [frame.effects for frame in duals.frames]
+    ops: dict[tuple[int, str, str | None], np.ndarray] = {}
 
-    def b_op(gi: int, sub: str) -> np.ndarray:
-        key = (gi, sub)
-        if key not in first_ops:
-            tv = cache.vector(gi, sub)
-            first_ops[key] = hermitian_stack(tv @ effects[gi])
-        return first_ops[key]
-
-    def a_op(gi: int, sub_p: str, sub_q: str) -> np.ndarray:
-        if sub_q < sub_p:
+    def moment(gi: int, sub_p: str, sub_q: str | None) -> np.ndarray:
+        """Group gi's operator for substring P, or for the pair (P, Q)."""
+        if sub_q is not None and sub_q < sub_p:
             sub_p, sub_q = sub_q, sub_p
         key = (gi, sub_p, sub_q)
-        if key not in second_ops:
-            tv = cache.vector(gi, sub_p) * cache.vector(gi, sub_q)
-            second_ops[key] = hermitian_stack(tv @ effects[gi])
-        return second_ops[key]
+        if key not in ops:
+            tv = cache.vector(gi, sub_p)
+            if sub_q is not None:
+                tv = tv * cache.vector(gi, sub_q)
+            ops[key] = hermitian_stack(tv @ effects[gi])
+        return ops[key]
 
+    subs = [[_substring(word, g) for g in groups] for _, word in terms]
     mean = 0.0
-    for coeff, word in terms:
-        ops = [b_op(gi, _substring(word, g)) for gi, g in enumerate(groups)]
-        mean += coeff * contract(ops)
+    for (coeff, _), sp in zip(terms, subs):
+        mean += coeff * contract([moment(gi, p, None) for gi, p in enumerate(sp)])
 
     second = 0.0
-    for i, (ci, wi) in enumerate(terms):
+    for i, (ci, _) in enumerate(terms):
         for j in range(i, len(terms)):
-            cj, wj = terms[j]
-            ops = [
-                a_op(gi, _substring(wi, g), _substring(wj, g))
-                for gi, g in enumerate(groups)
-            ]
+            cj = terms[j][0]
+            ops_ij = [moment(gi, p, q) for gi, (p, q) in enumerate(zip(subs[i], subs[j]))]
             weight = ci * cj if i == j else 2.0 * ci * cj
-            second += weight * contract(ops)
+            second += weight * contract(ops_ij)
     return float(mean), float(second)
 
 

@@ -15,11 +15,11 @@ so each site step of :func:`optimize_product_duals` is one weighted solve.
 Effects and duals are Hermitian, so ``DualFrame.effects`` and
 ``DualFrame.duals`` are real ``(M, dim^2)`` coordinate matrices in an
 orthonormal Hermitian basis (:func:`~icshadows.algebra.hermitian_coords`),
-the form :func:`~icshadows.povm.group_effects` returns: every frame is
-Hermitian by construction, and the frame equation is solved and checked
-over the reals. The map is unitary on Hermitian operators, so singular
-values, frame conditioning and Frobenius norms carry over unchanged. The
-coordinates would drop an anti-Hermitian part, so a complex
+the form :meth:`~icshadows.povm.ProductPOVM.group_effects` returns: every
+frame is Hermitian by construction, and the frame equation is solved and
+checked over the reals. The map is unitary on Hermitian operators, so
+singular values, frame conditioning and Frobenius norms carry over
+unchanged. The coordinates would drop an anti-Hermitian part, so a complex
 ``(M, dim, dim)`` stack given to :class:`DualFrame`,
 :func:`duals_from_weights` or :func:`duality_residual` is checked finite
 and Hermitian and converted once, where it enters.
@@ -71,7 +71,10 @@ class DualFrame:
     stacks are converted, see the module docstring) that satisfy the
     duality identity to within ``DUALITY_TOL``, checked once by
     :func:`duality_residual`: the unbiasedness certificate for any
-    estimator built on this frame.
+    estimator built on this frame. The frame holds them read-only: a
+    read-only input is kept as it is, and a writeable one is copied, so
+    the caller's array stays writeable and later writes to it do not
+    reach the frame.
     """
 
     group: tuple[int, ...]
@@ -88,10 +91,11 @@ class DualFrame:
         resid = duality_residual(du, eff)
         if not resid <= DUALITY_TOL:
             raise ValueError(f"duality residual {resid:.3e} exceeds {DUALITY_TOL}")
-        object.__setattr__(self, "effects", eff)
-        object.__setattr__(self, "duals", du)
-        self.effects.setflags(write=False)
-        self.duals.setflags(write=False)
+        for name, coords in (("effects", eff), ("duals", du)):
+            if coords.flags.writeable:
+                coords = coords.copy()
+                coords.setflags(write=False)
+            object.__setattr__(self, name, coords)
 
     @property
     def outcomes(self) -> int:
@@ -143,7 +147,9 @@ def _coordinates(stack, name: str) -> np.ndarray:
             raise ValueError(
                 f"{name} are not Hermitian (asymmetry {asym:.3e} exceeds {DUALITY_TOL})"
             )
-        return hermitian_coords(stack)
+        coords = hermitian_coords(stack)
+        coords.setflags(write=False)  # fresh, so a DualFrame need not copy it
+        return coords
     raise ValueError(f"{name} must be real (M, dim^2) coordinates or an (M, dim, dim) stack")
 
 
@@ -203,6 +209,7 @@ def duals_from_weights(
     if group is None:
         group = range(int(round(np.log2(dim2) / 2)))
     duals = ((root * U) / s) @ Vh
+    duals.setflags(write=False)  # fresh, so the frame keeps it without a copy
     return DualFrame(group=tuple(group), effects=effects, duals=duals, provenance=provenance)
 
 

@@ -8,9 +8,9 @@ of the on-disk dataset contract and must never change:
     4: |+i><+i|/3 5: |-i><-i|/3
 
 A ``LocalPOVM`` holds its effects as a complex ``(d, 2, 2)`` stack, which
-the sampler reads. Group effects (:func:`group_effects`, and so
-:func:`outcome_probabilities`) are a real ``(M, 4^k)`` coordinate matrix
-(:mod:`icshadows.algebra`), the one form frames and estimators use.
+the sampler reads. Group effects (:meth:`ProductPOVM.group_effects`, and
+so :func:`outcome_probabilities`) are a real ``(M, 4^k)`` coordinate
+matrix (:mod:`icshadows.algebra`), the one form frames and estimators use.
 """
 
 from __future__ import annotations
@@ -28,13 +28,12 @@ __all__ = [
     "pauli6",
     "pauli6_product",
     "completeness_rank",
-    "group_effects",
     "outcome_probabilities",
 ]
 
 COMPLETENESS_TOL = 1e-12
 PSD_TOL = 1e-10
-# group effect coordinates kept by group_effects, oldest first out;
+# group effect coordinates kept by ProductPOVM.group_effects, oldest first out;
 # a 4-qubit Pauli-6 group's are 2.7 MB, a 5-qubit one's 64 MB (never kept)
 STACK_CACHE_BYTES = 32 * 2**20
 
@@ -108,6 +107,11 @@ def _pauli6_cached() -> LocalPOVM:
     return _PAULI6
 
 
+_stacks: dict = {}
+_stacks_bytes = 0
+_stacks_lock = threading.Lock()
+
+
 @dataclass(frozen=True)
 class ProductPOVM:
     """Independent local POVMs on each qubit of an n-qubit register."""
@@ -135,7 +139,41 @@ class ProductPOVM:
         return "custom"
 
     def group_effects(self, group) -> np.ndarray:
-        return group_effects(self, group)
+        """All group effects, as the real coordinates of their Hermitian stack.
+
+        Returns a read-only ``(M, 4^k)`` array with ``M = prod of local d``
+        and the first listed qubit as the most significant outcome digit:
+        row m holds the coordinates of the Kronecker product of the listed
+        qubits' effects for outcome m (:func:`~icshadows.algebra.kron_coords`;
+        the complex products are never built). They are checked finite, and
+        the factors Hermitian, when they are built, once per process for each
+        sequence of ``LocalPOVM`` objects (by identity; the cache keeps those
+        objects alive, so an identity is never reused while its entry exists),
+        and kept up to ``STACK_CACHE_BYTES`` in total, the oldest entries
+        evicted first.
+        """
+        global _stacks_bytes
+        locals_ = tuple(self.locals[q] for q in group)
+        key = tuple(map(id, locals_))
+        with _stacks_lock:
+            hit = _stacks.get(key)
+        if hit is not None:
+            return hit[1]
+        factors = [p.effects for p in locals_]
+        coords = kron_coords(factors)
+        # Hermitian factors make Hermitian products; written so that a NaN fails the check
+        hermitian = max(map(stack_asymmetry, factors)) <= HERMITICITY_TOL
+        if not (np.isfinite(coords).all() and hermitian):
+            raise ValueError(f"the effects of group {tuple(group)} are not finite and Hermitian")
+        coords.setflags(write=False)
+        if coords.nbytes <= STACK_CACHE_BYTES:
+            with _stacks_lock:
+                if key not in _stacks:
+                    _stacks[key] = (locals_, coords)
+                    _stacks_bytes += coords.nbytes
+                while _stacks_bytes > STACK_CACHE_BYTES:
+                    _stacks_bytes -= _stacks.pop(next(iter(_stacks)))[1].nbytes
+        return coords
 
 
 def pauli6_product(n: int) -> ProductPOVM:
@@ -144,53 +182,18 @@ def pauli6_product(n: int) -> ProductPOVM:
     return ProductPOVM((p,) * n)
 
 
-_stacks: dict = {}
-_stacks_bytes = 0
-_stacks_lock = threading.Lock()
-
-
-def group_effects(povm: ProductPOVM, group) -> np.ndarray:
-    """All group effects, as the real coordinates of their Hermitian stack.
-
-    Returns a read-only ``(M, 4^k)`` array with ``M = prod of local d``
-    and the first listed qubit as the most significant outcome digit:
-    row m holds the coordinates of the Kronecker product of the listed
-    qubits' effects for outcome m (:func:`~icshadows.algebra.kron_coords`;
-    the complex products are never built). They are checked finite, and
-    the factors Hermitian, when they are built, once per process for each
-    sequence of ``LocalPOVM`` objects (by identity; the cache keeps those
-    objects alive, so an identity is never reused while its entry exists),
-    and kept up to ``STACK_CACHE_BYTES`` in total, the oldest entries
-    evicted first.
-    """
-    global _stacks_bytes
-    locals_ = tuple(povm.locals[q] for q in group)
-    key = tuple(map(id, locals_))
-    with _stacks_lock:
-        hit = _stacks.get(key)
-    if hit is not None:
-        return hit[1]
-    factors = [p.effects for p in locals_]
-    coords = kron_coords(factors)
-    # Hermitian factors make Hermitian products; written so that a NaN fails the check
-    if not (np.isfinite(coords).all() and max(map(stack_asymmetry, factors)) <= HERMITICITY_TOL):
-        raise ValueError(f"the effects of group {tuple(group)} are not finite and Hermitian")
-    coords.setflags(write=False)
-    if coords.nbytes <= STACK_CACHE_BYTES:
-        with _stacks_lock:
-            if key not in _stacks:
-                _stacks[key] = (locals_, coords)
-                _stacks_bytes += coords.nbytes
-            while _stacks_bytes > STACK_CACHE_BYTES:
-                _stacks_bytes -= _stacks.pop(next(iter(_stacks)))[1].nbytes
-    return coords
-
-
 def outcome_probabilities(effects, rho: np.ndarray) -> np.ndarray:
     """Born probabilities Tr[effect rho], one real entry per effect.
 
-    ``effects`` are coordinates as :func:`group_effects` returns them, and
-    the probabilities are one real matrix-vector product with the
-    coordinates of the Hermitian matrix ``rho``.
+    ``effects`` are coordinates as :meth:`ProductPOVM.group_effects`
+    returns them, and the probabilities are one real matrix-vector product
+    with the coordinates of the Hermitian matrix ``rho``. The coordinates
+    would drop an anti-Hermitian part, so a ``rho`` whose largest entry of
+    |rho - rho^dag| exceeds ``HERMITICITY_TOL`` raises ``ValueError``; one
+    within it is read as it is, not symmetrized.
     """
+    rho = np.asarray(rho)
+    asym = stack_asymmetry(rho[None])
+    if not asym <= HERMITICITY_TOL:
+        raise ValueError(f"rho is not Hermitian within {HERMITICITY_TOL:g} (asymmetry {asym:g})")
     return np.asarray(effects) @ hermitian_coords(rho)

@@ -14,11 +14,14 @@ builds that tensor, one batched matrix product per qubit from the last
 to the first: a pure state measured by rank-1 local effects (Pauli-6,
 SIC-4) contracts its 2^n amplitudes with each qubit's Kraus rows and
 squares the moduli, and any other state contracts its 4^n density
-matrix with the vectorized effects. Pure states
-above the limit are collapsed qubit by qubit down a prefix tree: at depth
-q the shots of a batch share one branch state per distinct outcome
-prefix, so the work is about ``sum_q min(S, d^q) 2^(n-q)`` amplitudes
-instead of ``S n d 2^n``. Chunks are collapsed in fixed sub-batches of
+matrix (``state.density()``) with the vectorized effects.
+:func:`joint_probabilities` is the one public entry point to that kernel,
+for a group's marginal and for the whole register's tensor alike (the
+exact moments reshape its flat result). Pure states above the limit are
+collapsed qubit by qubit down a prefix tree: at depth q the shots of a
+batch share one branch state per distinct outcome prefix, so the work
+is about ``sum_q min(S, d^q) 2^(n-q)`` amplitudes instead of
+``S n d 2^n``. Chunks are collapsed in fixed sub-batches of
 ``_COLLAPSE_AMPLITUDES >> n`` shots, which bounds the live branch states
 by a few times ``_COLLAPSE_AMPLITUDES`` amplitudes however large S or the
 chunk is.
@@ -43,7 +46,6 @@ __all__ = [
     "SamplingPlan",
     "sample_shots",
     "joint_probabilities",
-    "joint_probability_tensor",
     "marginal_counts",
 ]
 
@@ -119,33 +121,13 @@ def shot_uniforms(seed: int, start: int, count: int, n: int) -> np.ndarray:
     return u[:, :n]
 
 
-def _density_matrix(state) -> np.ndarray:
-    """Dense density matrix of a pure or mixed state, qubits ascending."""
-    if isinstance(state, PureState):
-        return np.outer(state.amplitudes, state.amplitudes.conj())
-    if isinstance(state, DensityMatrix):
-        return state.matrix
-    return reduced_density(state, range(state.n)).matrix
-
-
-def joint_probability_tensor(state, povm: ProductPOVM) -> np.ndarray:
-    """Born probabilities of the full joint outcome, one axis per qubit.
-
-    Axes run in ascending qubit order; this is the tensor the sampler
-    plans with, so it needs ``state.n <= JOINT_TENSOR_QUBIT_LIMIT``.
-    """
-    if state.n > JOINT_TENSOR_QUBIT_LIMIT:
-        raise ValueError("state too large for the joint probability tensor")
-    return _born_tensor(state, povm, range(state.n))
-
-
 def _born_tensor(state, povm: ProductPOVM, qubits) -> np.ndarray:
     """Born tensor of a pure or density state, axis i measured on ``qubits[i]``.
 
     A pure state whose local effects all have rank 1 contracts its
     amplitudes with each qubit's Kraus row ``k_m`` (``E_m = k_m^H k_m``),
     and each probability is ``|amplitude|^2``. Any other state contracts
-    its density matrix, each qubit's row and column index side by side,
+    its ``density()``, each qubit's row and column index side by side,
     with the effects vectorized to match (``E_m[c, r]`` at index ``2r + c``),
     and keeps the real part clipped at 0.
     """
@@ -155,7 +137,7 @@ def _born_tensor(state, povm: ProductPOVM, qubits) -> np.ndarray:
         if all(f.shape[1] == 1 for f in factors):
             return _contract_levels(state.amplitudes, [f[:, 0] for f in factors], squared=True)
     k = len(qubits)
-    rho = _density_matrix(state).reshape((2,) * (2 * k))
+    rho = state.density().matrix.reshape((2,) * (2 * k))
     pairs = [ax for q in range(k) for ax in (q, k + q)]
     rows = [povm.locals[q].effects.transpose(0, 2, 1).reshape(-1, 4) for q in qubits]
     return _contract_levels(rho.transpose(pairs).reshape(-1), rows, squared=False)
@@ -197,7 +179,10 @@ def joint_probabilities(state, povm: ProductPOVM, group) -> np.ndarray:
     """Exact Born probabilities of a group's joint outcome, flat row-major.
 
     The flat index runs over the group's listed order, matching the
-    layout of :func:`marginal_counts` on a sampled dataset.
+    layout of :func:`marginal_counts` on a sampled dataset. A group that
+    covers the whole register measures the state itself, so a pure state
+    takes the amplitude route and no density matrix is built; any other
+    group measures the group's reduced density matrix.
     """
     group = [int(q) for q in group]
     if len(set(group)) != len(group):
@@ -205,7 +190,8 @@ def joint_probabilities(state, povm: ProductPOVM, group) -> np.ndarray:
     if len(group) > MARGINAL_GROUP_CAP:
         raise ValueError(f"group larger than the cap {MARGINAL_GROUP_CAP}")
     srt = sorted(group)
-    t = _born_tensor(reduced_density(state, srt), povm, srt)
+    whole = srt == list(range(state.n))
+    t = _born_tensor(state if whole else reduced_density(state, srt), povm, srt)
     perm = [srt.index(q) for q in group]
     return t.transpose(perm).reshape(-1)
 

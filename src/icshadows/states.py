@@ -110,11 +110,7 @@ class BlockProductState:
         return self.partition.n
 
     def density(self) -> DensityMatrix:
-        if self.n > DENSITY_CAP:
-            raise ValueError(f"{self.n} qubits exceeds the density cap")
-        full = kron_all([b.matrix for b in self.blocks])
-        order = [q for g in self.partition.groups for q in g]
-        return DensityMatrix(self.n, reorder_qubits(full, order))
+        return reduced_density(self, range(self.n))
 
 
 def reorder_qubits(op: np.ndarray, current_order) -> np.ndarray:
@@ -162,7 +158,8 @@ def reduced_density(state, group) -> DensityMatrix:
 
 
 def ground_state(obs: PauliObservable) -> tuple[float, PureState]:
-    """Lowest eigenpair of a Pauli-sum Hamiltonian, by dense or iterative solve."""
+    """Lowest eigenpair of a Pauli-sum Hamiltonian, by dense or iterative
+    solve; the same bits on every call."""
     n = obs.n
     if n > GROUND_STATE_CAP:
         raise ValueError(f"{n} qubits exceeds the dense ground-state cap {GROUND_STATE_CAP}")
@@ -173,7 +170,11 @@ def ground_state(obs: PauliObservable) -> tuple[float, PureState]:
     op = scipy.sparse.linalg.LinearOperator(
         (dim, dim), matvec=obs.apply, dtype=complex
     )
-    evals, evecs = scipy.sparse.linalg.eigsh(op, k=1, which="SA")
+    # a fixed start vector, so the solve is reproducible, and a generic one,
+    # so it is not orthogonal to the ground state's symmetry sector
+    rng = np.random.default_rng(0)
+    v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    evals, evecs = scipy.sparse.linalg.eigsh(op, k=1, which="SA", v0=v0)
     return float(evals[0]), PureState(n, evecs[:, 0])
 
 

@@ -511,6 +511,20 @@ def test_dual_frame_rejects_non_hermitian_stacks():
         DualFrame(group=(0,), effects=np.conj(anti_hermitian_duals(duals)), duals=frame.duals)
 
 
+def test_dual_frame_copies_a_writeable_input_and_keeps_a_read_only_one():
+    frame = canonical_duals(pauli6_product(1).group_effects((0,)))
+    x = np.array(frame.duals)
+    copy = DualFrame(group=(0,), effects=frame.effects, duals=x)
+    # the caller's array stays writeable, and writing to it leaves the frame alone
+    assert x.flags.writeable
+    x[0, 0] += 1.0
+    assert np.array_equal(copy.duals, frame.duals)
+    assert not copy.duals.flags.writeable
+    # a read-only array, such as a solve's own output, is kept as it is
+    assert not frame.duals.flags.writeable
+    assert DualFrame(group=(0,), effects=frame.effects, duals=frame.duals).duals is frame.duals
+
+
 def test_cached_effect_stack_is_not_checked_again(monkeypatch):
     # a solved frame is checked once, by one duality residual; neither its
     # effects nor its duals are checked for Hermiticity or converted

@@ -27,10 +27,11 @@ from icshadows import (
 from icshadows import sampling
 from icshadows.algebra import hermitian_stack
 from icshadows.povm import ProductPOVM, pauli6
-from icshadows.sampling import flat_codes, joint_probability_tensor
+from icshadows.sampling import flat_codes
+from icshadows.states import PureState
 
 from .conftest import random_density, random_pure, sic4
-from .oracles import prefix_tensors, tensordot_joint_probabilities, walk_chunk
+from .oracles import prefix_tensors, same_bits, tensordot_joint_probabilities, walk_chunk
 
 
 def test_shot_uniforms_chunk_splittable():
@@ -156,6 +157,24 @@ def test_joint_probabilities_group_order_transposes():
     fwd = joint_probabilities(rho, povm, (0, 1)).reshape(6, 6)
     rev = joint_probabilities(rho, povm, (1, 0)).reshape(6, 6)
     assert np.allclose(rev, fwd.T)
+
+
+def test_joint_probabilities_of_the_whole_register_read_the_pure_state(monkeypatch):
+    n = 3
+    psi = random_pure(np.random.default_rng(16), n)
+    povm = pauli6_product(n)
+    want = sampling._born_tensor(psi, povm, range(n)).reshape(-1)
+
+    def refuse(*args):
+        raise AssertionError("the whole register must not build a density matrix")
+
+    # neither the state's density() nor a reduced density matrix is built
+    monkeypatch.setattr(PureState, "density", refuse)
+    monkeypatch.setattr(sampling, "reduced_density", refuse)
+    assert same_bits(joint_probabilities(psi, povm, range(n)), want)
+    # in any listed order
+    rev = joint_probabilities(psi, povm, range(n - 1, -1, -1)).reshape((6,) * n)
+    assert same_bits(rev.transpose(2, 1, 0).reshape(-1), want)
 
 
 def test_joint_probabilities_rejects_duplicates_and_oversize():
@@ -430,7 +449,7 @@ def test_eight_qubit_plan_memory_stays_at_the_prefix_tensors():
         del plan
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        prefixes = prefix_tensors(joint_probability_tensor(psi, povm))
+        prefixes = prefix_tensors(joint_probabilities(psi, povm, range(n)).reshape(povm.dims))
         old_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -457,7 +476,7 @@ def test_born_kernel_matches_tensordot_oracle(n):
     ]
     for state, povm in cases:
         want = tensordot_joint_probabilities(state.density().matrix, povm, range(n))
-        got = joint_probability_tensor(state, povm)
+        got = joint_probabilities(state, povm, range(n)).reshape(povm.dims)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-15
     # blocks of a block-product state, each on its own (shuffled) qubits
@@ -470,7 +489,8 @@ def test_born_kernel_matches_tensordot_oracle(n):
         assert np.abs(sampling._born_tensor(b, povm, g) - want).max() <= 1e-15
     chain = BlockProductState(Partition(tuple(groups)), tuple(blocks))
     want = tensordot_joint_probabilities(chain.density().matrix, povm, range(n))
-    assert np.abs(joint_probability_tensor(chain, povm) - want).max() <= 1e-15
+    got = joint_probabilities(chain, povm, range(n)).reshape(povm.dims)
+    assert np.abs(got - want).max() <= 1e-15
     # a group in shuffled order: the flat index runs over the listed order
     group = [int(q) for q in rng.permutation(n)]
     srt = sorted(group)
@@ -485,11 +505,11 @@ def test_pure_born_tensor_peak_memory_is_below_the_oracle():
     n = 8
     psi = random_pure(np.random.default_rng(37), n)
     povm = pauli6_product(n)
-    joint_probability_tensor(psi, povm)  # warm caches outside the trace
+    joint_probabilities(psi, povm, range(n))  # warm caches outside the trace
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        joint_probability_tensor(psi, povm)
+        joint_probabilities(psi, povm, range(n))
         peak = tracemalloc.get_traced_memory()[1] - base
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]

@@ -195,6 +195,13 @@ def test_ground_state_above_dense_limit_matches_oracle_eigh():
     assert abs(np.vdot(evecs[:, 0], psi.amplitudes)) >= 1 - 1e-10
 
 
+def test_ground_state_above_dense_limit_is_reproducible():
+    obs = tfim_ring(9, seed=3)
+    first, second = ground_state(obs), ground_state(obs)
+    assert first[0] == second[0]
+    assert same_bits(first[1].amplitudes, second[1].amplitudes)
+
+
 def test_density_cap_checked_before_any_dense_work(monkeypatch):
     from icshadows import states
 
