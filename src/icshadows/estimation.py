@@ -10,9 +10,11 @@ tabulated once over every joint outcome (one GEMM, see
 exact moments are sums of the table against the joint Born tensor the
 sampler plans with (:func:`~icshadows.sampling.joint_probabilities` over
 the whole register). Above the limit the table would not fit, so shots
-are scored term by term and the exact moments are computed by group
-factorization, one state contraction per term pair, never enumerating
-the joint outcome space.
+are scored term by term, and the exact moments split the groups into
+the table's two halves A and B: every term pair becomes a product
+operator M_A x M_B, the state is contracted once per distinct M_A and
+each pair takes one inner product with its M_B, in chunks of bounded
+memory, never enumerating the joint outcome space.
 """
 
 from __future__ import annotations
@@ -40,6 +42,12 @@ __all__ = [
 ]
 
 PAIR_CAP = 10**6
+
+# Entries of one transient array of the split exact moments above the
+# joint-tensor limit (256 KiB of complex128): term pairs and distinct half
+# operators are processed in chunks that keep each array near this size,
+# however many terms there are.
+_SPLIT_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -105,14 +113,46 @@ class CoefficientCache:
         """
         if obs not in self._tables:
             groups = self.duals.partition.groups
-            sizes = np.cumsum([0] + [len(g) for g in groups])
-            split = int(np.argmin(np.abs(2 * sizes - sizes[-1])))
+            split = _split_index(groups)
             coeffs = np.array([c for c, _ in obs.terms])
             va = self._block_matrix(range(split), obs) * coeffs
             vb = self._block_matrix(range(split, len(groups)), obs)
             order = [q for g in groups for q in g]
             self._tables[obs] = (va @ vb.T, order)
         return self._tables[obs]
+
+
+def _split_index(groups) -> int:
+    """Number of leading groups in half A: the cut nearest half the qubits."""
+    sizes = np.cumsum([0] + [len(g) for g in groups])
+    return int(np.argmin(np.abs(2 * sizes - sizes[-1])))
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of one row per distinct row of ``rows``, and each row's rank among them."""
+    if rows.shape[1] == 0:
+        return np.zeros(1, dtype=np.intp), np.zeros(len(rows), dtype=np.intp)
+    _, rep, rank = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    # numpy 2.0 shaped the inverse like the input for some inputs; keep it flat
+    return rep, rank.reshape(-1)
+
+
+def _kron_rows(rows: np.ndarray, stacks) -> np.ndarray:
+    """``stacks[0][r0] x stacks[1][r1] x ...`` for each row r of ``rows``.
+
+    The products are built from the last factor to the first over the
+    distinct suffixes of the rows, so rows that share a suffix share its
+    product, and the product so far is the inner, contiguous factor.
+    """
+    ops = np.ones((1, 1, 1), dtype=complex)
+    suffix = np.zeros(len(rows), dtype=np.intp)
+    for g in range(len(stacks) - 1, -1, -1):
+        keys, suffix = np.unique(rows[:, g] * len(ops) + suffix, return_inverse=True)
+        code, tail = np.divmod(keys, len(ops))
+        a, b = stacks[g][code], ops[tail]
+        ops = a[:, :, None, :, None] * b[:, None, :, None, :]
+        ops = ops.reshape(len(keys), a.shape[1] * b.shape[1], -1)
+    return ops[suffix.reshape(-1)]
 
 
 def _substring(word: str, group) -> str:
@@ -190,34 +230,6 @@ def exact_expectation(state, obs: PauliObservable) -> float:
     return float(total)
 
 
-def _grouped_trace_pure(amps: np.ndarray, n: int, groups, ops) -> float:
-    """<psi| (op_1 x op_2 x ...) |psi> with each op on its group's qubits."""
-    t = amps.reshape((2,) * n)
-    for group, op in zip(groups, ops):
-        k = len(group)
-        opt = op.reshape((2,) * (2 * k))
-        t = np.tensordot(opt, t, axes=(list(range(k, 2 * k)), list(group)))
-        t = np.moveaxis(t, range(k), group)
-    return float(np.vdot(amps, t.reshape(-1)).real)
-
-
-def _grouped_trace_density(rho: np.ndarray, n: int, groups, ops) -> float:
-    """Tr[rho (op_1 x op_2 x ...)] with each op on its group's qubits."""
-    t = rho.reshape((2,) * (2 * n))
-    labels = [("r", q) for q in range(n)] + [("c", q) for q in range(n)]
-    for group, op in zip(groups, ops):
-        k = len(group)
-        opt = op.reshape((2,) * (2 * k))
-        ax_t = [labels.index(("r", q)) for q in group] + [
-            labels.index(("c", q)) for q in group
-        ]
-        ax_o = list(range(k, 2 * k)) + list(range(k))
-        t = np.tensordot(t, opt, axes=(ax_t, ax_o))
-        for pos in sorted(ax_t, reverse=True):
-            del labels[pos]
-    return float(t.real)
-
-
 def exact_moments(
     state,
     povm: ProductPOVM,
@@ -231,20 +243,21 @@ def exact_moments(
     Above it, both moments factorize over groups: per term pair, each
     group contributes the operator Σ_m effect_m · Tr[D_m P] · Tr[D_m Q],
     built from the effect coordinates as ``hermitian_stack(w @ A)``, and
-    the moment is the state's expectation of their tensor product. The
-    first moment is the case without Q, Σ_m effect_m · Tr[D_m P], and one
-    cache holds the operators of both. Either way
-    unbiasedness is measured rather than assumed. Both routes require each
-    frame's effects to be the POVM's on its group (largest coordinate
-    difference within ``DUALITY_TOL``), so they compute the same thing.
+    the moment is the state's expectation of their tensor product (the
+    first moment is the case without Q). That product is M_A x M_B over
+    the two halves of the groups; each distinct half operator is built
+    once, the state is contracted once per distinct M_A, and each pair
+    takes one inner product with its M_B (see :func:`_split_moments`).
+    Either way unbiasedness is measured rather than assumed. Both routes
+    require each frame's effects to be the POVM's on its group (largest
+    coordinate difference within ``DUALITY_TOL``), so they compute the
+    same thing.
     """
     if obs.n != state.n:
         raise ValueError(f"observable acts on {obs.n} qubits but the state has {state.n}")
     if povm.n != state.n or duals.n != state.n:
         raise ValueError(f"the state has {state.n} qubits, the POVM {povm.n} and the duals {duals.n}")
-    groups = duals.partition.groups
-    terms = obs.terms
-    n_pairs = len(terms) * (len(terms) + 1) // 2
+    n_pairs = len(obs.terms) * (len(obs.terms) + 1) // 2
     if n_pairs > PAIR_CAP:
         raise ValueError(f"{n_pairs} term pairs exceed the cap {PAIR_CAP}")
     for frame in duals.frames:
@@ -266,39 +279,102 @@ def exact_moments(
         second = np.einsum(f"{p_axes},{w_axes},{w_axes}->", p, w, w)
         return float(mean), float(second)
 
+    return _split_moments(state, duals, obs, cache)
+
+
+def _entry_blocks(n_terms: int, cap: int):
+    """``(i, j)`` index arrays of the entries, in blocks of whole rows.
+
+    Row -1 holds the first moment's entries ``(i, -1)``, and row i >= 0
+    the pairs ``(i, j)`` for j >= i. A block takes rows while it has at
+    most ``cap`` entries, and at least one row.
+    """
+    block, size = [], 0
+    for r in range(-1, n_terms):
+        if r < 0:
+            row = (np.arange(n_terms), np.full(n_terms, -1))
+        else:
+            row = (np.full(n_terms - r, r), np.arange(r, n_terms))
+        if block and size + len(row[0]) > cap:
+            yield tuple(map(np.concatenate, zip(*block)))
+            block, size = [], 0
+        block.append(row)
+        size += len(row[0])
+    yield tuple(map(np.concatenate, zip(*block)))
+
+
+def _split_moments(state, duals: GlobalDuals, obs: PauliObservable, cache: CoefficientCache):
+    """E[omega] and E[omega^2] above the joint-tensor limit, half by half.
+
+    Every first-moment term and every term pair (an "entry") is the
+    expectation of a product operator M_A x M_B, keyed on each half by its
+    per-group operator indices. With Ψ the amplitudes in group order as a
+    ``2^|A| x 2^|B|`` matrix, the A-side contraction is ``Ψ^† M_A Ψ``; for
+    a density matrix it is ρ contracted over A with M_A, one GEMM per
+    chunk of keys. Either way the entry's value is the real part of its
+    elementwise inner product with M_B. Entries come in blocks of whole
+    rows of the pair triangle, and within a block the distinct A keys and
+    the entries in chunks, so no array grows with the number of pairs:
+    each holds about ``_SPLIT_ENTRIES`` entries or fewer.
+    """
+    groups = duals.partition.groups
+    n, split = state.n, _split_index(groups)
+    coeffs = np.array([c for c, _ in obs.terms])
+    vecs, sids = [], []
+    for gi, group in enumerate(groups):
+        words = [_substring(word, group) for _, word in obs.terms]
+        subs, sid = np.unique(words, return_inverse=True)
+        vecs.append(np.stack([cache.vector(gi, sub) for sub in subs]))
+        sids.append(sid.reshape(-1))
+
+    order = [q for g in groups for q in g]
+    n_a = sum(len(g) for g in groups[:split])
+    da, db = 2**n_a, 2 ** (n - n_a)
     if isinstance(state, PureState):
-        contract = lambda ops: _grouped_trace_pure(state.amplitudes, state.n, groups, ops)
+        psi = state.amplitudes.reshape((2,) * n).transpose(order).reshape(da, db)
+        bra = psi.conj().T
+        contract = lambda ops: (bra @ ops @ psi).reshape(len(ops), -1)
     else:
-        rho = state.density()
-        contract = lambda ops: _grouped_trace_density(rho.matrix, rho.n, groups, ops)
+        # rows (a'', a') and columns (b'', b') of rho[(a', b'), (a'', b'')]
+        col_axes = [n + q for q in order]
+        layout = col_axes[:n_a] + order[:n_a] + col_axes[n_a:] + order[n_a:]
+        rho = state.density().matrix.reshape((2,) * (2 * n)).transpose(layout)
+        rho = rho.reshape(da * da, db * db)
+        contract = lambda ops: ops.reshape(len(ops), -1) @ rho
 
-    effects = [frame.effects for frame in duals.frames]
-    ops: dict[tuple[int, str, str | None], np.ndarray] = {}
-
-    def moment(gi: int, sub_p: str, sub_q: str | None) -> np.ndarray:
-        """Group gi's operator for substring P, or for the pair (P, Q)."""
-        if sub_q is not None and sub_q < sub_p:
-            sub_p, sub_q = sub_q, sub_p
-        key = (gi, sub_p, sub_q)
-        if key not in ops:
-            tv = cache.vector(gi, sub_p)
-            if sub_q is not None:
-                tv = tv * cache.vector(gi, sub_q)
-            ops[key] = hermitian_stack(tv @ effects[gi])
-        return ops[key]
-
-    subs = [[_substring(word, g) for g in groups] for _, word in terms]
-    mean = 0.0
-    for (coeff, _), sp in zip(terms, subs):
-        mean += coeff * contract([moment(gi, p, None) for gi, p in enumerate(sp)])
-
-    second = 0.0
-    for i, (ci, _) in enumerate(terms):
-        for j in range(i, len(terms)):
-            cj = terms[j][0]
-            ops_ij = [moment(gi, p, q) for gi, (p, q) in enumerate(zip(subs[i], subs[j]))]
-            weight = ci * cj if i == j else 2.0 * ci * cj
-            second += weight * contract(ops_ij)
+    step = max(1, _SPLIT_ENTRIES // max(da * da, db * db))
+    mean = second = 0.0
+    for i, j in _entry_blocks(len(coeffs), max(1, _SPLIT_ENTRIES // len(groups))):
+        # group operators: Σ_m effect_m Tr[D_m P] for j = -1, else with Tr[D_m Q]
+        stacks, codes = [], np.empty((len(i), len(groups)), dtype=np.int64)
+        for gi, (vec, sid) in enumerate(zip(vecs, sids)):
+            p, q = sid[i], np.where(j < 0, -1, sid[j])
+            keys, codes[:, gi] = np.unique(
+                (np.minimum(p, q) + 1) * len(vec) + np.maximum(p, q), return_inverse=True
+            )
+            low, high = np.divmod(keys, len(vec))
+            w = vec[high] * np.where((low > 0)[:, None], vec[low - 1], 1.0)
+            stacks.append(hermitian_stack(w @ duals.frames[gi].effects))
+        a_rep, a_rank = _distinct_rows(codes[:, :split])
+        b_rep, b_rank = _distinct_rows(codes[:, split:])
+        entries = np.argsort(a_rank, kind="stable")
+        starts = np.searchsorted(a_rank[entries], np.arange(0, len(a_rep) + step, step))
+        values = np.empty(len(i))
+        for k, lo in enumerate(range(0, len(a_rep), step)):
+            rows = codes[a_rep[lo : lo + step], :split]
+            # Re Σ x·y is the real dot of x's (re, im) pairs with conj(y)'s
+            left = contract(_kron_rows(rows, stacks[:split])).view(np.float64)
+            for e in range(starts[k], starts[k + 1], step):
+                ent = entries[e : min(e + step, starts[k + 1])]
+                keys, b_inv = np.unique(b_rank[ent], return_inverse=True)
+                right = _kron_rows(codes[b_rep[keys], split:], stacks[split:])
+                right = right.conj().reshape(len(keys), -1).view(np.float64)
+                b_inv = b_inv.reshape(-1)
+                values[ent] = np.einsum("ij,ij->i", left[a_rank[ent] - lo], right[b_inv])
+        first = j < 0
+        mean += values[first] @ coeffs[i[first]]
+        i, j, values = i[~first], j[~first], values[~first]
+        second += values @ (np.where(i == j, 1.0, 2.0) * coeffs[i] * coeffs[j])
     return float(mean), float(second)
 
 

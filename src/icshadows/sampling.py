@@ -59,6 +59,12 @@ RECORD_BYTES_CAP = 1 << 32
 # sub-batch has ``_COLLAPSE_AMPLITUDES >> n`` shots, and no branch array
 # at any depth holds more than (shots x 2^n) amplitudes.
 _COLLAPSE_AMPLITUDES = 1 << 18
+# Pure states of fewer qubits collapse their chunks on one thread. Below
+# it a collapse step is a run of small numpy calls that a second thread
+# slows rather than overlaps: draw(workers=2) over two 65,536-shot chunks
+# ran at 0.74-0.94x the speed of workers=1 at 10-12 qubits and at
+# 0.99-1.12x at 13-14 (medians of 3-4 pairs, 2-CPU x86, one BLAS thread).
+_COLLAPSE_THREAD_QUBITS = 13
 # eigenvalues of a local effect at or below this count as zero rank
 _KRAUS_RANK_TOL = 1e-12
 
@@ -385,7 +391,9 @@ class SamplingPlan:
 
         S x n record bytes above ``RECORD_BYTES_CAP`` raise ``ValueError``
         before anything is allocated. At most one thread runs per chunk
-        and per CPU, however large ``workers`` is.
+        and per CPU, however large ``workers`` is, and one thread in all
+        for the prefix-tree collapse of a pure state of fewer than
+        ``_COLLAPSE_THREAD_QUBITS`` qubits, which a second thread slows.
         """
         if S * self.n > RECORD_BYTES_CAP:
             raise ValueError(
@@ -394,6 +402,8 @@ class SamplingPlan:
             )
         records = np.empty((S, self.n), dtype=np.uint8)
         spans = [(s, min(chunk, S - s)) for s in range(0, S, chunk)]
+        if self._pure is not None and self.n < _COLLAPSE_THREAD_QUBITS:
+            workers = 1
         workers = min(workers, len(spans), os.cpu_count() or 1)
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -15,6 +15,7 @@ from icshadows import (
 )
 from icshadows.algebra import hermitian_coords, hermitian_stack, kron_all, project_to_density
 from icshadows.correlations import _mutual_information
+from icshadows.estimation import _substring
 from icshadows.frames import (
     PRODUCT_QUBIT_CAP,
     PRODUCT_SWEEPS,
@@ -24,6 +25,7 @@ from icshadows.frames import (
     canonical_duals,
 )
 from icshadows.observables import PAULI_MATRICES
+from icshadows.states import PureState
 from icshadows.tomography import LAD_WINDOW, ReconstructionReport
 
 
@@ -439,3 +441,61 @@ def omega(shot, duals, obs, cache=None) -> float:
             val *= cache.vector(gi, "".join(word[q] for q in group))[code]
         total += val
     return float(total)
+
+
+def _grouped_trace_pure(amps: np.ndarray, n: int, groups, ops) -> float:
+    """<psi| (op_1 x op_2 x ...) |psi> with each op on its group's qubits."""
+    t = amps.reshape((2,) * n)
+    for group, op in zip(groups, ops):
+        k = len(group)
+        opt = op.reshape((2,) * (2 * k))
+        t = np.tensordot(opt, t, axes=(list(range(k, 2 * k)), list(group)))
+        t = np.moveaxis(t, range(k), group)
+    return float(np.vdot(amps, t.reshape(-1)).real)
+
+
+def _grouped_trace_density(rho: np.ndarray, n: int, groups, ops) -> float:
+    """Tr[rho (op_1 x op_2 x ...)] with each op on its group's qubits."""
+    t = rho.reshape((2,) * (2 * n))
+    labels = [("r", q) for q in range(n)] + [("c", q) for q in range(n)]
+    for group, op in zip(groups, ops):
+        k = len(group)
+        opt = op.reshape((2,) * (2 * k))
+        ax_t = [labels.index(("r", q)) for q in group] + [
+            labels.index(("c", q)) for q in group
+        ]
+        ax_o = list(range(k, 2 * k)) + list(range(k))
+        t = np.tensordot(t, opt, axes=(ax_t, ax_o))
+        for pos in sorted(ax_t, reverse=True):
+            del labels[pos]
+    return float(t.real)
+
+
+def pairwise_exact_moments(state, duals: GlobalDuals, obs: PauliObservable) -> tuple[float, float]:
+    """E[omega] and E[omega^2] with one full-state grouped trace per term and per term pair."""
+    groups = duals.partition.groups
+    cache = CoefficientCache(duals)
+    if isinstance(state, PureState):
+        contract = lambda ops: _grouped_trace_pure(state.amplitudes, state.n, groups, ops)
+    else:
+        rho = state.density()
+        contract = lambda ops: _grouped_trace_density(rho.matrix, rho.n, groups, ops)
+
+    def moment(gi, sub_p, sub_q):
+        tv = cache.vector(gi, sub_p)
+        if sub_q is not None:
+            tv = tv * cache.vector(gi, sub_q)
+        return hermitian_stack(tv @ duals.frames[gi].effects)
+
+    subs = [[_substring(word, g) for g in groups] for _, word in obs.terms]
+    mean = sum(
+        coeff * contract([moment(gi, p, None) for gi, p in enumerate(sp)])
+        for (coeff, _), sp in zip(obs.terms, subs)
+    )
+    second = 0.0
+    for i, (ci, _) in enumerate(obs.terms):
+        for j in range(i, len(obs.terms)):
+            cj = obs.terms[j][0]
+            ops_ij = [moment(gi, p, q) for gi, (p, q) in enumerate(zip(subs[i], subs[j]))]
+            second += (ci * cj if i == j else 2.0 * ci * cj) * contract(ops_ij)
+    return float(mean), float(second)

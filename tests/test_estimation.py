@@ -35,13 +35,13 @@ from icshadows.observables import PAULI_MATRICES
 from icshadows.povm import outcome_probabilities
 
 from .conftest import grouped_product_state, random_density, random_pure, sic4
-from .oracles import einsum_traces, omega
+from .oracles import einsum_traces, omega, pairwise_exact_moments
 
 
 def estimator_paths(monkeypatch):
     """Run a loop body on the outcome-table path, then on the fallback.
 
-    The fallback (per-term shot loop, per-pair exact moments) is what
+    The fallback (per-term shot loop, half-split exact moments) is what
     runs above the joint-tensor limit; forcing the limit to 0 selects it
     at any size, so each path checks the other.
     """
@@ -360,6 +360,79 @@ def test_outcome_table_matches_fallback(label, kind, monkeypatch):
         got[path] = (*exact_moments(state, povm, duals, obs), rep.mean, rep.sample_variance)
     assert got["table"] == pytest.approx(got["fallback"], rel=1e-10, abs=1e-12)
     assert got["table"][0] == pytest.approx(exact_expectation(state, obs), abs=1e-10)
+
+
+SPLIT_CASES = {
+    "pure-10": (Partition(((0, 3, 5, 7), (1, 2), (4,), (6, 8, 9))), "pure"),
+    "density-9": (Partition(((0, 3, 5), (1, 2), (4, 7), (6, 8))), "density"),
+}
+
+
+@pytest.mark.parametrize("budget", [None, 1 << 11])
+@pytest.mark.parametrize("label", sorted(SPLIT_CASES))
+def test_split_moments_match_pairwise_grouped_traces(label, budget, monkeypatch):
+    # above the limit: distinct half operators, one contraction per A key;
+    # the small budget splits the pairs into several blocks
+    if budget is not None:
+        monkeypatch.setattr(estimation, "_SPLIT_ENTRIES", budget)
+    partition, kind = SPLIT_CASES[label]
+    rng = np.random.default_rng(15)
+    state = _random_state(kind, partition.n, rng)
+    povm = pauli6_product(partition.n)
+    duals = _optimal_global(state, partition)
+    obs = _random_observable(rng, partition.n, 30)
+    got = exact_moments(state, povm, duals, obs)
+    want = pairwise_exact_moments(state, duals, obs)
+    assert got == pytest.approx(want, rel=1e-10)
+
+
+DEGENERATE_SPLITS = {
+    "one-group": Partition(((0, 1, 2),)),  # half A is empty
+    "two-groups": Partition(((1,), (0, 2))),
+}
+DEGENERATE_OBSERVABLES = {
+    "single-term": [(0.7, "XYZ")],
+    "identity-only": [(-1.3, "III")],
+    "identity-and-word": [(0.4, "III"), (1.1, "ZIX")],
+}
+
+
+@pytest.mark.parametrize("kind", ["pure", "density"])
+@pytest.mark.parametrize("obs_label", sorted(DEGENERATE_OBSERVABLES))
+@pytest.mark.parametrize("part_label", sorted(DEGENERATE_SPLITS))
+def test_split_kernels_on_degenerate_splits(part_label, obs_label, kind, monkeypatch):
+    partition = DEGENERATE_SPLITS[part_label]
+    rng = np.random.default_rng(17)
+    state = _random_state(kind, 3, rng)
+    povm = pauli6_product(3)
+    duals = _optimal_global(state, partition)
+    obs = PauliObservable.from_terms(DEGENERATE_OBSERVABLES[obs_label])
+    ds = sample_shots(state, povm, 500, seed=2)
+    want_omega = np.array([omega(shot, duals, obs) for shot in ds.records])
+    want = pairwise_exact_moments(state, duals, obs)
+    for _ in estimator_paths(monkeypatch):
+        assert exact_moments(state, povm, duals, obs) == pytest.approx(want, rel=1e-10, abs=1e-12)
+        rep = estimate(ds, duals, obs)
+        assert rep.mean == pytest.approx(want_omega.mean(), rel=1e-12, abs=1e-12)
+        assert rep.sample_variance == pytest.approx(want_omega.var(), rel=1e-10, abs=1e-12)
+
+
+def test_split_moments_memory_does_not_grow_with_term_pairs():
+    # 16x the term pairs; the split kernel works in chunks of bounded size
+    import tracemalloc
+
+    rng = np.random.default_rng(18)
+    state = random_pure(rng, 10)
+    povm = pauli6_product(10)
+    duals = canonical_global(povm)
+    peaks = {}
+    for n_terms in (40, 160):
+        obs = _random_observable(rng, 10, n_terms)
+        tracemalloc.start()
+        exact_moments(state, povm, duals, obs)
+        peaks[n_terms] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peaks[160] < 4 * peaks[40], peaks
 
 
 def test_rmse_experiment_reproducible(povm2, canonical2):

@@ -580,6 +580,25 @@ def test_draw_clamps_workers_to_chunks_and_cpus(monkeypatch, workers, cpus, S, c
     assert got.records.tobytes() == plan.draw(S, seed=5).records.tobytes()
 
 
+@pytest.mark.parametrize("n", [10, sampling._COLLAPSE_THREAD_QUBITS])
+def test_collapse_threads_only_from_the_qubit_threshold(n, monkeypatch):
+    # above the limit a pure state is collapsed down the prefix tree, where a
+    # second thread costs time below the threshold; records never depend on it
+    pools = []
+    pool_class = sampling.ThreadPoolExecutor
+
+    def counted_pool(*args, **kwargs):
+        pools.append(kwargs.get("max_workers"))
+        return pool_class(*args, **kwargs)
+
+    plan = SamplingPlan(random_pure(np.random.default_rng(8), n), pauli6_product(n))
+    want = plan.draw(40, seed=9, chunk=10).records.tobytes()
+    monkeypatch.setattr(sampling, "ThreadPoolExecutor", counted_pool)
+    monkeypatch.setattr(sampling.os, "cpu_count", lambda: 4)
+    assert plan.draw(40, seed=9, workers=2, chunk=10).records.tobytes() == want
+    assert pools == ([] if n < sampling._COLLAPSE_THREAD_QUBITS else [2])
+
+
 def test_plan_looks_up_the_povm_identifier_once(monkeypatch):
     calls = []
     identifier = ProductPOVM.identifier
