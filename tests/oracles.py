@@ -1,10 +1,11 @@
 """Reference implementations that the library's fast paths are checked against."""
 
+import functools
+
 import numpy as np
 import scipy.linalg
 
 from icshadows import (
-    CoefficientCache,
     DensityMatrix,
     MIGraph,
     Partition,
@@ -426,19 +427,24 @@ def greedy_partition_loop(ds, k):
     return Partition(tuple(groups), max_size=k)
 
 
-def omega(shot, duals, obs, cache=None) -> float:
-    """Single-shot estimate of one shot: sum over terms of products of group traces."""
+def dense_trace_vector(frame, sub) -> np.ndarray:
+    """Tr[D_m P] of every dual of a frame with the Pauli word ``sub``, from dense matrices."""
+    pauli = kron_all(PAULI_MATRICES[ch] for ch in sub)
+    return einsum_traces(hermitian_stack(frame.duals), pauli).real
+
+
+def omega(shot, duals, obs) -> float:
+    """Single-shot estimate of one shot: sum over terms of products of dense group traces."""
     shot = np.asarray(shot)
-    if cache is None:
-        cache = CoefficientCache(duals)
     total = 0.0
     for coeff, word in obs.terms:
         val = coeff
-        for gi, group in enumerate(duals.partition.groups):
+        for frame, group in zip(duals.frames, duals.partition.groups):
+            d = int(round(frame.outcomes ** (1.0 / len(group))))
             code = 0
             for q in group:
-                code = code * cache.d + int(shot[q])
-            val *= cache.vector(gi, "".join(word[q] for q in group))[code]
+                code = code * d + int(shot[q])
+            val *= dense_trace_vector(frame, _substring(word, group))[code]
         total += val
     return float(total)
 
@@ -474,17 +480,20 @@ def _grouped_trace_density(rho: np.ndarray, n: int, groups, ops) -> float:
 def pairwise_exact_moments(state, duals: GlobalDuals, obs: PauliObservable) -> tuple[float, float]:
     """E[omega] and E[omega^2] with one full-state grouped trace per term and per term pair."""
     groups = duals.partition.groups
-    cache = CoefficientCache(duals)
     if isinstance(state, PureState):
         contract = lambda ops: _grouped_trace_pure(state.amplitudes, state.n, groups, ops)
     else:
         rho = state.density()
         contract = lambda ops: _grouped_trace_density(rho.matrix, rho.n, groups, ops)
 
+    @functools.lru_cache(maxsize=None)
+    def trace_vector(gi, sub):
+        return dense_trace_vector(duals.frames[gi], sub)
+
     def moment(gi, sub_p, sub_q):
-        tv = cache.vector(gi, sub_p)
+        tv = trace_vector(gi, sub_p)
         if sub_q is not None:
-            tv = tv * cache.vector(gi, sub_q)
+            tv = tv * trace_vector(gi, sub_q)
         return hermitian_stack(tv @ duals.frames[gi].effects)
 
     subs = [[_substring(word, g) for g in groups] for _, word in obs.terms]

@@ -14,12 +14,14 @@ from icshadows import (
     ProductPOVM,
     bell_pair_chain,
     bell_state,
+    bundled_hamiltonian,
     canonical_global,
     estimate,
     exact_expectation,
     exact_moments,
     exact_variance,
     ghz_state,
+    ground_state,
     maximally_mixed,
     optimal_duals,
     pauli6,
@@ -29,13 +31,12 @@ from icshadows import (
     sample_shots,
 )
 from icshadows import estimation, sampling
-from icshadows.algebra import hermitian_stack, kron_all
+from icshadows.algebra import hermitian_stack
 from icshadows.frames import GlobalDuals
-from icshadows.observables import PAULI_MATRICES
 from icshadows.povm import outcome_probabilities
 
 from .conftest import grouped_product_state, random_density, random_pure, sic4
-from .oracles import einsum_traces, omega, pairwise_exact_moments
+from .oracles import dense_trace_vector, einsum_traces, omega, pairwise_exact_moments
 
 
 def estimator_paths(monkeypatch):
@@ -102,12 +103,12 @@ def test_omega_closed_forms(canonical2):
 
 
 def test_omega_cache_matches_uncached(canonical2):
+    # the cached layout's outcome table against the dense per-shot oracle
     obs = PauliObservable.from_terms([(0.7, "XZ"), (-0.2, "YI")])
-    cache = CoefficientCache(canonical2)
+    table, order = CoefficientCache(canonical2).table(obs)
+    assert order == [0, 1]
     for shot in [(0, 0), (3, 4), (5, 2)]:
-        assert omega(shot, canonical2, obs, cache) == pytest.approx(
-            omega(shot, canonical2, obs)
-        )
+        assert table[shot] == pytest.approx(omega(shot, canonical2, obs), rel=1e-12, abs=1e-12)
 
 
 def test_estimate_is_population_statistics(canonical2, povm2, monkeypatch):
@@ -134,6 +135,27 @@ def test_estimate_variance_survives_large_identity_offset(canonical2, povm2, mon
         want = estimate(ds, canonical2, base).sample_variance
         got = estimate(ds, canonical2, shifted).sample_variance
         assert got == pytest.approx(want, rel=1e-6)
+
+
+def _offset_case(label):
+    if label == "bell-zz":
+        return bell_state(), PauliObservable.single("ZZ")
+    h2 = bundled_hamiltonian("h2_631g_8q.txt")
+    return ground_state(h2)[1], h2
+
+
+@pytest.mark.parametrize("offset, rel", [(1e5, 1e-10), (1e7, 1e-9)])
+@pytest.mark.parametrize("label", ["bell-zz", "h2-8q"])
+def test_exact_variance_survives_large_identity_offset(label, offset, rel):
+    # canonical duals score the identity to within about 1e-15 of 1, so on
+    # the table route the offset leaves the variance unchanged to those
+    # digits; E[w^2] - E[w]^2 at w ~ 1e7 keeps only about 1e-2 relative
+    state, obs = _offset_case(label)
+    povm = pauli6_product(obs.n)
+    duals = canonical_global(povm)
+    want = exact_variance(state, povm, duals, obs)
+    shifted = PauliObservable.from_terms(list(obs.terms) + [(offset, "I" * obs.n)])
+    assert exact_variance(state, povm, duals, shifted) == pytest.approx(want, rel=rel)
 
 
 def test_estimate_validates_inputs(canonical2, povm2):
@@ -374,7 +396,7 @@ def test_split_moments_match_pairwise_grouped_traces(label, budget, monkeypatch)
     # above the limit: distinct half operators, one contraction per A key;
     # the small budget splits the pairs into several blocks
     if budget is not None:
-        monkeypatch.setattr(estimation, "_SPLIT_ENTRIES", budget)
+        monkeypatch.setattr(estimation, "_SPLIT_BYTES", budget)
     partition, kind = SPLIT_CASES[label]
     rng = np.random.default_rng(15)
     state = _random_state(kind, partition.n, rng)
@@ -384,6 +406,45 @@ def test_split_moments_match_pairwise_grouped_traces(label, budget, monkeypatch)
     got = exact_moments(state, povm, duals, obs)
     want = pairwise_exact_moments(state, duals, obs)
     assert got == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("budget, keys_per_chunk", [(1 << 15, 1), (1 << 16, 2)])
+@pytest.mark.parametrize("kind", ["pure", "density"])
+def test_split_moments_across_chunk_boundaries(kind, budget, keys_per_chunk, monkeypatch):
+    # terms that are the identity on half A share one A tuple, so their pair
+    # key meets more M_B2 than one run of entries holds, and the small budget
+    # spreads the A keys over many chunks
+    monkeypatch.setattr(estimation, "_SPLIT_BYTES", budget)
+    partition = SPLIT_CASES["density-9"][0]
+    rng = np.random.default_rng(19)
+    state = _random_state(kind, 9, rng)
+    povm = pauli6_product(9)
+    duals = _optimal_global(state, partition)
+    words = ["".join(rng.choice(list("IXYZ"), size=9)) for _ in range(36)]
+    words = ["".join("I" if q in (0, 1, 2, 3, 5) and t % 2 else ch for q, ch in enumerate(w))
+             for t, w in enumerate(words)]
+    obs = PauliObservable.from_terms(list(zip(rng.normal(size=len(words)), words)))
+
+    parts, chunks = [], []
+    part_keys, kron_rows = estimation._part_keys, estimation._kron_rows
+
+    def part_spy(*args):
+        parts.append(part_keys(*args))
+        return parts[-1]
+
+    def kron_spy(rows, stacks):
+        if parts and stacks is parts[0][2]:
+            chunks.append([len(rows), 0])  # an A chunk of len(rows) keys
+        elif len(parts) == 3 and stacks is parts[2][2]:
+            chunks[-1][1] += 1  # one run of M_B2 in it
+        return kron_rows(rows, stacks)
+
+    monkeypatch.setattr(estimation, "_part_keys", part_spy)
+    monkeypatch.setattr(estimation, "_kron_rows", kron_spy)
+    got = exact_moments(state, povm, duals, obs)
+    assert len(chunks) > 1
+    assert any(keys == keys_per_chunk and runs > 1 for keys, runs in chunks), chunks
+    assert got == pytest.approx(pairwise_exact_moments(state, duals, obs), rel=1e-10)
 
 
 DEGENERATE_SPLITS = {
@@ -477,13 +538,14 @@ def test_exact_variance_above_density_cap_fails_before_dense_build(monkeypatch):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_coefficient_vectors_match_dense_traces(k):
-    # the cache takes Tr[D_m P] from coordinates; the dense complex product is the reference
+    # the layout takes Tr[D_m P] from coordinates; the dense complex product is the reference
     group = tuple(range(k))
     rho = DensityMatrix(k, random_density(np.random.default_rng(k), 2**k))
     frame = optimal_duals(rho, pauli6_product(k).group_effects(group), group=group)
-    cache = CoefficientCache(GlobalDuals(Partition((group,)), (frame,)))
-    for letters in itertools.product("IXYZ", repeat=k):
-        sub = "".join(letters)
-        pauli = kron_all(PAULI_MATRICES[ch] for ch in sub)
-        want = einsum_traces(hermitian_stack(frame.duals), pauli).real
-        assert np.abs(cache.vector(0, sub) - want).max() <= 1e-12 * np.abs(want).max()
+    words = ["".join(letters) for letters in itertools.product("IXYZ", repeat=k)]
+    obs = PauliObservable.from_terms([(1.0, word) for word in words])
+    [(sid, vec)] = CoefficientCache(GlobalDuals(Partition((group,)), (frame,))).layout(obs)
+    assert len(vec) == len(words)
+    for t, word in enumerate(words):
+        want = dense_trace_vector(frame, word)
+        assert np.abs(vec[sid[t]] - want).max() <= 1e-12 * np.abs(want).max()
