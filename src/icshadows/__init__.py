@@ -1,6 +1,6 @@
 """Observable estimation with overcomplete local POVMs and optimized duals."""
 
-from .algebra import partial_trace, project_to_density
+from .algebra import project_to_density
 from .correlations import (
     MIGraph,
     edge_order_partition,

@@ -29,9 +29,7 @@ __all__ = [
     "hermitian_coords",
     "hermitian_stack",
     "stack_asymmetry",
-    "kron_all",
     "kron_coords",
-    "partial_trace",
     "project_to_density",
     "simplex_project",
 ]
@@ -40,23 +38,15 @@ __all__ = [
 HERMITICITY_TOL = 1e-9
 
 
-def hermitianize(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def hermitianize(a: np.ndarray) -> np.ndarray:
     """Return (A + A^dag)/2, rejecting matrices that are not nearly Hermitian."""
     a = np.asarray(a, dtype=complex)
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     asym = np.abs(a - a.conj().T).max() if a.size else 0.0
-    if not asym <= tol:
-        raise ValueError(f"matrix is not Hermitian within {tol:g} (asymmetry {asym:g})")
+    if not asym <= HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian within {HERMITICITY_TOL:g} (asymmetry {asym:g})")
     return 0.5 * (a + a.conj().T)
-
-
-def kron_all(ops) -> np.ndarray:
-    """Tensor product of a sequence of operators, left to right."""
-    out = np.array([[1.0 + 0.0j]])
-    for op in ops:
-        out = np.kron(out, np.asarray(op, dtype=complex))
-    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -150,34 +140,6 @@ def stack_asymmetry(stack: np.ndarray) -> float:
         np.abs(re - re.transpose(0, 2, 1)).max(initial=0.0),
         np.abs(im + im.transpose(0, 2, 1)).max(initial=0.0),
     ))
-
-
-def partial_trace(op: np.ndarray, keep, n: int | None = None) -> np.ndarray:
-    """Trace out all qubits not listed in ``keep``.
-
-    Parameters
-    ----------
-    op : (2^n, 2^n) array
-    keep : iterable of qubit indices to retain, in any order; the result
-        acts on them in ascending-index order.
-    n : qubit count; inferred from the matrix dimension when omitted.
-    """
-    op = np.asarray(op, dtype=complex)
-    if n is None:
-        n = int(round(np.log2(op.shape[0])))
-    if op.shape != (2**n, 2**n):
-        raise ValueError("operator dimension is not 2^n")
-    keep = sorted(set(int(q) for q in keep))
-    if keep and (keep[0] < 0 or keep[-1] >= n):
-        raise ValueError("keep indices out of range")
-    drop = [q for q in range(n) if q not in keep]
-    t = op.reshape((2,) * (2 * n))
-    for offset, q in enumerate(drop):
-        # axes shift left as traced pairs disappear
-        ax = q - offset
-        t = np.trace(t, axis1=ax, axis2=ax + n - offset)
-    d = 2 ** len(keep)
-    return t.reshape(d, d)
 
 
 def simplex_project(values: np.ndarray) -> np.ndarray:

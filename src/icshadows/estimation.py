@@ -28,7 +28,7 @@ from .frames import DUALITY_TOL, GlobalDuals
 from .observables import PAULI_MATRICES, PauliObservable
 from .povm import ProductPOVM
 from .sampling import Dataset, SamplingPlan, flat_codes, joint_probabilities, sample_shots
-from .states import BlockProductState, DensityMatrix, PureState
+from .states import BlockProductState, DensityMatrix, PureState, density_tensor
 
 __all__ = [
     "EstimateReport",
@@ -231,7 +231,11 @@ def exact_moments(
     it, per term pair each group contributes the operator Σ_m effect_m
     Tr[D_m P] Tr[D_m Q] (the first moment: without Q), and the moment is
     the state's expectation of their tensor product, taken for every term
-    and pair in one pass of :func:`_split_moments`. Both read the trace
+    and pair in one pass of :func:`_split_moments`. A state other than a
+    pure one is read through its density tensor
+    (:func:`~icshadows.states.density_tensor`), which a block-product
+    state builds from its blocks without a validated register-wide
+    ``DensityMatrix``. Both read the trace
     vectors from one layout and require each frame's effects to be the
     POVM's on its group (within ``DUALITY_TOL``), so they compute the same
     thing, and unbiasedness is measured rather than assumed. The pair also
@@ -330,8 +334,9 @@ def _split_moments(state, duals: GlobalDuals, obs: PauliObservable, layout):
     again by the same rule; each part keys its operators by term tuples
     (:func:`_part_keys`), and :func:`_entries` lists the entries once, in
     order of A key. With Ψ the amplitudes in group order as a ``2^|A| x
-    2^|B|`` matrix, an A key's contraction L is ``Ψ^† M_A Ψ`` (ρ contracted
-    over A with M_A for a density matrix), and an entry's value the form
+    2^|B|`` matrix, an A key's contraction L is ``Ψ^† M_A Ψ`` (for any
+    other state, its density tensor laid out as rows (a'', a') and columns
+    (b'', b') contracted over A with M_A), and an entry's value the form
     M_B1^T L M_B2: one GEMM of L with the distinct M_B2, then a short dot
     per entry, never building M_B. A keys go in chunks, and a chunk's
     entries in runs of M_B2, each array family near ``_SPLIT_BYTES``. The
@@ -355,9 +360,8 @@ def _split_moments(state, duals: GlobalDuals, obs: PauliObservable, layout):
         contract = lambda ops: bra @ ops @ psi
     else:
         # rows (a'', a') and columns (b'', b') of rho[(a', b'), (a'', b'')]
-        col_axes = [n + q for q in order]
-        layout_axes = col_axes[:n_a] + order[:n_a] + col_axes[n_a:] + order[n_a:]
-        rho = state.density().matrix.reshape((2,) * (2 * n)).transpose(layout_axes).reshape(da * da, -1)
+        halves = (order[:n_a], order[n_a:])
+        rho = density_tensor(state, [(q, side) for half in halves for side in (1, 0) for q in half]).reshape(da * da, -1)
         contract = lambda ops: ops.reshape(len(ops), -1) @ rho
 
     # bytes per A key of a chunk (M_A, Ψ^† M_A, L, L relaid), and per entry

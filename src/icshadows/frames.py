@@ -297,7 +297,6 @@ def klo_duals(
     k: int = 4,
     backend=None,
     partitioner=greedy_partition,
-    povm: ProductPOVM | None = None,
     floor: float = PROBABILITY_FLOOR,
 ) -> GlobalDuals:
     """Per-group optimal duals learned from shot data.
@@ -312,10 +311,9 @@ def klo_duals(
 
     if ds.S == 0:
         raise ValueError("empty dataset")
-    if povm is None:
-        if ds.povm_id != "pauli6":
-            raise ValueError("dataset does not declare a known POVM; pass one explicitly")
-        povm = pauli6_product(ds.n)
+    if ds.povm_id != "pauli6":
+        raise ValueError("dataset does not declare a known POVM")
+    povm = pauli6_product(ds.n)
     if backend is None:
         backend = ConstrainedLAD()
     if isinstance(partitioner, Partition):

@@ -13,15 +13,16 @@ outcome per level, by comparing its threshold with its row. One kernel
 builds that tensor, one batched matrix product per qubit from the last
 to the first: a pure state measured by rank-1 local effects (Pauli-6,
 SIC-4) contracts its 2^n amplitudes with each qubit's Kraus rows and
-squares the moduli, and any other state contracts its 4^n density
-matrix (``state.density()``) with the vectorized effects.
-:func:`joint_probabilities` is the one public entry point to that kernel,
-for a group's marginal and for the whole register's tensor alike (the
-exact moments reshape its flat result). Pure states above the limit are
-collapsed qubit by qubit down a prefix tree: at depth q the shots of a
-batch share one branch state per distinct outcome prefix, so the work
-is about ``sum_q min(S, d^q) 2^(n-q)`` amplitudes instead of
-``S n d 2^n``. Chunks are collapsed in fixed sub-batches of
+squares the moduli, and anything else (another state, a subgroup, a
+block of a block product) contracts the 4^k density tensor of its
+qubits (:func:`~icshadows.states.density_tensor`) with the vectorized
+effects. :func:`joint_probabilities` is the one public entry point to
+that kernel, for a group's marginal and for the whole register's tensor
+alike (the exact moments reshape its flat result). Pure states above
+the limit are collapsed qubit by qubit down a prefix tree: at depth q
+the shots of a batch share one branch state per distinct outcome
+prefix, so the work is about ``sum_q min(S, d^q) 2^(n-q)`` amplitudes
+instead of ``S n d 2^n``. Chunks are collapsed in fixed sub-batches of
 ``_COLLAPSE_AMPLITUDES >> n`` shots, which bounds the live branch states
 by a few times ``_COLLAPSE_AMPLITUDES`` amplitudes however large S or the
 chunk is.
@@ -37,7 +38,7 @@ import numpy as np
 
 from .partition import Partition
 from .povm import ProductPOVM
-from .states import BlockProductState, DensityMatrix, PureState, reduced_density
+from .states import BlockProductState, DensityMatrix, PureState, density_tensor
 
 __all__ = [
     "Dataset",
@@ -128,25 +129,24 @@ def shot_uniforms(seed: int, start: int, count: int, n: int) -> np.ndarray:
 
 
 def _born_tensor(state, povm: ProductPOVM, qubits) -> np.ndarray:
-    """Born tensor of a pure or density state, axis i measured on ``qubits[i]``.
+    """Born tensor of the state's ``qubits``, axis i measured on ``qubits[i]``.
 
-    A pure state whose local effects all have rank 1 contracts its
-    amplitudes with each qubit's Kraus row ``k_m`` (``E_m = k_m^H k_m``),
-    and each probability is ``|amplitude|^2``. Any other state contracts
-    its ``density()``, each qubit's row and column index side by side,
-    with the effects vectorized to match (``E_m[c, r]`` at index ``2r + c``),
-    and keeps the real part clipped at 0.
+    A pure state measured whole, in qubit order, by local effects that all
+    have rank 1 contracts its amplitudes with each qubit's Kraus row
+    ``k_m`` (``E_m = k_m^H k_m``), and each probability is
+    ``|amplitude|^2``. Anything else contracts the density tensor of
+    ``qubits`` (:func:`~icshadows.states.density_tensor`), each qubit's row
+    and column axis side by side, with the effects vectorized to match
+    (``E_m[c, r]`` at index ``2r + c``), and keeps the real part clipped at 0.
     """
     qubits = list(qubits)
-    if isinstance(state, PureState):
+    if isinstance(state, PureState) and qubits == list(range(state.n)):
         factors = [_kraus_factors(povm.locals[q].effects) for q in qubits]
         if all(f.shape[1] == 1 for f in factors):
             return _contract_levels(state.amplitudes, [f[:, 0] for f in factors], squared=True)
-    k = len(qubits)
-    rho = state.density().matrix.reshape((2,) * (2 * k))
-    pairs = [ax for q in range(k) for ax in (q, k + q)]
+    rho = density_tensor(state, [(q, side) for q in qubits for side in (0, 1)])
     rows = [povm.locals[q].effects.transpose(0, 2, 1).reshape(-1, 4) for q in qubits]
-    return _contract_levels(rho.transpose(pairs).reshape(-1), rows, squared=False)
+    return _contract_levels(rho.reshape(-1), rows, squared=False)
 
 
 def _contract_levels(vec: np.ndarray, rows, squared: bool) -> np.ndarray:
@@ -185,10 +185,10 @@ def joint_probabilities(state, povm: ProductPOVM, group) -> np.ndarray:
     """Exact Born probabilities of a group's joint outcome, flat row-major.
 
     The flat index runs over the group's listed order, matching the
-    layout of :func:`marginal_counts` on a sampled dataset. A group that
-    covers the whole register measures the state itself, so a pure state
-    takes the amplitude route and no density matrix is built; any other
-    group measures the group's reduced density matrix.
+    layout of :func:`marginal_counts` on a sampled dataset. A pure state
+    measured whole by rank-1 effects takes the amplitude route; anything
+    else is measured on the density tensor of the group's qubits, so no
+    density matrix is built or validated on the way.
     """
     group = [int(q) for q in group]
     if len(set(group)) != len(group):
@@ -196,8 +196,7 @@ def joint_probabilities(state, povm: ProductPOVM, group) -> np.ndarray:
     if len(group) > MARGINAL_GROUP_CAP:
         raise ValueError(f"group larger than the cap {MARGINAL_GROUP_CAP}")
     srt = sorted(group)
-    whole = srt == list(range(state.n))
-    t = _born_tensor(state if whole else reduced_density(state, srt), povm, srt)
+    t = _born_tensor(state, povm, srt)
     perm = [srt.index(q) for q in group]
     return t.transpose(perm).reshape(-1)
 
@@ -362,10 +361,10 @@ class SamplingPlan:
         self._pure = None  # (amplitudes, effects, Kraus factors) above the limit
         self._blocks = []  # (columns, walk tables) per block
         if isinstance(state, BlockProductState):
-            for g, b in zip(state.partition.groups, state.blocks):
-                if b.n > JOINT_TENSOR_QUBIT_LIMIT:
+            for g in state.partition.groups:
+                if len(g) > JOINT_TENSOR_QUBIT_LIMIT:
                     raise ValueError("block too large for the joint-tensor sampler")
-                self._blocks.append((list(g), _walk_tables(_born_tensor(b, povm, g))))
+                self._blocks.append((list(g), _walk_tables(_born_tensor(state, povm, g))))
         elif isinstance(state, (PureState, DensityMatrix)) and n <= JOINT_TENSOR_QUBIT_LIMIT:
             self._blocks = [(slice(None), _walk_tables(_born_tensor(state, povm, range(n))))]
         elif isinstance(state, PureState):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg
 
-from .algebra import hermitianize, kron_all, partial_trace
+from .algebra import hermitianize
 from .observables import PauliObservable
 from .partition import Partition
 
@@ -22,6 +22,7 @@ __all__ = [
     "BlockProductState",
     "STATEVECTOR_CAP",
     "DENSITY_CAP",
+    "density_tensor",
     "reduced_density",
     "ground_state",
     "bell_state",
@@ -31,7 +32,6 @@ __all__ = [
     "toy_mixed",
     "toy_pure",
     "bell_pair_chain",
-    "reorder_qubits",
 ]
 
 STATEVECTOR_CAP = 14
@@ -62,9 +62,7 @@ class PureState:
         self.amplitudes.setflags(write=False)
 
     def density(self) -> "DensityMatrix":
-        if self.n > DENSITY_CAP:
-            raise ValueError("too many qubits for a dense density matrix")
-        return DensityMatrix(self.n, np.outer(self.amplitudes, self.amplitudes.conj()))
+        return reduced_density(self, range(self.n))
 
 
 @dataclass(frozen=True)
@@ -73,8 +71,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        if self.n > DENSITY_CAP:
-            raise ValueError(f"{self.n} qubits exceeds the density cap")
+        _check_density_cap(self.n)
         mat = hermitianize(np.asarray(self.matrix, dtype=complex))
         if mat.shape != (2**self.n, 2**self.n):
             raise ValueError("matrix dimension is not 2^n")
@@ -113,48 +110,59 @@ class BlockProductState:
         return reduced_density(self, range(self.n))
 
 
-def reorder_qubits(op: np.ndarray, current_order) -> np.ndarray:
-    """Permute an operator whose qubit axes follow ``current_order`` into
-    ascending label order."""
-    order = list(current_order)
-    n = len(order)
-    # axis i holds qubit order[i]; send it to position order[i]
-    perm = [0] * n
-    for pos, q in enumerate(order):
-        perm[q] = pos
-    t = op.reshape((2,) * (2 * n))
-    t = t.transpose([perm[i] for i in range(n)] + [n + perm[i] for i in range(n)])
-    return t.reshape(2**n, 2**n)
+def _check_density_cap(n: int) -> None:
+    if n > DENSITY_CAP:
+        raise ValueError(f"{n} qubits exceeds the density cap")
+
+
+def density_tensor(state, axes) -> np.ndarray:
+    """Density tensor of a pure, dense or block-product state on the listed axes.
+
+    ``axes`` lists ``(qubit, side)`` pairs, side 0 for the row index and 1
+    for the column index, and each listed qubit appears once with each
+    side. The result has one size-2 axis per pair, in the listed order;
+    every qubit not listed is traced out. The density cap is checked on
+    the listed qubits before anything is built. A pure state is one GEMM
+    of its amplitudes with their conjugate over the traced qubits;
+    a density matrix is one ``np.einsum`` of itself, a traced qubit's row
+    and column sharing a label; a block product is one ``np.einsum`` of its
+    blocks, each first reduced to its listed qubits, so no operand carries
+    more than 2 x ``DENSITY_CAP`` labels.
+    """
+    if not isinstance(state, (PureState, DensityMatrix, BlockProductState)):
+        raise TypeError(f"unsupported state type {type(state).__name__}")
+    axes = [(int(q), int(side)) for q, side in axes]
+    kept = sorted({q for q, _ in axes})
+    if sorted(axes) != [(q, side) for q in kept for side in (0, 1)]:
+        raise ValueError("each listed qubit needs one row axis and one column axis")
+    _check_density_cap(len(kept))
+    if kept and not (kept[0] >= 0 and kept[-1] < state.n):
+        raise ValueError("qubit index out of range")
+    if isinstance(state, PureState):
+        traced = [q for q in range(state.n) if q not in kept]
+        psi = state.amplitudes.reshape((2,) * state.n).transpose(kept + traced).reshape(2 ** len(kept), -1)
+        # the kept rows, then the kept columns, each in ascending order
+        t = (psi @ psi.conj().T).reshape((2,) * (2 * len(kept)))
+        return t.transpose([kept.index(q) + len(kept) * side for q, side in axes])
+    label = {ax: i for i, ax in enumerate(axes)}
+    out = list(range(len(axes)))
+    if isinstance(state, BlockProductState):
+        operands = []
+        for g, b in zip(state.partition.groups, state.blocks):
+            local = [(g.index(q), side) for q, side in axes if q in g]
+            if local:
+                operands += [density_tensor(b, local), [label[g[i], side] for i, side in local]]
+        return np.einsum(*operands, out) if operands else np.ones(())
+    # a traced qubit q carries label len(axes) + q on both sides
+    rows, cols = ([label.get((q, side), len(axes) + q) for q in range(state.n)] for side in (0, 1))
+    return np.einsum(state.matrix.reshape((2,) * (2 * state.n)), rows + cols, out)
 
 
 def reduced_density(state, group) -> DensityMatrix:
     """Reduced density matrix on ``group`` (ascending index order)."""
     group = sorted(int(q) for q in group)
-    if len(group) > DENSITY_CAP:
-        raise ValueError(f"{len(group)} qubits exceeds the density cap")
-    if isinstance(state, PureState):
-        rest = [q for q in range(state.n) if q not in group]
-        t = state.amplitudes.reshape((2,) * state.n)
-        t = t.transpose(group + rest).reshape(2 ** len(group), -1)
-        return DensityMatrix(len(group), t @ t.conj().T)
-    if isinstance(state, DensityMatrix):
-        return DensityMatrix(len(group), partial_trace(state.matrix, group, state.n))
-    if isinstance(state, BlockProductState):
-        pieces = []
-        qubit_order = []
-        for g, b in zip(state.partition.groups, state.blocks):
-            inter = [q for q in g if q in group]
-            if not inter:
-                continue
-            local = [g.index(q) for q in inter]
-            pieces.append(partial_trace(b.matrix, local, b.n))
-            qubit_order.extend(inter)
-        full = kron_all(pieces)
-        rank = {q: i for i, q in enumerate(sorted(qubit_order))}
-        return DensityMatrix(
-            len(group), reorder_qubits(full, [rank[q] for q in qubit_order])
-        )
-    raise TypeError(f"unsupported state type {type(state).__name__}")
+    t = density_tensor(state, [(q, 0) for q in group] + [(q, 1) for q in group])
+    return DensityMatrix(len(group), t.reshape(2 ** len(group), -1))
 
 
 def ground_state(obs: PauliObservable) -> tuple[float, PureState]:

@@ -3,6 +3,7 @@ import pytest
 
 from icshadows import (
     BlockProductState,
+    DensityMatrix,
     LocalPOVM,
     PureState,
     bundled_hamiltonian,
@@ -74,6 +75,25 @@ def sic4() -> LocalPOVM:
 def grouped_product_state(state, partition) -> BlockProductState:
     """Product of the state's reduced densities over the partition."""
     return BlockProductState(partition, tuple(reduced_density(state, g) for g in partition.groups))
+
+
+def refuse_dense_builds(monkeypatch) -> None:
+    """Fail the test if a block of a block-product state is built densely.
+
+    Every density tensor of a block product first reduces each block it
+    touches, a ``DensityMatrix``, through ``states.density_tensor``; the
+    spy raises on any such call and lets every other through.
+    """
+    from icshadows import states
+
+    build = states.density_tensor
+
+    def guarded(state, axes):
+        if isinstance(state, DensityMatrix):
+            raise AssertionError("dense build reached above the density cap")
+        return build(state, axes)
+
+    monkeypatch.setattr(states, "density_tensor", guarded)
 
 
 def anti_hermitian_duals(duals: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from icshadows import (
     pauli6_product,
     tomography,
 )
-from icshadows.algebra import hermitian_coords, hermitian_stack, kron_all, project_to_density
+from icshadows.algebra import hermitian_coords, hermitian_stack, project_to_density
 from icshadows.correlations import _mutual_information
 from icshadows.estimation import _substring
 from icshadows.frames import (
@@ -28,6 +28,56 @@ from icshadows.frames import (
 from icshadows.observables import PAULI_MATRICES
 from icshadows.states import PureState
 from icshadows.tomography import LAD_WINDOW, ReconstructionReport
+
+
+def kron_all(ops) -> np.ndarray:
+    """Tensor product of a sequence of operators, left to right."""
+    out = np.array([[1.0 + 0.0j]])
+    for op in ops:
+        out = np.kron(out, np.asarray(op, dtype=complex))
+    return out
+
+
+def partial_trace(op: np.ndarray, keep, n: int | None = None) -> np.ndarray:
+    """Trace out all qubits not listed in ``keep``.
+
+    Parameters
+    ----------
+    op : (2^n, 2^n) array
+    keep : iterable of qubit indices to retain, in any order; the result
+        acts on them in ascending-index order.
+    n : qubit count; inferred from the matrix dimension when omitted.
+    """
+    op = np.asarray(op, dtype=complex)
+    if n is None:
+        n = int(round(np.log2(op.shape[0])))
+    if op.shape != (2**n, 2**n):
+        raise ValueError("operator dimension is not 2^n")
+    keep = sorted(set(int(q) for q in keep))
+    if keep and (keep[0] < 0 or keep[-1] >= n):
+        raise ValueError("keep indices out of range")
+    drop = [q for q in range(n) if q not in keep]
+    t = op.reshape((2,) * (2 * n))
+    for offset, q in enumerate(drop):
+        # axes shift left as traced pairs disappear
+        ax = q - offset
+        t = np.trace(t, axis1=ax, axis2=ax + n - offset)
+    d = 2 ** len(keep)
+    return t.reshape(d, d)
+
+
+def reorder_qubits(op: np.ndarray, current_order) -> np.ndarray:
+    """Permute an operator whose qubit axes follow ``current_order`` into
+    ascending label order."""
+    order = list(current_order)
+    n = len(order)
+    # axis i holds qubit order[i]; send it to position order[i]
+    perm = [0] * n
+    for pos, q in enumerate(order):
+        perm[q] = pos
+    t = op.reshape((2,) * (2 * n))
+    t = t.transpose([perm[i] for i in range(n)] + [n + perm[i] for i in range(n)])
+    return t.reshape(2**n, 2**n)
 
 
 def same_bits(a, b) -> bool:

@@ -7,15 +7,22 @@ from icshadows.algebra import (
     hermitian_coords,
     hermitian_stack,
     hermitianize,
-    kron_all,
     kron_coords,
-    partial_trace,
     project_to_density,
     simplex_project,
 )
 
 from .conftest import random_density
-from .oracles import devectorize, einsum_sum, einsum_traces, kron_stacks, same_bits, vectorize
+from .oracles import (
+    devectorize,
+    einsum_sum,
+    einsum_traces,
+    kron_all,
+    kron_stacks,
+    partial_trace,
+    same_bits,
+    vectorize,
+)
 
 
 def test_hermitianize_symmetrizes_small_drift():

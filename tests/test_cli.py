@@ -6,14 +6,20 @@ import pytest
 from icshadows import (
     BlockProductState,
     DensityMatrix,
+    Partition,
     PureState,
     RunConfig,
+    canonical_global,
+    pauli6_product,
     read_dataset,
     read_duals,
     read_partition,
+    write_duals,
     write_partition,
 )
 from icshadows.cli import _config, build_parser, main, parse_state_spec
+
+from .conftest import refuse_dense_builds
 
 
 def run(argv):
@@ -255,12 +261,7 @@ def test_exact_variance_rejects_size_mismatch(tmp_path, capsys):
 
 
 def test_exact_variance_above_density_cap_exits_one(tmp_path, capsys, monkeypatch):
-    from icshadows import states
-
-    def dense_build(ops):
-        raise AssertionError("dense Kronecker build reached above the density cap")
-
-    monkeypatch.setattr(states, "kron_all", dense_build)
+    refuse_dense_builds(monkeypatch)
     ham = tmp_path / "zz50.txt"
     ham.write_text("1.0 ZZ" + "I" * 48 + "\n")
     assert run(["exact-variance", "bell-pairs-25", "--hamiltonian", ham]) == 1
@@ -283,16 +284,13 @@ def test_benchmark_table(tmp_path):
 
 
 def test_rmse_checks_the_density_cap_before_the_harness(tmp_path, capsys, monkeypatch):
-    from icshadows import cli, states
+    from icshadows import cli
 
     def harness(*args, **kwargs):
         raise AssertionError("the RMSE harness ran before the predicted RMSE")
 
-    def dense_build(ops):
-        raise AssertionError("dense Kronecker build reached above the density cap")
-
     monkeypatch.setattr(cli, "rmse_experiment", harness)
-    monkeypatch.setattr(states, "kron_all", dense_build)
+    refuse_dense_builds(monkeypatch)
     ham = tmp_path / "zz50.txt"
     ham.write_text("1.0 ZZ" + "I" * 48 + "\n")
     assert run(["rmse", "bell-pairs-25", "--hamiltonian", ham]) == 1
@@ -350,6 +348,30 @@ def test_cli_reports_errors_with_exit_one(tmp_path, capsys):
     assert run(["estimate", tmp_path / "missing.icsd",
                 "--hamiltonian", tmp_path / "missing.txt"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("case", ["duals-for-other-register", "partition-for-other-register",
+                                  "rdm-prefix-without-partition"])
+def test_mismatched_inputs_exit_one_with_an_error_line(tmp_path, capsys, case):
+    if case == "duals-for-other-register":
+        duals = tmp_path / "three.icdl"
+        write_duals(duals, canonical_global(pauli6_product(3)))
+        argv = ["exact-variance", "bell", "--hamiltonian", write_zz(tmp_path), "--duals", duals]
+        named = "duals are for 3 qubits, need 2"
+    elif case == "partition-for-other-register":
+        ds = tmp_path / "bell.icsd"
+        assert run(["sample", "bell", "-S", 100, "--out", ds]) == 0
+        part = tmp_path / "three.txt"
+        write_partition(part, Partition(((0, 1), (2,))))
+        argv = ["tomo", ds, "--partition", part, "--out-prefix", tmp_path / "rdm"]
+        named = "partition covers 3 qubits, dataset has 2"
+    else:
+        argv = ["duals", "--rdm-prefix", tmp_path / "rdm", "--out", tmp_path / "d.icdl"]
+        named = "--rdm-prefix requires --partition"
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {named}\n"
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

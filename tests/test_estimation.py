@@ -35,7 +35,7 @@ from icshadows.algebra import hermitian_stack
 from icshadows.frames import GlobalDuals
 from icshadows.povm import outcome_probabilities
 
-from .conftest import grouped_product_state, random_density, random_pure, sic4
+from .conftest import grouped_product_state, random_density, random_pure, refuse_dense_builds, sic4
 from .oracles import dense_trace_vector, einsum_traces, omega, pairwise_exact_moments
 
 
@@ -522,18 +522,38 @@ def test_rmse_tracks_predicted_scaling(povm2, canonical2):
 
 def test_exact_variance_above_density_cap_fails_before_dense_build(monkeypatch):
     # 50 qubits: a dense density matrix would need 16 EiB, so the cap must come first
-    from icshadows import states
-
-    def dense_build(ops):
-        raise AssertionError("dense Kronecker build reached above the density cap")
-
-    monkeypatch.setattr(states, "kron_all", dense_build)
+    refuse_dense_builds(monkeypatch)
     state = bell_pair_chain(25)
     povm = pauli6_product(50)
     obs = PauliObservable.from_terms([(1.0, "ZZ" + "I" * 48), (0.5, "I" * 48 + "XX")])
     with pytest.raises(ValueError, match="density cap"):
         exact_variance(state, povm, canonical_global(povm), obs)
 
+
+def test_block_product_moments_above_the_limit_build_no_register_density(monkeypatch):
+    chain = bell_pair_chain(5)  # 10 qubits: the split's density branch
+    povm = pauli6_product(10)
+    duals = canonical_global(povm)
+    obs = _random_observable(np.random.default_rng(41), 10, 12)
+    want = exact_moments(chain.density(), povm, duals, obs)
+    built = []
+    check = DensityMatrix.__post_init__
+
+    def spy(self):
+        built.append(self.n)
+        check(self)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", spy)
+    got = exact_moments(chain, povm, duals, obs)
+    assert built == []
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
+    assert got.variance == pytest.approx(want.variance, rel=1e-12)
+
+
+def test_coefficient_cache_rejects_mixed_outcome_counts():
+    duals = canonical_global(ProductPOVM((pauli6(), sic4())))
+    with pytest.raises(ValueError, match="groups disagree on the per-qubit outcome count"):
+        CoefficientCache(duals)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

@@ -397,6 +397,18 @@ def test_duals_format_errors(tmp_path):
         read_duals(bad)
 
 
+def test_read_duals_rejects_provenance_that_is_not_utf8(tmp_path):
+    gd = canonical_global(pauli6_product(1))
+    path = tmp_path / "frames.icdl"
+    write_duals(path, gd)
+    blob = path.read_bytes()
+    prov = gd.frames[0].provenance.encode()
+    at = blob.index(prov)
+    path.write_bytes(blob[:at] + b"\xff" * len(prov) + blob[at + len(prov):])
+    with pytest.raises(ValueError, match="provenance is not UTF-8"):
+        read_duals(path)
+
+
 def test_read_duals_rejects_nan_payload(tmp_path):
     gd = canonical_global(pauli6_product(2))
     path = tmp_path / "frames.icdl"

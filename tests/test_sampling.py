@@ -168,9 +168,9 @@ def test_joint_probabilities_of_the_whole_register_read_the_pure_state(monkeypat
     def refuse(*args):
         raise AssertionError("the whole register must not build a density matrix")
 
-    # neither the state's density() nor a reduced density matrix is built
+    # neither the state's density() nor a density tensor is built
     monkeypatch.setattr(PureState, "density", refuse)
-    monkeypatch.setattr(sampling, "reduced_density", refuse)
+    monkeypatch.setattr(sampling, "density_tensor", refuse)
     assert same_bits(joint_probabilities(psi, povm, range(n)), want)
     # in any listed order
     rev = joint_probabilities(psi, povm, range(n - 1, -1, -1)).reshape((6,) * n)
@@ -484,10 +484,10 @@ def test_born_kernel_matches_tensordot_oracle(n):
     groups = [tuple(sorted(int(q) for q in g)) for g in np.array_split(rng.permutation(n), 2)]
     groups = [g for g in groups if g]
     blocks = [DensityMatrix(len(g), random_density(rng, 2 ** len(g))) for g in groups]
+    chain = BlockProductState(Partition(tuple(groups)), tuple(blocks))
     for g, b in zip(groups, blocks):
         want = tensordot_joint_probabilities(b.matrix, povm, g)
-        assert np.abs(sampling._born_tensor(b, povm, g) - want).max() <= 1e-15
-    chain = BlockProductState(Partition(tuple(groups)), tuple(blocks))
+        assert np.abs(sampling._born_tensor(chain, povm, g) - want).max() <= 1e-15
     want = tensordot_joint_probabilities(chain.density().matrix, povm, range(n))
     got = joint_probabilities(chain, povm, range(n)).reshape(povm.dims)
     assert np.abs(got - want).max() <= 1e-15
@@ -612,3 +612,14 @@ def test_plan_looks_up_the_povm_identifier_once(monkeypatch):
     for seed in range(3):
         assert plan.draw(10, seed).povm_id == "pauli6"
     assert len(calls) == 1
+
+
+def test_sampling_plan_rejects_what_it_cannot_sample():
+    with pytest.raises(ValueError, match="uniform outcome count per qubit"):
+        SamplingPlan(bell_state(), ProductPOVM((pauli6(), sic4())))
+    nine = maximally_mixed(9)
+    chain = BlockProductState(Partition((tuple(range(9)),)), (nine,))
+    with pytest.raises(ValueError, match="block too large for the joint-tensor sampler"):
+        SamplingPlan(chain, pauli6_product(9))
+    with pytest.raises(ValueError, match="density matrices above the joint-tensor limit"):
+        SamplingPlan(nine, pauli6_product(9))

@@ -18,12 +18,19 @@ from icshadows import (
     toy_mixed,
     toy_pure,
 )
-from icshadows.algebra import partial_trace
 from icshadows.io import QUBIT_FIELD_MAX
-from icshadows.states import BELL_PAIRS_CAP, reorder_qubits
+from icshadows.states import BELL_PAIRS_CAP, density_tensor
 
-from .conftest import grouped_product_state, random_density
-from .oracles import kron_matrix, outcome_probability, same_bits, tfim_ring
+from .conftest import grouped_product_state, random_density, random_pure, refuse_dense_builds
+from .oracles import (
+    kron_all,
+    kron_matrix,
+    outcome_probability,
+    partial_trace,
+    reorder_qubits,
+    same_bits,
+    tfim_ring,
+)
 
 
 def test_pure_state_validation():
@@ -74,6 +81,22 @@ def test_product_state_characters():
         product_state("0q")
 
 
+def _state_kinds(rng):
+    """A pure, a dense and a block-product state of five qubits, each with
+    its full density matrix built by the oracles."""
+    psi = random_pure(rng, 5)
+    rho = DensityMatrix(5, random_density(rng, 32))
+    groups = ((0, 3), (1,), (2, 4))
+    blocks = tuple(DensityMatrix(len(g), random_density(rng, 2 ** len(g))) for g in groups)
+    chain = BlockProductState(Partition(groups), blocks)
+    chain_full = reorder_qubits(kron_all(b.matrix for b in blocks), [0, 3, 1, 2, 4])
+    return [
+        (psi, np.outer(psi.amplitudes, psi.amplitudes.conj())),
+        (rho, rho.matrix),
+        (chain, chain_full),
+    ]
+
+
 def test_reduced_density_matches_partial_trace():
     rng = np.random.default_rng(10)
     rho = random_density(rng, 8)
@@ -82,6 +105,11 @@ def test_reduced_density_matches_partial_trace():
         assert np.allclose(
             reduced_density(state, keep).matrix, partial_trace(rho, keep)
         )
+    # every state kind, groups given out of order
+    for state, full in _state_kinds(np.random.default_rng(14)):
+        for keep in ([0], [4, 0], [3, 1, 2], [2, 4, 0, 3], [4, 3, 2, 1, 0]):
+            got = reduced_density(state, keep).matrix
+            assert np.abs(got - partial_trace(full, keep)).max() <= 1e-12
 
 
 def test_reduced_density_of_pure_state():
@@ -98,6 +126,34 @@ def test_block_product_density_respects_qubit_labels():
     full = state.density().matrix
     assert np.allclose(partial_trace(full, [1]), b1.matrix, atol=1e-12)
     assert np.allclose(partial_trace(full, [0, 2]), b02.matrix, atol=1e-12)
+
+
+def test_density_tensor_axes_follow_the_listed_order():
+    for state, full in _state_kinds(np.random.default_rng(15)):
+        keep = [1, 3, 4]
+        axes = [(3, 1), (1, 0), (4, 0), (3, 0), (4, 1), (1, 1)]
+        # the oracle's reduced matrix has rows (1, 3, 4) then columns (1, 3, 4)
+        want = partial_trace(full, keep).reshape((2,) * 6)
+        want = want.transpose([3 * side + keep.index(q) for q, side in axes])
+        assert np.abs(density_tensor(state, axes) - want).max() <= 1e-12
+        assert density_tensor(state, []) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(TypeError, match="unsupported state type"):
+        density_tensor(np.eye(2), [])
+
+
+@pytest.mark.parametrize(
+    "axes, message",
+    [
+        ([(0, 0)], "one row axis and one column axis"),
+        ([(0, 0), (0, 0), (0, 1)], "one row axis and one column axis"),
+        ([(0, 0), (0, 2)], "one row axis and one column axis"),
+        ([(5, 0), (5, 1)], "out of range"),
+        ([(q, side) for q in range(13) for side in (0, 1)], "13 qubits exceeds the density cap"),
+    ],
+)
+def test_density_tensor_rejects_bad_axes(axes, message):
+    with pytest.raises(ValueError, match=message):
+        density_tensor(bell_pair_chain(7) if len(axes) > 24 else ghz_state(5), axes)
 
 
 def test_reorder_qubits_identity_when_sorted():
@@ -195,6 +251,11 @@ def test_ground_state_above_dense_limit_matches_oracle_eigh():
     assert abs(np.vdot(evecs[:, 0], psi.amplitudes)) >= 1 - 1e-10
 
 
+def test_ground_state_refuses_registers_above_its_cap():
+    with pytest.raises(ValueError, match="13 qubits exceeds the dense ground-state cap 12"):
+        ground_state(PauliObservable.single("Z" * 13))
+
+
 def test_ground_state_above_dense_limit_is_reproducible():
     obs = tfim_ring(9, seed=3)
     first, second = ground_state(obs), ground_state(obs)
@@ -209,7 +270,7 @@ def test_density_cap_checked_before_any_dense_work(monkeypatch):
         raise AssertionError("dense work reached above the density cap")
 
     chain = bell_pair_chain(7)  # 14 qubits
-    monkeypatch.setattr(states, "kron_all", dense_build)
+    refuse_dense_builds(monkeypatch)
     monkeypatch.setattr(states, "hermitianize", dense_build)
     with pytest.raises(ValueError, match="density cap"):
         chain.density()
