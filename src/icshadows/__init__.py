@@ -26,7 +26,6 @@ from .frames import (
     canonical_global,
     duality_residual,
     duals_from_weights,
-    klo_duals,
     optimal_duals,
     optimal_global,
     optimize_product_duals,
@@ -82,6 +81,7 @@ from .tomography import (
     FrequencyBias,
     LinearInversionPSD,
     ReconstructionReport,
+    klo_duals,
     linear_inversion,
     reconstruct,
 )

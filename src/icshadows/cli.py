@@ -15,7 +15,7 @@ import numpy as np
 
 from .correlations import PARTITIONERS, mi_graph, resolve_partitioner
 from .estimation import estimate, exact_variance, rmse_experiment
-from .frames import canonical_global, klo_duals, optimal_global, optimize_product_duals, state_mse
+from .frames import canonical_global, optimal_global, optimize_product_duals, state_mse
 from .io import (
     BACKENDS,
     RunConfig,
@@ -44,7 +44,7 @@ from .states import (
     toy_mixed,
     toy_pure,
 )
-from .tomography import reconstruct
+from .tomography import klo_duals, reconstruct
 
 STATE_SPEC_HELP = (
     "state spec: bell | ghz-N | bell-pairs-P (P pairs, 2P qubits) | "

@@ -173,7 +173,7 @@ def greedy_partition(ds: Dataset, k: int) -> Partition:
         groups.append(tuple(sorted(group)))
     for q in sorted(unassigned):
         groups.append((q,))
-    return Partition(tuple(groups), max_size=k)
+    return Partition(tuple(groups))
 
 
 def naive_partition(n: int, k: int) -> Partition:
@@ -183,7 +183,7 @@ def naive_partition(n: int, k: int) -> Partition:
     groups = tuple(
         tuple(range(s, min(s + k, n))) for s in range(0, n, k)
     )
-    return Partition(groups, max_size=k)
+    return Partition(groups)
 
 
 def node_order_partition(g: MIGraph, k: int) -> Partition:
@@ -205,7 +205,7 @@ def node_order_partition(g: MIGraph, k: int) -> Partition:
             group.append(pick)
             unassigned.remove(pick)
         groups.append(tuple(sorted(group)))
-    return Partition(tuple(groups), max_size=k)
+    return Partition(tuple(groups))
 
 
 def edge_order_partition(g: MIGraph, k: int) -> Partition:
@@ -244,7 +244,7 @@ def edge_order_partition(g: MIGraph, k: int) -> Partition:
     for q in range(g.n):
         members.setdefault(find(q), []).append(q)
     groups = sorted(tuple(sorted(v)) for v in members.values())
-    return Partition(tuple(groups), max_size=k)
+    return Partition(tuple(groups))
 
 
 # partitioners by name, each ``(dataset, k) -> Partition``; the first is the
@@ -258,11 +258,8 @@ PARTITIONERS = {
 }
 
 
-def resolve_partitioner(spec):
+def resolve_partitioner(name: str):
     """Map a partitioner name to a callable ``(dataset, k) -> Partition``."""
-    if callable(spec):
-        return spec
-    name = str(spec)
     if name not in PARTITIONERS:
         raise ValueError(f"unknown partitioner {name!r}")
     return PARTITIONERS[name]

@@ -42,8 +42,8 @@ __all__ = [
 
 PAIR_CAP = 10**6
 
-# Bytes of each family of transient arrays of the split exact moments;
-# its chunks are sized from the part dimensions to stay near this.
+# Bytes of each family of transient arrays of the split exact moments of a
+# pure state; its chunks are sized from the part dimensions to stay near this.
 _SPLIT_BYTES = 1 << 18
 
 _PAULIS = np.stack([PAULI_MATRICES[ch] for ch in "IXYZ"])
@@ -326,6 +326,12 @@ def _entries(parts, coeffs):
     return keys, weight[order]
 
 
+def _split_budget(rho) -> int:
+    """Bytes of each transient array family of a split chunk: ``_SPLIT_BYTES``
+    for a pure state (``rho`` None), half the density tensor read otherwise."""
+    return _SPLIT_BYTES if rho is None else rho.nbytes // 2
+
+
 def _split_moments(state, duals: GlobalDuals, obs: PauliObservable, layout):
     """E[omega] and E[omega^2] above the joint-tensor limit, part by part.
 
@@ -339,7 +345,9 @@ def _split_moments(state, duals: GlobalDuals, obs: PauliObservable, layout):
     (b'', b') contracted over A with M_A), and an entry's value the form
     M_B1^T L M_B2: one GEMM of L with the distinct M_B2, then a short dot
     per entry, never building M_B. A keys go in chunks, and a chunk's
-    entries in runs of M_B2, each array family near ``_SPLIT_BYTES``. The
+    entries in runs of M_B2, each array family near ``_SPLIT_BYTES`` for a
+    pure state and near half the density tensor's size otherwise, so that a
+    chunk reads the tensor once for many A keys. The
     variance from these moments cancels under a large identity offset;
     centring needs Tr[D_m] = 1 exactly, which the duals do not guarantee.
     """
@@ -358,16 +366,18 @@ def _split_moments(state, duals: GlobalDuals, obs: PauliObservable, layout):
         psi = state.amplitudes.reshape((2,) * n).transpose(order).reshape(da, db)
         bra = psi.conj().T
         contract = lambda ops: bra @ ops @ psi
+        budget = _split_budget(None)
     else:
         # rows (a'', a') and columns (b'', b') of rho[(a', b'), (a'', b'')]
         halves = (order[:n_a], order[n_a:])
         rho = density_tensor(state, [(q, side) for half in halves for side in (1, 0) for q in half]).reshape(da * da, -1)
         contract = lambda ops: ops.reshape(len(ops), -1) @ rho
+        budget = _split_budget(rho)
 
     # bytes per A key of a chunk (M_A, Ψ^† M_A, L, L relaid), and per entry
     # of a run (its M_B1 and form, a new M_B2 and its forms with the chunk)
-    a_step = max(1, _SPLIT_BYTES // (16 * (da * da + da * db + 2 * db * db)))
-    e_step = max(1, _SPLIT_BYTES // (16 * (2 * d1 * d1 + d2 * d2 + a_step * d1 * d1)))
+    a_step = max(1, budget // (16 * (da * da + da * db + 2 * db * db)))
+    e_step = max(1, budget // (16 * (2 * d1 * d1 + d2 * d2 + a_step * d1 * d1)))
     values = np.zeros(len(a_index))
     bounds = np.searchsorted(a_key, np.arange(0, len(values) + a_step, a_step))
     for k, a0 in enumerate(range(0, len(values), a_step)):

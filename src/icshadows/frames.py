@@ -19,10 +19,10 @@ the form :meth:`~icshadows.povm.ProductPOVM.group_effects` returns: every
 frame is Hermitian by construction, and the frame equation is solved and
 checked over the reals. The map is unitary on Hermitian operators, so
 singular values, frame conditioning and Frobenius norms carry over
-unchanged. The coordinates would drop an anti-Hermitian part, so a complex
-``(M, dim, dim)`` stack given to :class:`DualFrame`,
-:func:`duals_from_weights` or :func:`duality_residual` is checked finite
-and Hermitian and converted once, where it enters.
+unchanged. :class:`DualFrame`, :func:`duals_from_weights`,
+:func:`duality_residual` and :func:`optimal_duals` take these coordinates
+only; a complex stack from outside the program is converted where it
+enters (:func:`~icshadows.io.read_duals`).
 """
 
 from __future__ import annotations
@@ -32,11 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import hermitian_coords, hermitianize, stack_asymmetry
-from .correlations import greedy_partition, resolve_partitioner
+from .algebra import hermitianize
 from .partition import Partition
 from .povm import ProductPOVM, outcome_probabilities, pauli6_product
-from .sampling import Dataset, marginal_counts
 from .states import DensityMatrix
 
 __all__ = [
@@ -50,7 +48,6 @@ __all__ = [
     "canonical_global",
     "optimal_duals",
     "optimal_global",
-    "klo_duals",
     "state_mse",
     "optimize_product_duals",
 ]
@@ -67,9 +64,8 @@ PRODUCT_QUBIT_CAP = 4
 class DualFrame:
     """Dual operators for one group's effects, validated at construction.
 
-    ``effects`` and ``duals`` are real ``(M, dim^2)`` coordinates (complex
-    stacks are converted, see the module docstring) that satisfy the
-    duality identity to within ``DUALITY_TOL``, checked once by
+    ``effects`` and ``duals`` are real ``(M, dim^2)`` coordinates that
+    satisfy the duality identity to within ``DUALITY_TOL``, checked once by
     :func:`duality_residual`: the unbiasedness certificate for any
     estimator built on this frame. The frame holds them read-only: a
     read-only input is kept as it is, and a writeable one is copied, so
@@ -131,26 +127,13 @@ class GlobalDuals:
         return tags.pop() if len(tags) == 1 else "mixed"
 
 
-def _coordinates(stack, name: str) -> np.ndarray:
-    """Real ``(M, dim^2)`` coordinates as they are, or those of a complex
-    ``(M, dim, dim)`` stack checked finite and Hermitian (largest entry of
-    |A - A^dag| at most ``DUALITY_TOL``)."""
-    stack = np.asarray(stack)
-    if stack.ndim == 2 and not np.iscomplexobj(stack):
-        if math.isqrt(stack.shape[1]) ** 2 == stack.shape[1]:
-            return stack.astype(float, copy=False)
-    elif stack.ndim == 3 and stack.shape[1] == stack.shape[2]:
-        if not np.isfinite(stack).all():
-            raise ValueError(f"{name} must be finite")
-        asym = stack_asymmetry(stack)
-        if not asym <= DUALITY_TOL:
-            raise ValueError(
-                f"{name} are not Hermitian (asymmetry {asym:.3e} exceeds {DUALITY_TOL})"
-            )
-        coords = hermitian_coords(stack)
-        coords.setflags(write=False)  # fresh, so a DualFrame need not copy it
-        return coords
-    raise ValueError(f"{name} must be real (M, dim^2) coordinates or an (M, dim, dim) stack")
+def _coordinates(coords, name: str) -> np.ndarray:
+    """``coords`` as real ``(M, dim^2)`` Hermitian coordinates, or ``ValueError``."""
+    coords = np.asarray(coords)
+    square = coords.ndim == 2 and math.isqrt(coords.shape[1]) ** 2 == coords.shape[1]
+    if not square or np.iscomplexobj(coords):
+        raise ValueError(f"{name} must be real (M, dim^2) coordinates")
+    return coords.astype(float, copy=False)
 
 
 def duality_residual(duals: np.ndarray, effects: np.ndarray) -> float:
@@ -160,7 +143,7 @@ def duality_residual(duals: np.ndarray, effects: np.ndarray) -> float:
     frame superoperator is the real matrix Xᵀ A, unitarily similar to the
     complex one, so this is also the complex matrix's Frobenius norm and
     bounds its largest entry from above. Non-finite entries raise
-    ``ValueError``, and so does a complex stack that is not Hermitian.
+    ``ValueError``.
     """
     X, A = _coordinates(duals, "duals"), _coordinates(effects, "effects")
     if not (np.isfinite(X).all() and np.isfinite(A).all()):
@@ -175,7 +158,7 @@ def duality_residual(duals: np.ndarray, effects: np.ndarray) -> float:
 def duals_from_weights(
     effects: np.ndarray,
     weights,
-    group=None,
+    group,
     provenance: str = "custom",
 ) -> DualFrame:
     """Solve the weighted frame equation for the dual operators.
@@ -206,8 +189,6 @@ def duals_from_weights(
             "frame operator is singular or ill-conditioned; "
             "the effect set is not informationally complete under these weights"
         )
-    if group is None:
-        group = range(int(round(np.log2(dim2) / 2)))
     duals = ((root * U) / s) @ Vh
     duals.setflags(write=False)  # fresh, so the frame keeps it without a copy
     return DualFrame(group=tuple(group), effects=effects, duals=duals, provenance=provenance)
@@ -223,7 +204,7 @@ def canonical_weights(effects: np.ndarray) -> np.ndarray:
     return 1.0 / traces
 
 
-def canonical_duals(effects: np.ndarray, group=None) -> DualFrame:
+def canonical_duals(effects: np.ndarray, group) -> DualFrame:
     return duals_from_weights(
         effects, canonical_weights(effects), group=group, provenance="canonical"
     )
@@ -244,8 +225,8 @@ def canonical_global(povm: ProductPOVM, partition: Partition | None = None) -> G
 def optimal_duals(
     sigma,
     effects: np.ndarray,
+    group,
     floor: float = PROBABILITY_FLOOR,
-    group=None,
     provenance: str = "optimal",
 ) -> DualFrame:
     """Variance-minimizing duals from a state or an outcome-probability vector.
@@ -286,42 +267,10 @@ def optimal_global(
     """Optimal duals per group, from one state or probability vector per
     group in partition order (the counterpart of :func:`canonical_global`)."""
     frames = tuple(
-        optimal_duals(sigma, povm.group_effects(g), floor=floor, group=g, provenance=provenance)
+        optimal_duals(sigma, povm.group_effects(g), g, floor=floor, provenance=provenance)
         for g, sigma in zip(partition.groups, sigmas, strict=True)
     )
     return GlobalDuals(partition=partition, frames=frames)
-
-
-def klo_duals(
-    ds: Dataset,
-    k: int = 4,
-    backend=None,
-    partitioner=greedy_partition,
-    floor: float = PROBABILITY_FLOOR,
-) -> GlobalDuals:
-    """Per-group optimal duals learned from shot data.
-
-    Pipeline: partition the qubits, histogram each group's outcomes,
-    reconstruct each group state with the tomography backend, and invert
-    the predicted probabilities into weights. ``partitioner`` is a name
-    from ``correlations.PARTITIONERS``, a callable ``(dataset, k) ->
-    Partition``, or an explicit Partition.
-    """
-    from .tomography import ConstrainedLAD, reconstruct
-
-    if ds.S == 0:
-        raise ValueError("empty dataset")
-    if ds.povm_id != "pauli6":
-        raise ValueError("dataset does not declare a known POVM")
-    povm = pauli6_product(ds.n)
-    if backend is None:
-        backend = ConstrainedLAD()
-    if isinstance(partitioner, Partition):
-        partition = partitioner
-    else:
-        partition = resolve_partitioner(partitioner)(ds, k)
-    sigmas = (reconstruct(marginal_counts(ds, g), povm, backend)[0] for g in partition.groups)
-    return optimal_global(partition, sigmas, povm, floor, f"klo-{type(backend).__name__}")
 
 
 def _tr2(duals: np.ndarray) -> np.ndarray:
@@ -329,29 +278,24 @@ def _tr2(duals: np.ndarray) -> np.ndarray:
     return np.einsum("ma,ma->m", duals, duals)
 
 
-def state_mse(duals, probabilities, rho) -> float:
+def state_mse(duals: GlobalDuals, probabilities, rho) -> float:
     """Mean squared Frobenius error of the single-shot state estimator.
 
-    Accepts one DualFrame with that group's outcome probabilities, or a
-    GlobalDuals with joint probabilities over the full outcome space,
-    row-major over ascending qubit index in both cases.
+    ``probabilities`` are the joint outcome probabilities over the full
+    outcome space, row-major over ascending qubit index, whatever the
+    order of the partition's groups.
     """
     probabilities = np.asarray(probabilities, dtype=float)
     rho_mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
     purity = np.einsum("ab,ba->", rho_mat, rho_mat).real
-    if isinstance(duals, DualFrame):
-        tr2 = _tr2(duals.duals)
-    else:
-        tr2 = np.ones(1)
-        for frame in duals.frames:
-            tr2 = np.multiply.outer(tr2, _tr2(frame.duals)).reshape(-1)
-        order = [q for g in duals.partition.groups for q in g]
-        if order != sorted(order):
-            k0 = len(duals.partition.groups[0])
-            d = int(round(duals.frames[0].outcomes ** (1.0 / k0)))
-            probabilities = (
-                probabilities.reshape((d,) * len(order)).transpose(order).reshape(-1)
-            )
+    tr2 = np.ones(1)
+    for frame in duals.frames:
+        tr2 = np.multiply.outer(tr2, _tr2(frame.duals)).reshape(-1)
+    order = [q for g in duals.partition.groups for q in g]
+    if order != sorted(order):
+        k0 = len(duals.partition.groups[0])
+        d = int(round(duals.frames[0].outcomes ** (1.0 / k0)))
+        probabilities = probabilities.reshape((d,) * len(order)).transpose(order).reshape(-1)
     if probabilities.shape != tr2.shape:
         raise ValueError("probability vector does not match the outcome space")
     return float(probabilities @ tr2 - purity)

@@ -19,9 +19,9 @@ from importlib import resources
 
 import numpy as np
 
-from .algebra import hermitian_stack
+from .algebra import hermitian_coords, hermitian_stack, stack_asymmetry
 from .correlations import PARTITIONERS
-from .frames import PROBABILITY_FLOOR, DualFrame, GlobalDuals
+from .frames import DUALITY_TOL, PROBABILITY_FLOOR, DualFrame, GlobalDuals
 from .observables import PauliObservable
 from .partition import Partition
 from .povm import pauli6_product
@@ -276,19 +276,24 @@ def read_duals(path) -> GlobalDuals:
                 prov = take(prov_len).decode()
             except UnicodeDecodeError:
                 raise ValueError("provenance is not UTF-8") from None
-            # the complex stack is checked Hermitian and converted by DualFrame
-            duals = np.frombuffer(take(outcomes * dim * dim * 16), dtype=np.complex128)
-            frames.append(
-                DualFrame(
-                    group=group,
-                    effects=povm.group_effects(group),
-                    duals=duals.reshape(outcomes, dim, dim),
-                    provenance=prov,
+            stack = np.frombuffer(take(outcomes * dim * dim * 16), dtype=np.complex128)
+            stack = stack.reshape(outcomes, dim, dim)
+            # the real coordinates would drop an anti-Hermitian part unseen
+            if not np.isfinite(stack).all():
+                raise ValueError("duals must be finite")
+            asym = stack_asymmetry(stack)
+            if not asym <= DUALITY_TOL:
+                raise ValueError(
+                    f"duals are not Hermitian (asymmetry {asym:.3e} exceeds {DUALITY_TOL})"
                 )
-            )
+            duals = hermitian_coords(stack)
+            duals.setflags(write=False)  # fresh, so the frame keeps it without a copy
+            frames.append(DualFrame(group, povm.group_effects(group), duals, prov))
         if offset != len(blob):
             raise ValueError("trailing bytes after duals payload")
         partition = Partition(tuple(frame.group for frame in frames))
+        if partition.n != n:
+            raise ValueError(f"groups cover {partition.n} of the {n} qubits")
         return GlobalDuals(partition=partition, frames=tuple(frames))
 
 

@@ -99,8 +99,8 @@ class PauliObservable:
         return cls(n=len(terms[0][1]), terms=tuple(terms))
 
     @classmethod
-    def single(cls, word: str, coeff: float = 1.0) -> "PauliObservable":
-        return cls(n=len(word), terms=((coeff, word),))
+    def single(cls, word: str) -> "PauliObservable":
+        return cls(n=len(word), terms=((1.0, word),))
 
     def without_identity(self) -> "PauliObservable":
         """Drop terms whose word is all-identity."""

@@ -12,12 +12,10 @@ class Partition:
     """Disjoint, covering groups of qubit indices.
 
     Groups keep their construction order; indices inside a group are
-    strictly ascending. ``max_size`` documents the k the partition was
-    built for and is validated when provided.
+    strictly ascending.
     """
 
     groups: tuple[tuple[int, ...], ...]
-    max_size: int | None = None
 
     def __post_init__(self):
         groups = tuple(tuple(int(q) for q in g) for g in self.groups)
@@ -30,8 +28,6 @@ class Partition:
             if seen.intersection(g):
                 raise ValueError("groups overlap")
             seen.update(g)
-            if self.max_size is not None and len(g) > self.max_size:
-                raise ValueError(f"group {g} exceeds size {self.max_size}")
         if seen != set(range(len(seen))):
             raise ValueError("groups do not cover 0..n-1 contiguously")
         object.__setattr__(self, "groups", groups)
@@ -42,11 +38,11 @@ class Partition:
 
     @classmethod
     def singletons(cls, n: int) -> "Partition":
-        return cls(tuple((q,) for q in range(n)), max_size=1)
+        return cls(tuple((q,) for q in range(n)))
 
     @classmethod
     def single_group(cls, n: int) -> "Partition":
-        return cls((tuple(range(n)),), max_size=n)
+        return cls((tuple(range(n)),))
 
     def as_sets(self) -> set[frozenset[int]]:
         return {frozenset(g) for g in self.groups}

@@ -39,9 +39,7 @@ STACK_CACHE_BYTES = 32 * 2**20
 
 
 def completeness_rank(effects) -> int:
-    """Rank of the stacked vectorized effects; 4 means informationally complete."""
-    if isinstance(effects, LocalPOVM):
-        effects = effects.effects
+    """Rank of a ``(d, 2, 2)`` effect array, vectorized; 4 means informationally complete."""
     stack = np.asarray(effects, dtype=complex).reshape(len(effects), -1)
     return int(np.linalg.matrix_rank(stack, tol=1e-10))
 

@@ -258,6 +258,6 @@ def toy_pure(q: float) -> PureState:
 def bell_pair_chain(pairs: int) -> BlockProductState:
     """Independent Bell pairs on qubits (0,1), (2,3), ..."""
     _check_size(2 * pairs, 2 * BELL_PAIRS_CAP, "Bell-pair chain")
-    part = Partition(tuple((2 * i, 2 * i + 1) for i in range(pairs)), max_size=2)
+    part = Partition(tuple((2 * i, 2 * i + 1) for i in range(pairs)))
     bell = bell_state().density()
     return BlockProductState(part, (bell,) * pairs)

@@ -1,10 +1,12 @@
-"""Group-state reconstruction from outcome histograms.
+"""Group-state reconstruction from outcome histograms, and the k-local
+duals learned from it.
 
 Three backends with different bias/effort trade-offs: raw frequencies
 mixed toward uniform (no state, probability vector only), linear
 inversion snapped to the closest density matrix, and a least-absolute-
 deviation fit over the density-matrix set by projected subgradient
-descent. All are deterministic.
+descent. All are deterministic. :func:`klo_duals` drives
+:func:`reconstruct` once per group of a partition of a dataset.
 
 Effects and duals are real coordinate matrices (:mod:`icshadows.algebra`),
 so every contraction with them is one real product: predicted
@@ -22,9 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import hermitian_stack, kron_coords, project_to_density
-from .frames import canonical_duals, DualFrame
-from .povm import ProductPOVM, outcome_probabilities
-from .sampling import MarginalTable
+from .correlations import resolve_partitioner
+from .frames import PROBABILITY_FLOOR, GlobalDuals, canonical_duals, optimal_global
+from .partition import Partition
+from .povm import ProductPOVM, outcome_probabilities, pauli6_product
+from .sampling import Dataset, MarginalTable, marginal_counts
 from .states import DensityMatrix
 
 __all__ = [
@@ -34,6 +38,7 @@ __all__ = [
     "ReconstructionReport",
     "linear_inversion",
     "reconstruct",
+    "klo_duals",
 ]
 
 DIMENSION_CAP = 16
@@ -81,16 +86,17 @@ class ReconstructionReport:
             raise ValueError("residual must be non-negative")
 
 
-def linear_inversion(mt: MarginalTable, duals) -> np.ndarray:
+def linear_inversion(mt: MarginalTable, duals: np.ndarray) -> np.ndarray:
     """Frequency-weighted dual sum; Hermitian and unit trace but not PSD.
 
-    ``duals`` is a DualFrame or a real ``(M, dim^2)`` coordinate matrix.
+    ``duals`` is a real ``(M, dim^2)`` coordinate matrix, such as a
+    frame's ``DualFrame.duals``.
     """
-    coords = duals.duals if isinstance(duals, DualFrame) else np.asarray(duals)
+    duals = np.asarray(duals)
     f = mt.frequencies
-    if coords.shape[0] != f.shape[0]:
+    if duals.shape[0] != f.shape[0]:
         raise ValueError("dual count does not match the outcome count")
-    return hermitian_stack(f @ coords)
+    return hermitian_stack(f @ duals)
 
 
 def _residual(f: np.ndarray, probs: np.ndarray) -> float:
@@ -132,7 +138,8 @@ def reconstruct(mt: MarginalTable, povm: ProductPOVM, backend):
     for q in group:
         local = povm.locals[q]
         if id(local) not in solved:
-            solved[id(local)] = hermitian_stack(canonical_duals(povm.group_effects((q,))).duals)
+            frame = canonical_duals(povm.group_effects((q,)), (q,))
+            solved[id(local)] = hermitian_stack(frame.duals)
     start = kron_coords([solved[id(povm.locals[q])] for q in group])
     init = project_to_density(linear_inversion(mt, start))
     n = len(group)
@@ -173,3 +180,32 @@ def reconstruct(mt: MarginalTable, povm: ProductPOVM, backend):
 
     raise TypeError(f"unknown backend {type(backend).__name__}")
 
+
+def klo_duals(
+    ds: Dataset,
+    k: int = 4,
+    backend=None,
+    partitioner="greedy",
+    floor: float = PROBABILITY_FLOOR,
+) -> GlobalDuals:
+    """Per-group optimal duals learned from shot data.
+
+    Pipeline: partition the qubits, histogram each group's outcomes,
+    reconstruct each group state with the tomography backend (LAD by
+    default), and invert the predicted probabilities into weights.
+    ``partitioner`` is a name from ``correlations.PARTITIONERS``, called
+    with ``(ds, k)``, or an explicit Partition, which ``k`` does not bound.
+    """
+    if ds.S == 0:
+        raise ValueError("empty dataset")
+    if ds.povm_id != "pauli6":
+        raise ValueError("dataset does not declare a known POVM")
+    povm = pauli6_product(ds.n)
+    if backend is None:
+        backend = ConstrainedLAD()
+    if isinstance(partitioner, Partition):
+        partition = partitioner
+    else:
+        partition = resolve_partitioner(partitioner)(ds, k)
+    sigmas = (reconstruct(marginal_counts(ds, g), povm, backend)[0] for g in partition.groups)
+    return optimal_global(partition, sigmas, povm, floor, f"klo-{type(backend).__name__}")

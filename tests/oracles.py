@@ -334,8 +334,8 @@ def null_space_product_duals(
             break
         prev = cur
     frames = tuple(
-        DualFrame(group=g, effects=e, duals=d, provenance="optimized-product")
-        for g, e, d in zip(groups, effects, sites)
+        DualFrame(group=g, effects=a, duals=hermitian_coords(d), provenance="optimized-product")
+        for g, a, d in zip(groups, coords, sites)
     )
     return GlobalDuals(partition=partition, frames=frames), prev, sweep
 
@@ -349,7 +349,7 @@ def lad_loop(mt, effects, backend):
     def residual(sigma):
         return float(np.abs(f - einsum_traces(effects, sigma).real).sum())
 
-    init = einsum_sum(f, hermitian_stack(canonical_duals(hermitian_coords(effects)).duals))
+    init = einsum_sum(f, hermitian_stack(canonical_duals(hermitian_coords(effects), mt.group).duals))
     sigma = project_to_density(0.5 * (init + init.conj().T))
     best = sigma
     best_r = residual(sigma)
@@ -474,7 +474,7 @@ def greedy_partition_loop(ds, k):
         groups.append(tuple(sorted(group)))
     for q in sorted(unassigned):
         groups.append((q,))
-    return Partition(tuple(groups), max_size=k)
+    return Partition(tuple(groups))
 
 
 def dense_trace_vector(frame, sub) -> np.ndarray:

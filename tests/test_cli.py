@@ -476,3 +476,42 @@ def test_memory_error_exits_one(tmp_path, capsys, monkeypatch):
     assert run(["sample", "bell", "-S", 10, "--out", tmp_path / "x.icsd"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory") and "1.82 TiB" in err
+
+
+# every integer a command line takes, in a flag or a state spec; rmse
+# --repetitions has no upper bound, so only its lower one is tested (above)
+INTEGER_ARGV = {
+    "sample --shots": ["sample", "bell", "--shots", "{v}", "--out", "{out}"],
+    "sample --seed": ["sample", "bell", "--shots", 10, "--seed", "{v}", "--out", "{out}"],
+    "ghz-N": ["sample", "ghz-{v}", "--shots", 10, "--out", "{out}"],
+    "max-mixed-N": ["sample", "max-mixed-{v}", "--shots", 10, "--out", "{out}"],
+    "bell-pairs-N": ["sample", "bell-pairs-{v}", "--shots", 10, "--out", "{out}"],
+    "partition --k": ["partition", "{ds}", "--k", "{v}", "--out", "{out}"],
+    "duals --k": ["duals", "--dataset", "{ds}", "--k", "{v}", "--out", "{out}"],
+    "duals --floor": ["duals", "--dataset", "{ds}", "--k", 1, "--floor", "{v}", "--out", "{out}"],
+    "benchmark --ks": ["benchmark", "--hamiltonian", "{ham}", "--shots", 100, "--ks", "{v}",
+                       "--out", "{out}"],
+    "benchmark --shots": ["benchmark", "--hamiltonian", "{ham}", "--shots", "{v}", "--ks", 1,
+                          "--out", "{out}"],
+    "rmse --shots": ["rmse", "bell", "--hamiltonian", "{ham}", "-R", 2, "--shots", "{v}",
+                     "--out", "{out}"],
+    "rmse --seed": ["rmse", "bell", "--hamiltonian", "{ham}", "-R", 2, "--shots", 10,
+                    "--seed", "{v}", "--out", "{out}"],
+    "tomo --S-bias": ["tomo", "{ds}", "--partition", "{part}", "--backend", "bias",
+                      "--S-bias", "{v}", "--out-prefix", "{out}"],
+}
+
+
+@pytest.mark.parametrize("value", [-1, 0, 10**15])
+@pytest.mark.parametrize("case", sorted(INTEGER_ARGV))
+def test_integer_arguments_exit_zero_or_one_without_a_traceback(tmp_path, capsys, case, value):
+    ds, part = tmp_path / "ds.icsd", tmp_path / "p.txt"
+    assert run(["sample", "bell", "-S", 50, "--seed", 1, "--out", ds]) == 0
+    write_partition(part, Partition.singletons(2))
+    paths = dict(ds=ds, part=part, ham=write_zz(tmp_path), out=tmp_path / "out")
+    argv = [str(a).format(v=value, **paths) for a in INTEGER_ARGV[case]]
+    capsys.readouterr()
+    status = run(argv)  # an uncaught exception fails the test with its traceback
+    err = capsys.readouterr().err
+    assert status in (0, 1), err
+    assert status == 0 or err.startswith("error:"), err

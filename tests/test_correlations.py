@@ -178,11 +178,25 @@ def test_resolve_partitioner_names_and_callable():
         assert resolve_partitioner(name)(ds, 2).as_sets() == pairs
     # naive ignores the MI: consecutive blocks
     assert resolve_partitioner("naive")(ds, 3).groups == ((0, 1, 2), (3,))
-    custom = resolve_partitioner(lambda s, k: naive_partition(4, k))
-    assert custom(ds, 2).groups == ((0, 1), (2, 3))
-    with pytest.raises(ValueError, match="unknown"):
-        resolve_partitioner("leiden")
+    # a name only: a callable is not looked up, nor called
+    for spec in ("leiden", lambda s, k: naive_partition(4, k)):
+        with pytest.raises(ValueError, match="unknown partitioner"):
+            resolve_partitioner(spec)
     empty = Dataset(n=4, d=6, S=0, records=np.zeros((0, 4), dtype=np.uint8), seed=0)
     for name in PARTITIONERS:
         with pytest.raises(ValueError, match="empty dataset"):
             resolve_partitioner(name)(empty, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 9),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_partitioner_keeps_groups_within_k(n, k, seed):
+    ds = Dataset(n=n, d=6, S=200, records=correlated_records(n, 200, 6, seed), seed=0)
+    for name in PARTITIONERS:
+        part = resolve_partitioner(name)(ds, k)
+        assert part.n == n
+        assert max(len(g) for g in part.groups) <= k, (name, part.groups)

@@ -394,7 +394,7 @@ SPLIT_CASES = {
 @pytest.mark.parametrize("label", sorted(SPLIT_CASES))
 def test_split_moments_match_pairwise_grouped_traces(label, budget, monkeypatch):
     # above the limit: distinct half operators, one contraction per A key;
-    # the small budget splits the pairs into several blocks
+    # the small budget splits a pure state's pairs into several blocks
     if budget is not None:
         monkeypatch.setattr(estimation, "_SPLIT_BYTES", budget)
     partition, kind = SPLIT_CASES[label]
@@ -408,13 +408,24 @@ def test_split_moments_match_pairwise_grouped_traces(label, budget, monkeypatch)
     assert got == pytest.approx(want, rel=1e-10)
 
 
-@pytest.mark.parametrize("budget, keys_per_chunk", [(1 << 15, 1), (1 << 16, 2)])
-@pytest.mark.parametrize("kind", ["pure", "density"])
+@pytest.mark.parametrize(
+    "kind, budget, keys_per_chunk",
+    [
+        ("pure", 1 << 15, 1),
+        ("pure", 1 << 16, 2),
+        ("density", 1 << 15, 1),
+        ("density", 1 << 16, 2),
+        ("density", None, 64),
+    ],
+)
 def test_split_moments_across_chunk_boundaries(kind, budget, keys_per_chunk, monkeypatch):
     # terms that are the identity on half A share one A tuple, so their pair
     # key meets more M_B2 than one run of entries holds, and the small budget
-    # spreads the A keys over many chunks
-    monkeypatch.setattr(estimation, "_SPLIT_BYTES", budget)
+    # spreads the A keys over many chunks. Unpatched, a density tensor sizes
+    # its own chunks: half its 2^22 bytes over 2^15 bytes per key of a 5 + 4
+    # qubit split
+    if budget is not None:
+        monkeypatch.setattr(estimation, "_split_budget", lambda rho: budget)
     partition = SPLIT_CASES["density-9"][0]
     rng = np.random.default_rng(19)
     state = _random_state(kind, 9, rng)

@@ -24,13 +24,15 @@ from icshadows import (
     optimize_product_duals,
     pauli6,
     pauli6_product,
+    read_duals,
     reduced_density,
     sample_shots,
     state_mse,
     toy_mixed,
     toy_pure,
+    write_duals,
 )
-from icshadows import frames
+from icshadows import frames, io
 from icshadows.algebra import hermitian_coords, hermitian_stack
 from icshadows.frames import DUALITY_TOL, canonical_weights
 from icshadows.tomography import ConstrainedLAD, FrequencyBias
@@ -57,14 +59,14 @@ def kets():
 
 
 def test_canonical_single_qubit_closed_form():
-    duals = hermitian_stack(canonical_duals(pauli6_product(1).group_effects((0,))).duals)
+    duals = hermitian_stack(canonical_duals(pauli6_product(1).group_effects((0,)), (0,)).duals)
     assert np.allclose(duals[0], np.diag([2.0, -1.0]))
     for dual, ket in zip(duals, kets()):
         assert np.allclose(dual, 3 * np.outer(ket, ket.conj()) - np.eye(2), atol=1e-12)
 
 
 def test_canonical_dual_trace_square_is_five():
-    duals = hermitian_stack(canonical_duals(pauli6_product(1).group_effects((0,))).duals)
+    duals = hermitian_stack(canonical_duals(pauli6_product(1).group_effects((0,)), (0,)).duals)
     tr2 = np.einsum("mab,mba->m", duals, duals).real
     assert np.allclose(tr2, 5.0)
 
@@ -81,13 +83,17 @@ def test_canonical_frame_operator_spectrum():
     assert np.allclose(matrix @ sz, sz / 3)
     # canonical duals are the weighted effects mapped through the inverse frame operator
     want = weights[:, None] * (np.linalg.inv(matrix) @ effects.reshape(6, -1).T).T
-    duals = hermitian_stack(canonical_duals(coords).duals)
+    duals = hermitian_stack(canonical_duals(coords, (0,)).duals)
     assert np.allclose(duals.reshape(6, -1), want, atol=1e-12)
 
 
 def test_frame_operator_rejects_bad_weights():
-    effects = hermitian_stack(pauli6_product(1).group_effects((0,)))
-    for build in (frame_operator, duals_from_weights):
+    coords = pauli6_product(1).group_effects((0,))
+
+    def solve(effects, weights):
+        return duals_from_weights(effects, weights, (0,))
+
+    for build, effects in ((frame_operator, hermitian_stack(coords)), (solve, coords)):
         with pytest.raises(ValueError, match="positive"):
             build(effects, np.array([1.0, -1, 1, 1, 1, 1]))
         with pytest.raises(ValueError, match="one weight"):
@@ -95,7 +101,7 @@ def test_frame_operator_rejects_bad_weights():
     # a NaN or infinite weight is refused before the SVD, which would not converge
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite and strictly positive"):
-            duals_from_weights(effects, np.array([1.0, bad, 1, 1, 1, 1]))
+            solve(coords, np.array([1.0, bad, 1, 1, 1, 1]))
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
@@ -103,7 +109,7 @@ def test_tall_svd_duals_match_wide_form(k):
     effects = pauli6_product(k).group_effects(tuple(range(k)))
     rng = np.random.default_rng(40 + k)
     for weights in (canonical_weights(effects), rng.uniform(0.1, 10.0, effects.shape[0])):
-        got = hermitian_stack(duals_from_weights(effects, weights).duals)
+        got = hermitian_stack(duals_from_weights(effects, weights, tuple(range(k))).duals)
         assert np.abs(got - wide_svd_duals(hermitian_stack(effects), weights)).max() < 1e-10
 
 
@@ -114,14 +120,14 @@ def test_duals_reject_ill_conditioned_weights():
     weights = np.array([1.0, 1.0, 1e-13, 1e-13, 1e-13, 1e-13])
     assert frame_operator(hermitian_stack(effects), weights)[1] > 1e12
     with pytest.raises(ValueError, match="ill-conditioned"):
-        duals_from_weights(effects, weights)
-    duals_from_weights(effects, np.array([1.0, 1.0, 1e-9, 1e-9, 1e-9, 1e-9]))
+        duals_from_weights(effects, weights, (0,))
+    duals_from_weights(effects, np.array([1.0, 1.0, 1e-9, 1e-9, 1e-9, 1e-9]), (0,))
 
 
 def test_optimal_equals_canonical_for_maximally_mixed():
     effects = pauli6_product(1).group_effects((0,))
-    can = canonical_duals(effects)
-    opt = optimal_duals(maximally_mixed(1), effects)
+    can = canonical_duals(effects, (0,))
+    opt = optimal_duals(maximally_mixed(1), effects, (0,))
     assert np.allclose(can.duals, opt.duals, atol=1e-10)
     assert opt.provenance == "optimal"
 
@@ -143,7 +149,7 @@ def test_optimal_duals_floor_handles_zero_probabilities():
     # |0> never triggers outcome 1, so that weight hits the floor
     effects = pauli6_product(1).group_effects((0,))
     probs = np.array([1 / 3, 0.0, 1 / 6, 1 / 6, 1 / 6, 1 / 6])
-    frame = optimal_duals(probs, effects, floor=1e-6)
+    frame = optimal_duals(probs, effects, (0,), floor=1e-6)
     assert duality_residual(frame.duals, frame.effects) <= DUALITY_TOL
 
 
@@ -160,11 +166,11 @@ def test_optimal_duals_validates_sigma():
         (asymmetric, "not Hermitian"),
     ):
         with pytest.raises(ValueError, match=message):
-            optimal_duals(sigma, effects)
+            optimal_duals(sigma, effects, (0, 1))
     # a linear-inversion estimate may predict negative probabilities; the floor takes them
     indefinite = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
     assert np.einsum("mab,ba->m", hermitian_stack(effects), indefinite).real.min() < 0
-    frame = optimal_duals(indefinite, effects)
+    frame = optimal_duals(indefinite, effects, (0, 1))
     assert duality_residual(frame.duals, frame.effects) <= DUALITY_TOL
 
 
@@ -173,34 +179,33 @@ def test_optimal_duals_rejects_bad_floor(floor):
     effects = pauli6_product(1).group_effects((0,))
     probs = np.array([1 / 3, 0.0, 1 / 6, 1 / 6, 1 / 6, 1 / 6])
     with pytest.raises(ValueError, match="floor"):
-        optimal_duals(probs, effects, floor=floor)
+        optimal_duals(probs, effects, (0,), floor=floor)
 
 
 def test_duals_from_weights_rejects_non_ic_sets():
-    projective = np.stack([np.diag([1.0, 0j]), np.diag([0j, 1.0])])
+    projective = hermitian_coords(np.stack([np.diag([1.0, 0j]), np.diag([0j, 1.0])]))
     with pytest.raises(ValueError, match="informationally complete"):
-        duals_from_weights(projective, np.ones(2))
+        duals_from_weights(projective, np.ones(2), (0,))
 
 
 def test_dual_frame_rejects_broken_duality():
-    frame = canonical_duals(pauli6_product(1).group_effects((0,)))
+    frame = canonical_duals(pauli6_product(1).group_effects((0,)), (0,))
     broken = hermitian_stack(frame.duals)
     broken[0] = broken[0] + 1e-3 * np.eye(2)
     with pytest.raises(ValueError, match="duality residual"):
-        DualFrame(group=(0,), effects=frame.effects, duals=broken)
+        DualFrame(group=(0,), effects=frame.effects, duals=hermitian_coords(broken))
 
 
 def test_dual_frame_rejects_non_finite_entries():
     # a NaN residual compares False against any tolerance, so it must be
     # rejected on its own rather than slip through the duality check
-    frame = canonical_duals(pauli6_product(1).group_effects((0,)))
-    # as coordinates, and as complex stacks
-    for form, entry in ((np.copy, (2, 1)), (hermitian_stack, (2, 0, 1))):
-        for name in ("duals", "effects"):
-            poisoned = {"duals": form(frame.duals), "effects": form(frame.effects)}
-            poisoned[name][entry] = np.nan
-            with pytest.raises(ValueError, match="finite"):
-                DualFrame(group=(0,), **poisoned)
+    # (a complex stack is checked finite where it enters, by read_duals)
+    frame = canonical_duals(pauli6_product(1).group_effects((0,)), (0,))
+    for name in ("duals", "effects"):
+        poisoned = {"duals": np.copy(frame.duals), "effects": np.copy(frame.effects)}
+        poisoned[name][2, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            DualFrame(group=(0,), **poisoned)
 
 
 @settings(max_examples=30, deadline=None)
@@ -215,7 +220,7 @@ def test_weighted_duals_always_satisfy_duality(ws):
 
 
 def test_state_mse_canonical_on_maximally_mixed():
-    frame = canonical_duals(pauli6_product(1).group_effects((0,)))
+    frame = canonical_global(pauli6_product(1))
     probs = np.full(6, 1 / 6)
     assert state_mse(frame, probs, maximally_mixed(1)) == pytest.approx(4.5)
 
@@ -312,7 +317,7 @@ def test_optimize_product_duals_respects_cap():
 
 def test_duality_residual_detects_non_duals():
     effects = pauli6_product(1).group_effects((0,))
-    frame = canonical_duals(effects)
+    frame = canonical_duals(effects, (0,))
     assert duality_residual(frame.duals, effects) <= DUALITY_TOL
     # the effects are not their own duals for an overcomplete frame
     assert duality_residual(effects, effects) > 0.1
@@ -401,7 +406,8 @@ def test_product_dual_optimizer_finishes_groups_of_three_and_four_qubits(groups)
     assert mse <= state_mse(canonical_global(povm, Partition(groups)), probs, rho)
     if len(groups) == 1:
         # one group: the product optimum is the optimal dual
-        best = state_mse(optimal_duals(probs, povm.group_effects(groups[0])), probs, rho)
+        best_frame = optimal_duals(probs, povm.group_effects(groups[0]), groups[0])
+        best = state_mse(GlobalDuals(Partition(groups), (best_frame,)), probs, rho)
         assert mse == pytest.approx(best, rel=1e-10)
 
 
@@ -452,11 +458,12 @@ def test_real_solve_matches_complex_oracle(k, rotated, seed, spread):
     weights = 10.0 ** rng.uniform(0.0, spread, effects.shape[0])
     want, s = complex_svd_duals(hermitian_stack(effects), weights)
     kappa = s[0] / s[-1]
+    group = tuple(range(k))
     if kappa**2 > frames.CONDITION_BOUND:
         with pytest.raises(ValueError, match="ill-conditioned"):
-            duals_from_weights(effects, weights)
+            duals_from_weights(effects, weights, group)
         return
-    got = hermitian_stack(duals_from_weights(effects, weights).duals)
+    got = hermitian_stack(duals_from_weights(effects, weights, group).duals)
     # both solves are backward stable, so they may differ by about
     # dim^2 * eps * kappa (kappa: the weighted effect matrix's singular-value
     # ratio); on well-conditioned frames that is below 1e-12
@@ -474,7 +481,7 @@ def test_real_solve_matches_complex_oracle_on_learned_weights(k):
     probs = np.einsum("mab,ba->m", effects, random_density(rng, 2**k)).real
     weights = 1.0 / np.maximum(probs, frames.PROBABILITY_FLOOR)
     want, _ = complex_svd_duals(effects, weights)
-    got = hermitian_stack(duals_from_weights(coords, weights).duals)
+    got = hermitian_stack(duals_from_weights(coords, weights, tuple(range(k))).duals)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -487,32 +494,52 @@ def test_real_solve_matches_complex_oracle_on_learned_weights(k):
 def test_frobenius_residual_bounds_max_entry_oracle(k, seed, scale):
     rng = np.random.default_rng(seed)
     coords = pauli6_product(k).group_effects(tuple(range(k)))
-    effects, duals = hermitian_stack(coords), hermitian_stack(canonical_duals(coords).duals)
+    effects = hermitian_stack(coords)
+    duals = hermitian_stack(canonical_duals(coords, tuple(range(k))).duals)
     perturbed = duals + scale * random_hermitian_stack(rng, *duals.shape[:2])
     for d in (duals, perturbed):
         # the real-coordinate Frobenius norm equals the complex one, which is
         # at least the largest entry; the slack covers rounding only
-        assert duality_residual(d, effects) >= max_entry_residual(d, effects) * (1 - 1e-12)
+        got = duality_residual(hermitian_coords(d), coords)
+        assert got >= max_entry_residual(d, effects) * (1 - 1e-12)
 
 
 def test_dual_frame_rejects_non_hermitian_stacks():
     effects = pauli6_product(1).group_effects((0,))
-    frame = canonical_duals(effects)
+    frame = canonical_duals(effects, (0,))
     duals = hermitian_stack(frame.duals)
     skewed = anti_hermitian_duals(duals)
     # duality holds for the complex stack; only Hermiticity fails
     assert max_entry_residual(skewed, hermitian_stack(effects)) < 1e-15
     # the public check itself refuses, rather than under-reporting
-    with pytest.raises(ValueError, match="duals are not Hermitian"):
+    with pytest.raises(ValueError, match="duals must be real"):
         duality_residual(skewed, effects)
-    with pytest.raises(ValueError, match="duals are not Hermitian"):
+    with pytest.raises(ValueError, match="duals must be real"):
         DualFrame(group=(0,), effects=effects, duals=skewed)
-    with pytest.raises(ValueError, match="effects are not Hermitian"):
+    with pytest.raises(ValueError, match="effects must be real"):
         DualFrame(group=(0,), effects=np.conj(anti_hermitian_duals(duals)), duals=frame.duals)
 
 
+def test_frame_functions_take_real_coordinates_only():
+    # a complex stack, even a Hermitian one, is refused: it is converted
+    # where it enters the program (read_duals), not by the frame functions
+    effects = pauli6_product(1).group_effects((0,))
+    frame = canonical_duals(effects, (0,))
+    stack = hermitian_stack(effects)
+    calls = {
+        "DualFrame duals": lambda: DualFrame((0,), effects, hermitian_stack(frame.duals)),
+        "DualFrame effects": lambda: DualFrame((0,), stack, frame.duals),
+        "duality_residual": lambda: duality_residual(hermitian_stack(frame.duals), effects),
+        "duals_from_weights": lambda: duals_from_weights(stack, np.ones(6), (0,)),
+        "optimal_duals": lambda: optimal_duals(np.full(6, 1 / 6), stack, (0,)),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=r"must be real \(M, dim\^2\) coordinates"):
+            call()
+
+
 def test_dual_frame_copies_a_writeable_input_and_keeps_a_read_only_one():
-    frame = canonical_duals(pauli6_product(1).group_effects((0,)))
+    frame = canonical_duals(pauli6_product(1).group_effects((0,)), (0,))
     x = np.array(frame.duals)
     copy = DualFrame(group=(0,), effects=frame.effects, duals=x)
     # the caller's array stays writeable, and writing to it leaves the frame alone
@@ -525,20 +552,27 @@ def test_dual_frame_copies_a_writeable_input_and_keeps_a_read_only_one():
     assert DualFrame(group=(0,), effects=frame.effects, duals=frame.duals).duals is frame.duals
 
 
-def test_cached_effect_stack_is_not_checked_again(monkeypatch):
+def test_cached_effect_stack_is_not_checked_again(monkeypatch, tmp_path):
     # a solved frame is checked once, by one duality residual; neither its
     # effects nor its duals are checked for Hermiticity or converted
     effects = pauli6_product(2).group_effects((0, 1))
     seen = []
-    for name in ("hermitian_coords", "stack_asymmetry", "duality_residual"):
-        fn = getattr(frames, name)
-        monkeypatch.setattr(frames, name, lambda *a, fn=fn, name=name: seen.append(name) or fn(*a))
+
+    def spy(module, name):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: seen.append(name) or fn(*a))
+
+    spy(frames, "duality_residual")
     frame = canonical_duals(effects, group=(0, 1))
     assert seen == ["duality_residual"]
     assert frame.effects is effects
-    # a complex stack is checked and converted where it enters, once
+    # a complex stack from a file is checked and converted where it enters, once
+    path = tmp_path / "frames.icdl"
+    write_duals(path, GlobalDuals(Partition.single_group(2), (frame,)))
+    spy(io, "stack_asymmetry")
+    spy(io, "hermitian_coords")
     seen.clear()
-    again = DualFrame(group=(0, 1), effects=effects, duals=hermitian_stack(frame.duals))
+    (again,) = read_duals(path).frames
     assert seen == ["stack_asymmetry", "hermitian_coords", "duality_residual"]
     assert np.array_equal(hermitian_stack(again.duals), hermitian_stack(frame.duals))
     bad = frame.duals.copy()

@@ -395,6 +395,11 @@ def test_duals_format_errors(tmp_path):
     bad.write_bytes(blob + b"\x00")
     with pytest.raises(ValueError, match="trailing bytes"):
         read_duals(bad)
+    # the header's qubit count, over groups that cover fewer qubits
+    for head, covered in ((blob[:6] + b"\x03\x00" + blob[8:], 2), (blob[:8] + b"\x00\x00", 0)):
+        bad.write_bytes(head)
+        with pytest.raises(ValueError, match=f"groups cover {covered} of the "):
+            read_duals(bad)
 
 
 def test_read_duals_rejects_provenance_that_is_not_utf8(tmp_path):

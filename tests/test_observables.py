@@ -52,7 +52,7 @@ def test_without_identity_and_identity_coefficient():
     stripped = obs.without_identity()
     assert stripped.terms == ((1.5, "ZZ"),)
     # all-identity observable degrades to an explicit zero term
-    only_id = PauliObservable.single("II", 0.7).without_identity()
+    only_id = PauliObservable(2, ((0.7, "II"),)).without_identity()
     assert only_id.terms == ((0.0, "II"),)
 
 
@@ -72,7 +72,7 @@ def test_apply_agrees_with_matrix(terms):
 
 def test_mask_form_of_a_word():
     # qubit 0 is the most significant bit; Y sets both masks
-    (term,) = PauliObservable.single("XYZI", 0.5)._mask_terms
+    (term,) = PauliObservable(4, ((0.5, "XYZI"),))._mask_terms
     assert (term.coeff, term.x, term.z) == (0.5, 0b1100, 0b0110)
     want = np.diag(kron_matrix(PauliObservable.single("XYZI"))[np.arange(16) ^ 0b1100])
     assert np.array_equal(term.phase, want)

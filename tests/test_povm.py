@@ -36,7 +36,7 @@ def test_pauli6_outcome_order_is_pinned():
 def test_pauli6_completeness_and_rank():
     p = pauli6()
     assert np.allclose(p.effects.sum(axis=0), np.eye(2), atol=1e-14)
-    assert completeness_rank(p) == 4
+    assert completeness_rank(p.effects) == 4
     assert p.d == 6
 
 

@@ -6,7 +6,7 @@ order (all alpha orbitals, then all beta), and a Pauli decomposition.
 Writes text Hamiltonian files into the package data directory so the
 benchmarks need no quantum-chemistry dependency at install time.
 
-Usage: python tools/make_benchmark_hamiltonians.py [--outdir PATH]
+Usage: PYTHONPATH=src python tools/make_benchmark_hamiltonians.py [--outdir PATH]
 
 Validation printed per molecule: RHF and FCI energies, the Hartree-Fock
 determinant expectation (must equal RHF), and the max reconstruction
@@ -22,6 +22,9 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import eigh
 from scipy.special import erf
+
+from icshadows.io import write_hamiltonian
+from icshadows.observables import PauliObservable
 
 BOHR_PER_ANGSTROM = 1.0 / 0.52917721092
 BOND_LENGTH_ANGSTROM = 0.7414
@@ -257,15 +260,6 @@ def build_h2(shells, label):
     return terms, E_rhf, evals[0], nso
 
 
-def write_terms(path: Path, terms, comments):
-    with open(path, "w") as fh:
-        for comment in comments:
-            fh.write(f"# {comment}\n")
-        for coeff, word in terms:
-            fh.write(f"{coeff:+.14e} {word}\n")
-    print(f"wrote {path} ({len(terms)} terms)")
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     default_out = Path(__file__).resolve().parent.parent / "src" / "icshadows" / "data"
@@ -286,7 +280,8 @@ def main():
             f"RHF energy {e_rhf:.12f} Ha; exact ground energy {e_fci:.12f} Ha (both include nuclear repulsion)",
             "generated by tools/make_benchmark_hamiltonians.py; regenerate with that script",
         ]
-        write_terms(args.outdir / filename, terms, comments)
+        write_hamiltonian(args.outdir / filename, PauliObservable.from_terms(terms), comments)
+        print(f"wrote {args.outdir / filename} ({len(terms)} terms)")
 
 
 if __name__ == "__main__":
