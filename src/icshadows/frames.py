@@ -196,7 +196,7 @@ def duals_from_weights(
 
 def canonical_weights(effects: np.ndarray) -> np.ndarray:
     """1/Tr[effect] per effect; a row's diagonal coordinates sum to the trace."""
-    effects = np.asarray(effects, dtype=float)
+    effects = _coordinates(effects, "effects")
     # summed left to right, as a trace of the complex stack is, to the same bits
     traces = np.cumsum(effects[:, : math.isqrt(effects.shape[1])], axis=1)[:, -1]
     if np.any(traces <= 0):

@@ -15,6 +15,11 @@ tracing it against a density matrix then cost O(T 2^n) for T terms on n
 qubits, not O(T 4^n). Every phase is one of 1, i, -1, -i, so multiplying
 by one is exact: the only rounding is in the coefficient products and in
 the sum over terms, which is taken in term order.
+
+Terms that share an X mask move a basis state to the same place, so
+:meth:`PauliObservable.apply` first sums them into one diagonal per mask
+(in term order) and then does one gather of the vector per distinct mask,
+summing the masks in order of first appearance.
 """
 
 from __future__ import annotations
@@ -123,6 +128,17 @@ class PauliObservable:
             out[cols ^ x, cols] += coeff * phase
         return out
 
+    @cached_property
+    def _mask_diagonals(self) -> tuple[tuple[int, np.ndarray], ...]:
+        """One ``(x, diag)`` per distinct X mask, in order of first appearance,
+        with ``diag[j]`` the sum of ``coeff * phase[j XOR x]`` over the terms
+        with that mask, so that ``(O v)[j] = sum_x diag[j] v[j XOR x]``."""
+        sums: dict[int, np.ndarray] = {}
+        for coeff, x, _, phase in self._mask_terms:
+            sums[x] = sums.get(x, 0.0) + coeff * phase
+        rows = np.arange(2**self.n)
+        return tuple((x, d[rows ^ x]) for x, d in sums.items())
+
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Apply the observable to a statevector without forming the matrix."""
         vec = np.asarray(vec, dtype=complex)
@@ -131,7 +147,6 @@ class PauliObservable:
             raise ValueError(f"vector of shape {vec.shape} is not a length-{dim} statevector")
         rows = np.arange(dim)
         out = np.zeros_like(vec)
-        for coeff, x, _, phase in self._mask_terms:
-            src = rows ^ x
-            out += coeff * (phase[src] * vec[src])
+        for x, diag in self._mask_diagonals:
+            out += diag * vec[rows ^ x]
         return out

@@ -132,6 +132,18 @@ def kron_matrix(obs) -> np.ndarray:
     return out
 
 
+def per_term_apply(obs, vec) -> np.ndarray:
+    """A Pauli sum applied to a statevector in mask form, two gathers per term,
+    summed in term order."""
+    vec = np.asarray(vec, dtype=complex)
+    rows = np.arange(2**obs.n)
+    out = np.zeros_like(vec)
+    for coeff, x, _, phase in obs._mask_terms:
+        src = rows ^ x
+        out += coeff * (phase[src] * vec[src])
+    return out
+
+
 def tensordot_apply(obs, vec) -> np.ndarray:
     """A Pauli sum applied to a statevector, one letter at a time."""
     vec = np.asarray(vec, dtype=complex)

@@ -1,4 +1,5 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -536,6 +537,17 @@ def test_frame_functions_take_real_coordinates_only():
     for name, call in calls.items():
         with pytest.raises(ValueError, match=r"must be real \(M, dim\^2\) coordinates"):
             call()
+
+
+def test_canonical_duals_name_coordinates_for_a_complex_stack():
+    # refused before any cast, so no ComplexWarning drops the imaginary parts
+    # and no trace is read off a 3-d array
+    stack = hermitian_stack(pauli6_product(1).group_effects((0,)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: canonical_weights(stack), lambda: canonical_duals(stack, (0,))):
+            with pytest.raises(ValueError, match=r"effects must be real \(M, dim\^2\) coordinates"):
+                call()
 
 
 def test_dual_frame_copies_a_writeable_input_and_keeps_a_read_only_one():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from icshadows import PauliObservable
 from icshadows.observables import PAULI_MATRICES
 
-from .oracles import kron_matrix, same_bits, tensordot_apply
+from .oracles import kron_matrix, per_term_apply, same_bits, tensordot_apply
 
 words2 = st.text(alphabet="IXYZ", min_size=2, max_size=2)
 
@@ -80,11 +80,22 @@ def test_mask_form_of_a_word():
 
 @settings(max_examples=150, deadline=None)
 @given(pauli_sums(), st.integers(0, 2**32 - 1))
-def test_matrix_and_apply_are_bit_identical_to_kron_oracle(obs, seed):
+def test_matrix_and_per_term_apply_are_bit_identical_to_kron_oracle(obs, seed):
     assert same_bits(obs.matrix(), kron_matrix(obs))
     rng = np.random.default_rng(seed)
     vec = rng.normal(size=2**obs.n) + 1j * rng.normal(size=2**obs.n)
-    assert same_bits(obs.apply(vec), tensordot_apply(obs, vec))
+    assert same_bits(per_term_apply(obs, vec), tensordot_apply(obs, vec))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pauli_sums(), st.integers(0, 2**32 - 1))
+def test_grouped_apply_matches_per_term_oracle(obs, seed):
+    # summing a mask's terms into one diagonal first moves only the rounding:
+    # every entry is a sum of at most T products |c_t| |v_k|
+    rng = np.random.default_rng(seed)
+    vec = rng.normal(size=2**obs.n) + 1j * rng.normal(size=2**obs.n)
+    scale = sum(abs(c) for c, _ in obs.terms) * np.abs(vec).max()
+    assert np.abs(obs.apply(vec) - per_term_apply(obs, vec)).max() <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("length", [7, 9])

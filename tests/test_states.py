@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import icshadows
 from icshadows import (
     BlockProductState,
     DensityMatrix,
@@ -141,6 +146,17 @@ def test_density_tensor_axes_follow_the_listed_order():
         density_tensor(np.eye(2), [])
 
 
+def test_density_tensor_is_contiguous_so_the_split_reshape_is_a_view():
+    # the split moments' layout: columns then rows of one half, then of the
+    # other, which interleaves the state's own row and column axes
+    halves = ([0, 2, 4], [1, 3])
+    axes = [(q, side) for half in halves for side in (1, 0) for q in half]
+    for state, _ in _state_kinds(np.random.default_rng(16)):
+        t = density_tensor(state, axes)
+        assert t.flags.c_contiguous
+        assert np.shares_memory(t, t.reshape(8 * 8, -1))
+
+
 @pytest.mark.parametrize(
     "axes, message",
     [
@@ -261,6 +277,113 @@ def test_ground_state_above_dense_limit_is_reproducible():
     first, second = ground_state(obs), ground_state(obs)
     assert first[0] == second[0]
     assert same_bits(first[1].amplitudes, second[1].amplitudes)
+
+
+def _ring(n: int, coupling: float, field: float) -> PauliObservable:
+    """Uniform TFIM ring -J sum Z_q Z_q+1 - h sum X_q."""
+    bonds = [(-coupling, "".join("Z" if k in (q, (q + 1) % n) else "I" for k in range(n))) for q in range(n)]
+    fields = [(-field, "".join("X" if k == q else "I" for k in range(n))) for q in range(n)]
+    return PauliObservable(n, tuple(bonds + fields))
+
+
+def _complex_sum(n: int, terms: int, seed: int) -> PauliObservable:
+    """Random Pauli sum with a Y in every word; a word with an odd count of Y
+    has imaginary entries."""
+    rng = np.random.default_rng(seed)
+    words = []
+    for _ in range(terms):
+        word = rng.choice(list("IXYZ"), n)
+        word[rng.integers(n)] = "Y"
+        words.append((rng.standard_normal(), "".join(word)))
+    return PauliObservable(n, tuple(words))
+
+
+def _residual(obs, energy, psi) -> float:
+    return float(np.linalg.norm(obs.apply(psi.amplitudes) - energy * psi.amplitudes))
+
+
+def test_ground_state_resolves_a_near_degenerate_ferromagnet():
+    # the two lowest levels of the J = 1, h = 0.1 ring are 3.7e-11 apart; the
+    # start vector's mixture of them has a residual near 1.6e-11, above the
+    # 1e-11 bound, so the solve must separate them
+    obs = _ring(10, 1.0, 0.1)
+    evals = np.linalg.eigvalsh(kron_matrix(obs))
+    assert evals[1] - evals[0] < 1e-10
+    energy, psi = ground_state(obs)
+    assert energy == pytest.approx(evals[0], abs=1e-10)
+    assert _residual(obs, energy, psi) <= 1e-12 * max(1.0, abs(energy))
+
+
+@pytest.mark.parametrize("n, terms", [(9, 40), (10, 60)])
+def test_ground_state_of_random_complex_sums_matches_oracle_eigh(n, terms):
+    obs = _complex_sum(n, terms, seed=n)
+    matrix = kron_matrix(obs)
+    assert np.abs(matrix.imag).max() > 0
+    evals, evecs = np.linalg.eigh(matrix)
+    energy, psi = ground_state(obs)
+    assert energy == pytest.approx(evals[0], abs=1e-10)
+    assert abs(np.vdot(evecs[:, 0], psi.amplitudes)) >= 1 - 1e-10
+    assert _residual(obs, energy, psi) <= 1e-12 * max(1.0, abs(energy))
+
+
+def test_ground_state_of_a_12_qubit_complex_sum_matches_oracle_eigh():
+    # two uncoupled 6-qubit halves, so the dense oracle is two 64 x 64 eighs:
+    # the energy is the sum of theirs and the state the product of theirs
+    halves = [_complex_sum(6, 30, seed) for seed in (12, 13)]
+    obs = PauliObservable(
+        12,
+        tuple((c, w + "I" * 6) for c, w in halves[0].terms)
+        + tuple((c, "I" * 6 + w) for c, w in halves[1].terms),
+    )
+    (ea, va), (eb, vb) = (np.linalg.eigh(kron_matrix(h)) for h in halves)
+    assert min(ea[1] - ea[0], eb[1] - eb[0]) > 1e-3
+    energy, psi = ground_state(obs)
+    assert energy == pytest.approx(ea[0] + eb[0], abs=1e-10)
+    assert abs(np.vdot(np.kron(va[:, 0], vb[:, 0]), psi.amplitudes)) >= 1 - 1e-10
+    assert _residual(obs, energy, psi) <= 1e-12 * max(1.0, abs(energy))
+
+
+def test_lanczos_stops_at_the_zero_maps_invariant_subspace():
+    from icshadows.states import _lanczos
+
+    calls = []
+
+    def zero(vec):
+        calls.append(1)
+        return np.zeros_like(vec)
+
+    v0 = np.arange(1.0, 513.0) + 1j
+    energy, x = _lanczos(zero, v0)
+    # one basis step finds nothing new; one more application checks the pair
+    assert len(calls) == 2
+    assert energy == 0.0
+    assert np.allclose(x, v0 / np.linalg.norm(v0), rtol=0, atol=1e-15)
+    energy, psi = ground_state(PauliObservable(9, ((0.0, "I" * 9),)))
+    assert energy == 0.0
+    assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_ground_state_raises_when_it_does_not_converge(monkeypatch):
+    from icshadows import states
+
+    monkeypatch.setattr(states, "_RESTARTS", 1)
+    with pytest.raises(ValueError, match="did not converge: residual .* after 1 restarts"):
+        ground_state(tfim_ring(10, seed=3))
+
+
+def test_cli_and_ground_state_import_no_scipy():
+    src = os.path.dirname(os.path.dirname(icshadows.__file__))
+    # a fresh interpreter: this one has scipy loaded by the oracles
+    code = (
+        "import sys, icshadows.cli\n"
+        "from icshadows import PauliObservable, ground_state\n"
+        f"ground_state(PauliObservable(9, {tuple(tfim_ring(9, seed=3).terms)!r}))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_density_cap_checked_before_any_dense_work(monkeypatch):
