@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 PAIR_CAP = 10**6
+REPETITIONS_CAP = 10**6
 
 # Bytes of each family of transient arrays of the split exact moments of a
 # pure state; its chunks are sized from the part dimensions to stay near this.
@@ -206,11 +207,12 @@ def exact_expectation(state, obs: PauliObservable) -> float:
                 val *= exact_expectation(block, sub)
             total += val
         return float(total)
-    # Tr[rho P] = sum_j phase[j] rho[j, j XOR x], in the observable's mask form
+    # Tr[rho O] = sum_x sum_j diag_x[j] rho[j XOR x, j], over the diagonals
+    # that apply reads; each mask's part of O is Hermitian, so its trace is real
     rows = np.arange(2**state.n)
     total = 0.0
-    for coeff, x, _, phase in obs._mask_terms:
-        total += coeff * np.dot(state.matrix[rows, rows ^ x], phase).real
+    for x, diag in obs._mask_diagonals:
+        total += np.dot(diag, state.matrix[rows ^ x, rows]).real
     return float(total)
 
 
@@ -416,10 +418,13 @@ def rmse_experiment(
     Repetition r draws its dataset from a child seed spawned off
     ``seed``, so the harness is reproducible and repetitions are
     statistically independent. The sampler is planned once, and the
-    estimator table is built once in the shared cache.
+    estimator table is built once in the shared cache. R outside
+    1..``REPETITIONS_CAP`` raises ``ValueError`` before anything is sampled.
     """
     if R < 1:
         raise ValueError(f"need at least one repetition, got R = {R}")
+    if R > REPETITIONS_CAP:
+        raise ValueError(f"{R} repetitions exceed the cap {REPETITIONS_CAP}")
     truth = exact_expectation(state, obs)
     plan = SamplingPlan(state, povm)
     cache = CoefficientCache(duals)

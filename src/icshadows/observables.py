@@ -3,23 +3,23 @@
 Every contraction goes through one mask form per term (the symplectic
 form of Aaronson & Gottesman, arXiv:quant-ph/0406196). A word is an X
 bitmask ``x`` (letters X and Y) and a Z bitmask ``z`` (letters Z and Y),
-with qubit 0 the most significant bit, as in the Kronecker order of
-:meth:`PauliObservable.matrix`. On a basis state,
+with qubit 0 the most significant bit, as in the Kronecker order
+``P_0 x P_1 x ... x P_{n-1}``. On a basis state,
 
     P|j> = i^{#Y} (-1)^{popcount(j & z)} |j XOR x>,
 
 so a term is its coefficient, ``x``, ``z`` and the phase vector
 ``phase[j] = i^{#Y} (-1)^{popcount(j & z)}`` over the basis index j.
-Building the dense matrix, applying the observable to a statevector and
-tracing it against a density matrix then cost O(T 2^n) for T terms on n
-qubits, not O(T 4^n). Every phase is one of 1, i, -1, -i, so multiplying
-by one is exact: the only rounding is in the coefficient products and in
-the sum over terms, which is taken in term order.
+Every phase is one of 1, i, -1, -i, so multiplying by one is exact: the
+only rounding is in the coefficient products and in the sum over terms,
+which is taken in term order.
 
-Terms that share an X mask move a basis state to the same place, so
-:meth:`PauliObservable.apply` first sums them into one diagonal per mask
-(in term order) and then does one gather of the vector per distinct mask,
-summing the masks in order of first appearance.
+Terms that share an X mask move a basis state to the same place, so a
+Pauli sum has one derived form: one diagonal per distinct X mask, the
+mask's terms summed in term order. :meth:`PauliObservable.apply` does one
+gather of the vector per mask, summing the masks in order of first
+appearance, and the trace against a density matrix reads the same
+diagonals; both cost O(T 2^n) for T terms on n qubits, not O(T 4^n).
 """
 
 from __future__ import annotations
@@ -115,26 +115,13 @@ class PauliObservable:
         return PauliObservable(self.n, kept)
 
     @cached_property
-    def _mask_terms(self) -> tuple[_MaskTerm, ...]:
-        """The terms in mask form, in term order (see the module docstring)."""
-        return tuple(mask_term(c, w) for c, w in self.terms)
-
-    def matrix(self) -> np.ndarray:
-        """Dense matrix; intended for small n only."""
-        dim = 2**self.n
-        cols = np.arange(dim)
-        out = np.zeros((dim, dim), dtype=complex)
-        for coeff, x, _, phase in self._mask_terms:
-            out[cols ^ x, cols] += coeff * phase
-        return out
-
-    @cached_property
     def _mask_diagonals(self) -> tuple[tuple[int, np.ndarray], ...]:
         """One ``(x, diag)`` per distinct X mask, in order of first appearance,
         with ``diag[j]`` the sum of ``coeff * phase[j XOR x]`` over the terms
         with that mask, so that ``(O v)[j] = sum_x diag[j] v[j XOR x]``."""
         sums: dict[int, np.ndarray] = {}
-        for coeff, x, _, phase in self._mask_terms:
+        for coeff, word in self.terms:
+            _, x, _, phase = mask_term(coeff, word)
             sums[x] = sums.get(x, 0.0) + coeff * phase
         rows = np.arange(2**self.n)
         return tuple((x, d[rows ^ x]) for x, d in sums.items())

@@ -3,8 +3,8 @@
 Everything here is dense and intended for desk scale. Statevectors are
 capped at 14 qubits, density matrices and ground-state solves at 12; the
 caps guard against accidental exponential blowups. Ground states come
-from a dense ``eigh`` up to 8 qubits and from a restarted Lanczos
-iteration in numpy above (:func:`ground_state`).
+from one restarted Lanczos iteration in numpy at every size
+(:func:`ground_state`).
 """
 
 from __future__ import annotations
@@ -172,18 +172,14 @@ def reduced_density(state, group) -> DensityMatrix:
 def ground_state(obs: PauliObservable) -> tuple[float, PureState]:
     """Lowest eigenpair of a Pauli-sum Hamiltonian; the same bits on every call.
 
-    Up to 8 qubits it is the first column of a dense ``np.linalg.eigh``.
-    Above, it is a restarted Lanczos iteration over ``obs.apply`` from a
-    fixed complex start vector (:func:`_lanczos`), which returns only a
-    pair whose residual ``||H v - E v||`` is at most ``1e-12 max(1, |E|)``
-    and otherwise raises ``ValueError``.
+    At every size it is a restarted Lanczos iteration over ``obs.apply``
+    from a fixed complex start vector (:func:`_lanczos`), which returns
+    only a pair whose residual ``||H v - E v||`` is at most
+    ``1e-12 max(1, |E|)`` and otherwise raises ``ValueError``.
     """
     n = obs.n
     if n > GROUND_STATE_CAP:
         raise ValueError(f"{n} qubits exceeds the dense ground-state cap {GROUND_STATE_CAP}")
-    if n <= 8:
-        evals, evecs = np.linalg.eigh(obs.matrix())
-        return float(evals[0]), PureState(n, evecs[:, 0])
     dim = 2**n
     # a fixed start vector, so the solve is reproducible, and a generic one,
     # so it is not orthogonal to the ground state's symmetry sector

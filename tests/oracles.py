@@ -25,7 +25,7 @@ from icshadows.frames import (
     GlobalDuals,
     canonical_duals,
 )
-from icshadows.observables import PAULI_MATRICES
+from icshadows.observables import PAULI_MATRICES, mask_term
 from icshadows.states import PureState
 from icshadows.tomography import LAD_WINDOW, ReconstructionReport
 
@@ -138,7 +138,8 @@ def per_term_apply(obs, vec) -> np.ndarray:
     vec = np.asarray(vec, dtype=complex)
     rows = np.arange(2**obs.n)
     out = np.zeros_like(vec)
-    for coeff, x, _, phase in obs._mask_terms:
+    for coeff, word in obs.terms:
+        _, x, _, phase = mask_term(coeff, word)
         src = rows ^ x
         out += coeff * (phase[src] * vec[src])
     return out

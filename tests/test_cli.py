@@ -478,8 +478,7 @@ def test_memory_error_exits_one(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: out of memory") and "1.82 TiB" in err
 
 
-# every integer a command line takes, in a flag or a state spec; rmse
-# --repetitions has no upper bound, so only its lower one is tested (above)
+# every integer a command line takes, in a flag or a state spec
 INTEGER_ARGV = {
     "sample --shots": ["sample", "bell", "--shots", "{v}", "--out", "{out}"],
     "sample --seed": ["sample", "bell", "--shots", 10, "--seed", "{v}", "--out", "{out}"],
@@ -495,6 +494,8 @@ INTEGER_ARGV = {
                           "--out", "{out}"],
     "rmse --shots": ["rmse", "bell", "--hamiltonian", "{ham}", "-R", 2, "--shots", "{v}",
                      "--out", "{out}"],
+    "rmse --repetitions": ["rmse", "bell", "--hamiltonian", "{ham}", "-R", "{v}", "--shots", 10,
+                           "--out", "{out}"],
     "rmse --seed": ["rmse", "bell", "--hamiltonian", "{ham}", "-R", 2, "--shots", 10,
                     "--seed", "{v}", "--out", "{out}"],
     "tomo --S-bias": ["tomo", "{ds}", "--partition", "{part}", "--backend", "bias",

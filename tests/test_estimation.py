@@ -36,7 +36,7 @@ from icshadows.frames import GlobalDuals
 from icshadows.povm import outcome_probabilities
 
 from .conftest import grouped_product_state, random_density, random_pure, refuse_dense_builds, sic4
-from .oracles import dense_trace_vector, einsum_traces, omega, pairwise_exact_moments
+from .oracles import dense_trace_vector, einsum_traces, kron_matrix, omega, pairwise_exact_moments
 
 
 def estimator_paths(monkeypatch):
@@ -81,7 +81,7 @@ def brute_force_moments(rho, duals, obs):
         tr = np.ones(1)
         for frame, group in zip(duals.frames, duals.partition.groups):
             sub = "".join(word[q] for q in group)
-            p = PauliObservable.single(sub).matrix()
+            p = kron_matrix(PauliObservable.single(sub))
             tr = np.multiply.outer(
                 tr, np.einsum("mab,ba->m", hermitian_stack(frame.duals), p).real
             ).reshape(-1)
@@ -277,7 +277,7 @@ def test_exact_expectation_density_matches_trace():
     rho = random_density(rng, 8)
     # XYI and YYY hold an odd number of Y letters, so their phases are imaginary
     obs = PauliObservable(3, ((0.3, "XYI"), (-1.2, "ZIZ"), (0.7, "YYY"), (0.4, "YXY")))
-    want = np.trace(rho @ obs.matrix()).real
+    want = np.trace(rho @ kron_matrix(obs)).real
     assert exact_expectation(DensityMatrix(3, rho), obs) == pytest.approx(want, abs=1e-12)
 
 
@@ -522,6 +522,17 @@ def test_rmse_experiment_rejects_fewer_than_one_repetition(povm2, canonical2, R)
     zz = PauliObservable.single("ZZ")
     with pytest.raises(ValueError, match="repetition"):
         rmse_experiment(bell_state(), povm2, canonical2, zz, R=R, S=50, seed=5)
+
+
+def test_rmse_experiment_refuses_repetitions_above_its_cap_before_sampling(monkeypatch, povm2, canonical2):
+    def no_plan(*args, **kwargs):
+        raise AssertionError("the sampler was planned before the cap check")
+
+    monkeypatch.setattr(estimation, "SamplingPlan", no_plan)
+    zz = PauliObservable.single("ZZ")
+    cap = estimation.REPETITIONS_CAP
+    with pytest.raises(ValueError, match=f"{cap + 1} repetitions exceed the cap {cap}"):
+        rmse_experiment(bell_state(), povm2, canonical2, zz, R=cap + 1, S=50, seed=5)
 
 
 def test_rmse_tracks_predicted_scaling(povm2, canonical2):
