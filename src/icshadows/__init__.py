@@ -3,11 +3,9 @@
 from .algebra import project_to_density
 from .correlations import (
     MIGraph,
-    edge_order_partition,
     greedy_partition,
     mi_graph,
     naive_partition,
-    node_order_partition,
     resolve_partitioner,
 )
 from .estimation import (

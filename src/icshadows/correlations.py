@@ -33,8 +33,6 @@ __all__ = [
     "mi_graph",
     "greedy_partition",
     "naive_partition",
-    "node_order_partition",
-    "edge_order_partition",
     "PARTITIONERS",
     "resolve_partitioner",
 ]
@@ -186,75 +184,12 @@ def naive_partition(n: int, k: int) -> Partition:
     return Partition(groups)
 
 
-def node_order_partition(g: MIGraph, k: int) -> Partition:
-    """Visit qubits by index; fill each opener's group with its best partners."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    unassigned = set(range(g.n))
-    groups = []
-    for q in range(g.n):
-        if q not in unassigned:
-            continue
-        unassigned.remove(q)
-        group = [q]
-        while len(group) < k and unassigned:
-            best, pick = -np.inf, None
-            for u in sorted(unassigned):
-                if g.weights[q, u] > best:
-                    best, pick = g.weights[q, u], u
-            group.append(pick)
-            unassigned.remove(pick)
-        groups.append(tuple(sorted(group)))
-    return Partition(tuple(groups))
-
-
-def edge_order_partition(g: MIGraph, k: int) -> Partition:
-    """Merge endpoint groups along edges of descending weight.
-
-    An edge whose merge would exceed k qubits is discarded. Zero-weight
-    edges never merge, so untouched qubits end up as singletons.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    parent = list(range(g.n))
-    size = [1] * g.n
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    edges = [
-        (g.weights[i, j], i, j)
-        for i in range(g.n)
-        for j in range(i + 1, g.n)
-        if g.weights[i, j] > 0
-    ]
-    edges.sort(key=lambda e: (-e[0], e[1], e[2]))
-    for _, i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            continue
-        if size[ri] + size[rj] > k:
-            continue
-        parent[rj] = ri
-        size[ri] += size[rj]
-    members: dict[int, list[int]] = {}
-    for q in range(g.n):
-        members.setdefault(find(q), []).append(q)
-    groups = sorted(tuple(sorted(v)) for v in members.values())
-    return Partition(tuple(groups))
-
-
 # partitioners by name, each ``(dataset, k) -> Partition``; the first is the
 # default. Each entry looks its function up when called, so a replaced module
 # function (as the benchmark's tracer installs) is the one that runs.
 PARTITIONERS = {
     "greedy": lambda ds, k: greedy_partition(ds, k),
     "naive": lambda ds, k: naive_partition(_nonempty(ds).n, k),
-    "node": lambda ds, k: node_order_partition(mi_graph(ds), k),
-    "edge": lambda ds, k: edge_order_partition(mi_graph(ds), k),
 }
 
 

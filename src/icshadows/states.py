@@ -179,7 +179,7 @@ def ground_state(obs: PauliObservable) -> tuple[float, PureState]:
     """
     n = obs.n
     if n > GROUND_STATE_CAP:
-        raise ValueError(f"{n} qubits exceeds the dense ground-state cap {GROUND_STATE_CAP}")
+        raise ValueError(f"{n} qubits exceeds the ground-state cap {GROUND_STATE_CAP}")
     dim = 2**n
     # a fixed start vector, so the solve is reproducible, and a generic one,
     # so it is not orthogonal to the ground state's symmetry sector

@@ -78,11 +78,10 @@ class ConstrainedLAD:
 class ReconstructionReport:
     residual: float
     iterations: int
-    backend: object
     converged: bool = True
 
     def __post_init__(self):
-        if self.residual < 0:
+        if not self.residual >= 0:
             raise ValueError("residual must be non-negative")
 
 
@@ -120,6 +119,8 @@ def reconstruct(mt: MarginalTable, povm: ProductPOVM, backend):
     dim = 2 ** len(group)
     if dim > DIMENSION_CAP:
         raise ValueError(f"group dimension {dim} exceeds the cap {DIMENSION_CAP}")
+    if mt.S == 0:
+        raise ValueError("empty dataset")
     f = mt.frequencies
     M = math.prod(povm.locals[q].d for q in group)
     if f.shape != (M,):
@@ -127,10 +128,7 @@ def reconstruct(mt: MarginalTable, povm: ProductPOVM, backend):
 
     if isinstance(backend, FrequencyBias):
         probs = (mt.counts + backend.S_bias / M) / (mt.S + backend.S_bias)
-        report = ReconstructionReport(
-            residual=_residual(f, probs), iterations=0, backend=backend
-        )
-        return probs, report
+        return probs, ReconstructionReport(residual=_residual(f, probs), iterations=0)
 
     effects = povm.group_effects(group)
     # one solve per distinct local POVM; a product POVM usually repeats one
@@ -145,9 +143,7 @@ def reconstruct(mt: MarginalTable, povm: ProductPOVM, backend):
     n = len(group)
     if isinstance(backend, LinearInversionPSD):
         report = ReconstructionReport(
-            residual=_residual(f, outcome_probabilities(effects, init)),
-            iterations=0,
-            backend=backend,
+            residual=_residual(f, outcome_probabilities(effects, init)), iterations=0
         )
         return DensityMatrix(n, init), report
 
@@ -173,9 +169,7 @@ def reconstruct(mt: MarginalTable, povm: ProductPOVM, backend):
                     converged = True
                     break
                 window_r = best_r
-        report = ReconstructionReport(
-            residual=best_r, iterations=it, backend=backend, converged=converged
-        )
+        report = ReconstructionReport(residual=best_r, iterations=it, converged=converged)
         return DensityMatrix(n, best), report
 
     raise TypeError(f"unknown backend {type(backend).__name__}")

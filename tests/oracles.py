@@ -353,7 +353,7 @@ def null_space_product_duals(
     return GlobalDuals(partition=partition, frames=frames), prev, sweep
 
 
-def lad_loop(mt, effects, backend):
+def lad_loop(mt, effects):
     """Constrained LAD by einsum on the complex effect stack, recomputing
     every iterate's probabilities."""
     effects = np.asarray(effects, dtype=complex)
@@ -383,9 +383,7 @@ def lad_loop(mt, effects, backend):
                 break
             window_r = best_r
     n = int(round(np.log2(effects.shape[1])))
-    report = ReconstructionReport(
-        residual=best_r, iterations=it, backend=backend, converged=converged
-    )
+    report = ReconstructionReport(residual=best_r, iterations=it, converged=converged)
     return DensityMatrix(n, best), report
 
 

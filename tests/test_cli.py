@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,11 @@ def test_partition_file_and_stdout(tmp_path, capsys):
     assert read_partition(out).as_sets() == {frozenset({0, 1}), frozenset({2, 3})}
     assert run(["partition", ds_path, "--k", 2, "--partitioner", "naive"]) == 0
     assert capsys.readouterr().out == "0 1\n2 3\n"
+    # a name outside PARTITIONERS is refused like any unknown choice
+    with pytest.raises(SystemExit) as exc:
+        run(["partition", ds_path, "--partitioner", "node"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'node'" in capsys.readouterr().err
 
 
 def test_tomo_writes_states_and_residuals(tmp_path):
@@ -342,6 +348,20 @@ def test_toy_sweep(tmp_path):
         v1, vo, v2 = (float(row[c]) for c in ("var_1lo", "var_opt1", "var_2lo"))
         assert abs(v1 - vo) < 1e-6 and abs(v1 - v2) < 1e-6
         assert float(row["mse_1lo"]) <= float(row["mse_canonical"]) + 1e-9
+
+
+@pytest.mark.parametrize("backend", ["bias", "psd", "lad"])
+def test_tomo_on_an_empty_dataset_exits_one_without_a_warning(tmp_path, capsys, backend):
+    ds, part = tmp_path / "ds.icsd", tmp_path / "p.txt"
+    assert run(["sample", "bell", "--shots", 0, "--out", ds]) == 0
+    write_partition(part, Partition.singletons(2))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status = run(["tomo", ds, "--partition", part, "--backend", backend,
+                      "--out-prefix", tmp_path / "rdm"])
+    assert status == 1
+    assert capsys.readouterr().err == "error: empty dataset\n"
+    assert not caught
 
 
 def test_cli_reports_errors_with_exit_one(tmp_path, capsys):

@@ -8,13 +8,11 @@ from icshadows import (
     MIGraph,
     bell_pair_chain,
     bell_state,
-    edge_order_partition,
     ghz_state,
     greedy_partition,
     joint_probabilities,
     mi_graph,
     naive_partition,
-    node_order_partition,
     pauli6_product,
     product_state,
     resolve_partitioner,
@@ -149,37 +147,14 @@ def test_naive_partition_blocks():
         naive_partition(4, 0)
 
 
-def test_node_order_partition_picks_best_partner():
-    w = np.zeros((4, 4))
-    w[0, 3] = w[3, 0] = 1.0
-    w[1, 2] = w[2, 1] = 0.5
-    part = node_order_partition(MIGraph(4, w), k=2)
-    assert part.as_sets() == {frozenset({0, 3}), frozenset({1, 2})}
-
-
-def test_edge_order_partition_respects_size_cap():
-    w = np.zeros((4, 4))
-    w[0, 1] = w[1, 0] = 3.0
-    w[1, 2] = w[2, 1] = 2.0  # would exceed k=2 after the first merge
-    w[2, 3] = w[3, 2] = 1.0
-    part = edge_order_partition(MIGraph(4, w), k=2)
-    assert part.as_sets() == {frozenset({0, 1}), frozenset({2, 3})}
-
-
-def test_edge_order_zero_edges_stay_singletons():
-    part = edge_order_partition(MIGraph(3, np.zeros((3, 3))), k=2)
-    assert part.groups == ((0,), (1,), (2,))
-
-
 def test_resolve_partitioner_names_and_callable():
     ds = bell_pairs_dataset()
     pairs = {frozenset({0, 1}), frozenset({2, 3})}
-    for name in ("greedy", "node", "edge"):
-        assert resolve_partitioner(name)(ds, 2).as_sets() == pairs
+    assert resolve_partitioner("greedy")(ds, 2).as_sets() == pairs
     # naive ignores the MI: consecutive blocks
     assert resolve_partitioner("naive")(ds, 3).groups == ((0, 1, 2), (3,))
     # a name only: a callable is not looked up, nor called
-    for spec in ("leiden", lambda s, k: naive_partition(4, k)):
+    for spec in ("leiden", "node", "edge", lambda s, k: naive_partition(4, k)):
         with pytest.raises(ValueError, match="unknown partitioner"):
             resolve_partitioner(spec)
     empty = Dataset(n=4, d=6, S=0, records=np.zeros((0, 4), dtype=np.uint8), seed=0)

@@ -462,8 +462,9 @@ def test_run_config_validation_and_backends():
     assert isinstance(RunConfig(backend="bias").tomography_backend(6), FrequencyBias)
     assert isinstance(RunConfig(backend="psd").tomography_backend(6), LinearInversionPSD)
     assert isinstance(cfg.tomography_backend(6), ConstrainedLAD)
-    with pytest.raises(ValueError, match="unknown partitioner"):
-        RunConfig(partitioner="metis")
+    for partitioner in ("metis", "node", "edge"):
+        with pytest.raises(ValueError, match="unknown partitioner"):
+            RunConfig(partitioner=partitioner)
     with pytest.raises(ValueError, match="unknown backend"):
         RunConfig(backend="mle")
     with pytest.raises(ValueError):

@@ -282,7 +282,7 @@ def test_ground_state_above_dense_limit_matches_oracle_eigh():
 
 
 def test_ground_state_refuses_registers_above_its_cap():
-    with pytest.raises(ValueError, match="13 qubits exceeds the dense ground-state cap 12"):
+    with pytest.raises(ValueError, match="13 qubits exceeds the ground-state cap 12"):
         ground_state(PauliObservable.single("Z" * 13))
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from icshadows import (
     LinearInversionPSD,
     LocalPOVM,
     ProductPOVM,
+    ReconstructionReport,
     bell_state,
     marginal_counts,
     pauli6,
@@ -30,6 +33,20 @@ BACKENDS = [FrequencyBias(36.0), LinearInversionPSD(), ConstrainedLAD()]
 def table(counts, group=(0,)):
     counts = np.asarray(counts, dtype=np.int64)
     return MarginalTable(group=group, counts=counts, S=int(counts.sum()))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_reconstruct_rejects_an_empty_table(backend):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="empty dataset"):
+            reconstruct(table([0] * 6), pauli6_product(1), backend)
+
+
+def test_report_rejects_a_negative_or_nan_residual():
+    for residual in (-1e-12, float("nan")):
+        with pytest.raises(ValueError, match="residual must be non-negative"):
+            ReconstructionReport(residual=residual, iterations=0)
 
 
 def test_frequency_bias_posterior_closed_form():
@@ -160,7 +177,7 @@ def test_lad_matches_reference_loop(h2_4q_ground):
     effects = povm.group_effects((0, 1, 2, 3))
     mt = marginal_counts(sample_shots(psi, povm, 3000, seed=2), (0, 1, 2, 3))
     rho, report = reconstruct(mt, povm, ConstrainedLAD())
-    want_rho, want = lad_loop(mt, hermitian_stack(effects), ConstrainedLAD())
+    want_rho, want = lad_loop(mt, hermitian_stack(effects))
     assert (report.iterations, report.converged) == (want.iterations, want.converged)
     assert report.iterations > 100
     assert np.abs(rho.matrix - want_rho.matrix).max() < 1e-10
