@@ -27,7 +27,7 @@ from .algebra import hermitian_coords, hermitian_stack
 from .frames import DUALITY_TOL, GlobalDuals
 from .observables import PAULI_MATRICES, PauliObservable
 from .povm import ProductPOVM
-from .sampling import Dataset, SamplingPlan, flat_codes, joint_probabilities, sample_shots
+from .sampling import Dataset, SamplingPlan, flat_codes, joint_probabilities, shot_uniforms
 from .states import BlockProductState, DensityMatrix, PureState, density_tensor
 
 __all__ = [
@@ -143,7 +143,12 @@ def _substring(word: str, group) -> str:
     return "".join(word[q] for q in group)
 
 
-def _omega_all(ds: Dataset, duals: GlobalDuals, obs: PauliObservable, cache: CoefficientCache) -> np.ndarray:
+def _omega(ds: Dataset, duals: GlobalDuals, obs: PauliObservable, cache: CoefficientCache) -> np.ndarray:
+    """Single-shot estimate of every shot: a table gather up to the joint-tensor
+    limit, and above it a loop over terms of products of per-group gathers."""
+    if ds.n <= sampling.JOINT_TENSOR_QUBIT_LIMIT:
+        table, order = cache.table(obs)
+        return table.reshape(-1)[flat_codes(ds, order)]
     layout = cache.layout(obs)
     codes = [flat_codes(ds, group) for group in duals.partition.groups]
     acc = np.zeros(ds.S)
@@ -156,28 +161,18 @@ def _omega_all(ds: Dataset, duals: GlobalDuals, obs: PauliObservable, cache: Coe
     return acc
 
 
-def estimate(
-    ds: Dataset,
-    duals: GlobalDuals,
-    obs: PauliObservable,
-    cache: CoefficientCache | None = None,
-) -> EstimateReport:
+def estimate(ds: Dataset, duals: GlobalDuals, obs: PauliObservable) -> EstimateReport:
     """Sample mean with population variance and Gaussian standard error."""
     if ds.S == 0:
         raise ValueError("empty dataset")
     if ds.n != duals.n or ds.n != obs.n:
         raise ValueError("qubit counts disagree")
-    if cache is None:
-        cache = CoefficientCache(duals)
+    cache = CoefficientCache(duals)
     if ds.d != cache.d:
         raise ValueError(
             f"the dataset has {ds.d} outcomes per qubit but the duals were built for {cache.d}"
         )
-    if ds.n <= sampling.JOINT_TENSOR_QUBIT_LIMIT:
-        table, order = cache.table(obs)
-        om = table.reshape(-1)[flat_codes(ds, order)]
-    else:
-        om = _omega_all(ds, duals, obs, cache)
+    om = _omega(ds, duals, obs, cache)
     mean = float(om.mean())
     # two passes: E[x^2] - E[x]^2 cancels catastrophically under a large offset
     var = float(np.mean((om - mean) ** 2))
@@ -229,7 +224,8 @@ def exact_moments(
     """Exact E[omega] and E[omega^2] of the single-shot estimator.
 
     Up to the joint-tensor limit both are sums over every joint outcome
-    of the Born probability times the tabulated estimate (squared). Above
+    of the Born probability times the tabulated estimate (squared)
+    (:func:`_table_moments`). Above
     it, per term pair each group contributes the operator Σ_m effect_m
     Tr[D_m P] Tr[D_m Q] (the first moment: without Q), and the moment is
     the state's expectation of their tensor product, taken for every term
@@ -243,7 +239,17 @@ def exact_moments(
     thing, and unbiasedness is measured rather than assumed. The pair also
     carries ``.variance``: up to the limit the two-pass Σ p (omega -
     E[omega])^2, which no large identity offset cancels, and above it
-    E[omega^2] - E[omega]^2."""
+    E[omega^2] - E[omega]^2. :func:`rmse_experiment` takes its moments
+    from the same kernels, with the same Born tensor and table it samples
+    and scores with."""
+    return _moments_and_born(state, povm, duals, obs, CoefficientCache(duals))[0]
+
+
+def _moments_and_born(
+    state, povm: ProductPOVM, duals: GlobalDuals, obs: PauliObservable, cache: CoefficientCache
+):
+    """The checked :func:`exact_moments`, and the register's flat Born tensor
+    they were summed against (None above the joint-tensor limit)."""
     if obs.n != state.n:
         raise ValueError(f"observable acts on {obs.n} qubits but the state has {state.n}")
     if povm.n != state.n or duals.n != state.n:
@@ -258,21 +264,36 @@ def exact_moments(
                 f"the duals of group {frame.group} were built for other effects than the POVM's"
             )
 
-    cache = CoefficientCache(duals)
     if obs.n > sampling.JOINT_TENSOR_QUBIT_LIMIT:
         moments = _Moments(_split_moments(state, duals, obs, cache.layout(obs)))
         moments.variance = moments[1] - moments[0] * moments[0]
-        return moments
+        return moments, None
     # p first, so the table is not yet alive at p's larger build peak
-    p = joint_probabilities(state, povm, range(obs.n)).reshape((cache.d,) * obs.n)
-    table, order = cache.table(obs)
-    w = table.reshape((cache.d,) * obs.n)
-    p_axes = "".join(chr(ord("a") + q) for q in range(obs.n))
-    w_axes = "".join(chr(ord("a") + q) for q in order)
-    mean = float(np.einsum(f"{p_axes},{w_axes}->", p, w))
-    moments = _Moments((mean, float(np.einsum(f"{p_axes},{w_axes},{w_axes}->", p, w, w))))
-    w -= mean  # the table is this call's own
-    moments.variance = float(np.einsum(f"{p_axes},{w_axes},{w_axes}->", p, w, w))
+    p = joint_probabilities(state, povm, range(obs.n))
+    return _table_moments(p, *cache.table(obs), cache.d), p
+
+
+def _table_moments(p: np.ndarray, table: np.ndarray, order, d: int) -> _Moments:
+    """Moments of the estimator table over the flat Born tensor ``p``.
+
+    ``p`` is in qubit order and the table's axes are the qubits ``order``,
+    ``d`` outcomes each; neither is changed, as both go on to sample and
+    score shots. The two-pass variance centres the table one block of its
+    leading axes at a time, so each temporary is at most ``_SPLIT_BYTES``.
+    """
+    n = len(order)
+    # p with its axes in the table's order; each block below is a view of it
+    p, w = p.reshape((d,) * n).transpose(order), table.reshape((d,) * n)
+    axes = "".join(chr(ord("a") + q) for q in range(n))
+    mean = float(np.einsum(f"{axes},{axes}->", p, w))
+    moments = _Moments((mean, float(np.einsum(f"{axes},{axes},{axes}->", p, w, w))))
+    lead = next(k for k in range(n + 1) if 8 * d ** (n - k) <= _SPLIT_BYTES)
+    moments.variance = 0.0
+    for idx in np.ndindex(*(d,) * lead):
+        block = w[idx] - mean
+        block *= block
+        block *= p[idx]
+        moments.variance += float(block.sum())
     return moments
 
 
@@ -404,6 +425,15 @@ def exact_variance(state, povm: ProductPOVM, duals: GlobalDuals, obs: PauliObser
     return exact_moments(state, povm, duals, obs).variance
 
 
+class _RMSE(float):
+    """An RMSE, carrying the exact single-shot variance as ``variance``."""
+
+
+def _child_seed(seed: int, r: int) -> int:
+    """Seed of repetition r, spawned off the harness seed."""
+    return int(np.random.SeedSequence(entropy=seed, spawn_key=(r,)).generate_state(1, np.uint64)[0])
+
+
 def rmse_experiment(
     state,
     povm: ProductPOVM,
@@ -415,27 +445,69 @@ def rmse_experiment(
 ) -> float:
     """Root mean square error of R independent S-shot sample means.
 
-    Repetition r draws its dataset from a child seed spawned off
-    ``seed``, so the harness is reproducible and repetitions are
-    statistically independent. The sampler is planned once, and the
-    estimator table is built once in the shared cache. R outside
-    1..``REPETITIONS_CAP`` raises ``ValueError`` before anything is sampled.
+    Repetition r draws its shots from a child seed spawned off ``seed``,
+    so the harness is reproducible and repetitions are statistically
+    independent. Its records are those of ``sample_shots(plan, povm, S,
+    child)`` and its mean that of :func:`estimate` on them, bit for bit.
+
+    Each input is prepared once. Up to the joint-tensor limit one Born
+    tensor and one estimator table give the exact moments
+    (:func:`_table_moments`); the sampling plan then turns the tensor into
+    its CDF in place, and the same table scores every shot. Above the
+    limit the moments are split and shots are scored term by term.
+    Repetitions are drawn in batches of whole repetitions of up to
+    ``sampling.DEFAULT_CHUNK`` shots: one reused buffer of uniforms, one
+    call of the plan's kernel and one gather per batch. A repetition of
+    more shots is drawn in pieces, cut where :func:`numpy.add.reduce`
+    halves an array (pairwise, at multiples of 8), so that its sum is the
+    same. Memory grows with neither R nor S.
+
+    The result is a float carrying the exact single-shot variance
+    (:func:`exact_variance`) as ``.variance``. It is taken before the first
+    shot, so a state whose moments cannot be taken fails before any
+    sampling. R outside 1..``REPETITIONS_CAP``, S < 1, and S x n record
+    bytes above ``sampling.RECORD_BYTES_CAP`` raise ``ValueError`` before
+    any of that work.
     """
     if R < 1:
         raise ValueError(f"need at least one repetition, got R = {R}")
     if R > REPETITIONS_CAP:
         raise ValueError(f"{R} repetitions exceed the cap {REPETITIONS_CAP}")
+    if S < 1:
+        raise ValueError("empty dataset")
+    sampling._check_record_bytes(S, povm.n)
     truth = exact_expectation(state, obs)
-    plan = SamplingPlan(state, povm)
     cache = CoefficientCache(duals)
+    moments, born = _moments_and_born(state, povm, duals, obs, cache)
+    plan = SamplingPlan(state, povm, _born=born)
+    n, chunk = plan.n, sampling.DEFAULT_CHUNK
+    per = max(1, min(R, chunk // S))  # repetitions per batch
+    u = np.empty((min(per * S, chunk), n))
+
+    def scores(cnt: int, child: int) -> np.ndarray:
+        records = plan._outcomes(u[:cnt], np.empty((cnt, n), dtype=np.uint8))
+        ds = Dataset(n=n, d=plan.d, S=cnt, records=records, seed=child, povm_id=plan.povm_id)
+        return _omega(ds, duals, obs, cache)
+
+    def shot_sum(child: int, lo: int, hi: int):
+        if hi - lo > chunk:
+            mid = (hi - lo) // 2
+            mid -= mid % 8
+            return shot_sum(child, lo, lo + mid) + shot_sum(child, lo + mid, hi)
+        u[: hi - lo] = shot_uniforms(child, lo, hi - lo, n)
+        return np.add.reduce(scores(hi - lo, child))
+
     sq = 0.0
-    for r in range(R):
-        child = int(
-            np.random.SeedSequence(entropy=seed, spawn_key=(r,)).generate_state(
-                1, np.uint64
-            )[0]
-        )
-        ds = sample_shots(plan, povm, S, child)
-        rep = estimate(ds, duals, obs, cache=cache)
-        sq += (rep.mean - truth) ** 2
-    return float(np.sqrt(sq / R))
+    for r0 in range(0, R, per):
+        if S > chunk:
+            sums = np.array([shot_sum(_child_seed(seed, r0), 0, S)])
+        else:
+            children = [_child_seed(seed, r) for r in range(r0, min(r0 + per, R))]
+            for i, child in enumerate(children):
+                u[i * S : (i + 1) * S] = shot_uniforms(child, 0, S, n)
+            sums = np.add.reduce(scores(len(children) * S, children[0]).reshape(-1, S), axis=1)
+        for mean in (sums / S).tolist():
+            sq += (mean - truth) ** 2
+    rmse = _RMSE(np.sqrt(sq / R))
+    rmse.variance = moments.variance
+    return rmse

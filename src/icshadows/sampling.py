@@ -128,6 +128,14 @@ def shot_uniforms(seed: int, start: int, count: int, n: int) -> np.ndarray:
     return u[:, :n]
 
 
+def _check_record_bytes(S: int, n: int) -> None:
+    """Refuse S shots of n qubits whose records would exceed ``RECORD_BYTES_CAP``."""
+    if S * n > RECORD_BYTES_CAP:
+        raise ValueError(
+            f"{S} shots of {n} qubits need {S * n} bytes of records, above the cap of {RECORD_BYTES_CAP}"
+        )
+
+
 def _born_tensor(state, povm: ProductPOVM, qubits) -> np.ndarray:
     """Born tensor of the state's ``qubits``, axis i measured on ``qubits[i]``.
 
@@ -346,9 +354,15 @@ class SamplingPlan:
     ``(d, r, 2)``, one per local POVM, with ``E_m = K_m^H K_m`` and ``r``
     the largest effect rank (1 for Pauli-6); :meth:`draw` collapses them
     down the outcome prefix tree in sub-batches of bounded memory.
+
+    ``_born``, private to :func:`~icshadows.estimation.rmse_experiment`, is
+    the register's Born tensor from :func:`joint_probabilities`, already
+    built for the exact moments. A plan that walks the whole register takes
+    its tables from it, consuming it in place; a block-product plan walks
+    its own per-block tensors and ignores it.
     """
 
-    def __init__(self, state, povm: ProductPOVM):
+    def __init__(self, state, povm: ProductPOVM, *, _born: np.ndarray | None = None):
         n = povm.n
         if getattr(state, "n", None) != n:
             raise ValueError("state and POVM qubit counts differ")
@@ -366,7 +380,8 @@ class SamplingPlan:
                     raise ValueError("block too large for the joint-tensor sampler")
                 self._blocks.append((list(g), _walk_tables(_born_tensor(state, povm, g))))
         elif isinstance(state, (PureState, DensityMatrix)) and n <= JOINT_TENSOR_QUBIT_LIMIT:
-            self._blocks = [(slice(None), _walk_tables(_born_tensor(state, povm, range(n))))]
+            joint = _born_tensor(state, povm, range(n)) if _born is None else _born.reshape((self.d,) * n)
+            self._blocks = [(slice(None), _walk_tables(joint))]
         elif isinstance(state, PureState):
             effects = [p.effects for p in povm.locals]
             factors = [_kraus_factors(e) for e in effects]
@@ -374,16 +389,22 @@ class SamplingPlan:
         else:
             raise ValueError("density matrices above the joint-tensor limit are not samplable")
 
-    def _run_chunk(self, seed: int, start: int, cnt: int, out: np.ndarray) -> None:
-        u = shot_uniforms(seed, start, cnt, self.n)
+    def _outcomes(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write into ``out`` the outcomes of the shots whose uniforms are the
+        rows of ``u``, and return it: the walk, block by block, or the
+        prefix-tree collapse in sub-batches. A shot's outcome depends on its
+        own row alone, so any batching of shots gives the same records."""
         if self._pure is not None:
             step = max(1, _COLLAPSE_AMPLITUDES >> self.n)
-            for lo in range(0, cnt, step):
-                sub = u[lo : lo + step]
-                out[start + lo : start + lo + len(sub)] = _collapse(*self._pure, sub)
-            return
+            for lo in range(0, len(u), step):
+                out[lo : lo + step] = _collapse(*self._pure, u[lo : lo + step])
+            return out
         for cols, tables in self._blocks:
-            out[start : start + cnt, cols] = _walk_chunk(tables, u[:, cols])
+            out[:, cols] = _walk_chunk(tables, u[:, cols])
+        return out
+
+    def _run_chunk(self, seed: int, start: int, cnt: int, out: np.ndarray) -> None:
+        self._outcomes(shot_uniforms(seed, start, cnt, self.n), out[start : start + cnt])
 
     def draw(self, S: int, seed: int, workers: int = 1, chunk: int = DEFAULT_CHUNK) -> Dataset:
         """Draw S shots; the records depend on neither ``workers`` nor ``chunk``.
@@ -394,11 +415,7 @@ class SamplingPlan:
         for the prefix-tree collapse of a pure state of fewer than
         ``_COLLAPSE_THREAD_QUBITS`` qubits, which a second thread slows.
         """
-        if S * self.n > RECORD_BYTES_CAP:
-            raise ValueError(
-                f"{S} shots of {self.n} qubits need {S * self.n} bytes of records, "
-                f"above the cap of {RECORD_BYTES_CAP}"
-            )
+        _check_record_bytes(S, self.n)
         records = np.empty((S, self.n), dtype=np.uint8)
         spans = [(s, min(chunk, S - s)) for s in range(0, S, chunk)]
         if self._pure is not None and self.n < _COLLAPSE_THREAD_QUBITS:

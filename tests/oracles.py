@@ -10,8 +10,12 @@ from icshadows import (
     MIGraph,
     Partition,
     PauliObservable,
+    SamplingPlan,
+    estimate,
+    exact_expectation,
     marginal_counts,
     pauli6_product,
+    sample_shots,
     tomography,
 )
 from icshadows.algebra import hermitian_coords, hermitian_stack, project_to_density
@@ -432,6 +436,22 @@ def walk_chunk(prefixes, u) -> np.ndarray:
         out[:, i] = m
         code = code * d + m
     return out
+
+
+def rmse_loop(state, povm, duals, obs, R: int, S: int, seed: int) -> float:
+    """RMSE of R S-shot means, one dataset and one estimate per repetition.
+
+    Repetition r samples from its own child seed through one plan and is
+    scored by :func:`estimate` on its own dataset.
+    """
+    truth = exact_expectation(state, obs)
+    plan = SamplingPlan(state, povm)
+    sq = 0.0
+    for r in range(R):
+        child = int(np.random.SeedSequence(entropy=seed, spawn_key=(r,)).generate_state(1, np.uint64)[0])
+        rep = estimate(sample_shots(plan, povm, S, child), duals, obs)
+        sq += (rep.mean - truth) ** 2
+    return float(np.sqrt(sq / R))
 
 
 def pair_mutual_information(ds, i: int, j: int) -> float:

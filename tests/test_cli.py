@@ -290,12 +290,12 @@ def test_benchmark_table(tmp_path):
 
 
 def test_rmse_checks_the_density_cap_before_the_harness(tmp_path, capsys, monkeypatch):
-    from icshadows import cli
+    from icshadows import estimation
 
-    def harness(*args, **kwargs):
-        raise AssertionError("the RMSE harness ran before the predicted RMSE")
+    def sampler(*args, **kwargs):
+        raise AssertionError("the RMSE harness planned its sampler before the predicted RMSE")
 
-    monkeypatch.setattr(cli, "rmse_experiment", harness)
+    monkeypatch.setattr(estimation, "SamplingPlan", sampler)
     refuse_dense_builds(monkeypatch)
     ham = tmp_path / "zz50.txt"
     ham.write_text("1.0 ZZ" + "I" * 48 + "\n")

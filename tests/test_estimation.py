@@ -36,7 +36,7 @@ from icshadows.frames import GlobalDuals
 from icshadows.povm import outcome_probabilities
 
 from .conftest import grouped_product_state, random_density, random_pure, refuse_dense_builds, sic4
-from .oracles import dense_trace_vector, einsum_traces, kron_matrix, omega, pairwise_exact_moments
+from .oracles import dense_trace_vector, einsum_traces, kron_matrix, omega, pairwise_exact_moments, rmse_loop
 
 
 def estimator_paths(monkeypatch):
@@ -540,6 +540,84 @@ def test_rmse_tracks_predicted_scaling(povm2, canonical2):
     rmse = rmse_experiment(bell_state(), povm2, canonical2, zz, R=100, S=400, seed=13)
     predicted = np.sqrt(8.0 / 400)
     assert 0.75 * predicted < rmse < 1.25 * predicted
+
+
+def _rmse_case(name, h2_4q, h2_4q_ground):
+    """(state, POVM, duals, observable, R, S) of one harness case."""
+    bell_obs = PauliObservable.from_terms([(1.0, "ZZ"), (0.5, "XX"), (-0.3, "YI")])
+    bell = (bell_state(), pauli6_product(2), canonical_global(pauli6_product(2)), bell_obs)
+    if name == "bell":
+        return (*bell, 20, 50)
+    if name == "h2-4q-2lo":
+        # the table's qubit order, 0 2 1 3, is not the register's
+        psi, povm = h2_4q_ground[1], pauli6_product(4)
+        part = Partition(((0, 2), (1, 3)))
+        duals = GlobalDuals(part, tuple(
+            optimal_duals(reduced_density(psi, g), povm.group_effects(g), group=g) for g in part.groups
+        ))
+        return psi, povm, duals, h2_4q, 20, 300
+    if name == "block-product":
+        # the plan walks each pair on its own, not the register-wide tensor
+        povm = pauli6_product(4)
+        obs = _random_observable(np.random.default_rng(8), 4, 10)
+        return bell_pair_chain(2), povm, canonical_global(povm), obs, 10, 200
+    if name == "pure-9q":
+        # the prefix-tree collapse, in several sub-batches, and the term loop
+        povm = pauli6_product(9)
+        obs = _random_observable(np.random.default_rng(9), 9, 6)
+        return random_pure(np.random.default_rng(9), 9), povm, canonical_global(povm), obs, 4, 300
+    if name == "one-repetition":
+        return (*bell, 1, 50)
+    if name == "batch-not-a-multiple-of-S":
+        return (*bell, 50, 3000)
+    if name == "S-above-one-batch":
+        return (*bell, 2, 2 * sampling.DEFAULT_CHUNK + 4099)
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize("name", [
+    "bell", "h2-4q-2lo", "block-product", "pure-9q", "one-repetition",
+    "batch-not-a-multiple-of-S", "S-above-one-batch",
+])
+def test_rmse_experiment_equals_the_per_repetition_loop(name, h2_4q, h2_4q_ground):
+    state, povm, duals, obs, R, S = _rmse_case(name, h2_4q, h2_4q_ground)
+    got = rmse_experiment(state, povm, duals, obs, R=R, S=S, seed=11)
+    assert got == rmse_loop(state, povm, duals, obs, R=R, S=S, seed=11)
+    assert got.variance == pytest.approx(exact_variance(state, povm, duals, obs), rel=1e-12)
+
+
+def test_rmse_experiment_memory_grows_with_neither_repetitions_nor_shots(povm2, canonical2):
+    import tracemalloc
+
+    zz = PauliObservable.single("ZZ")
+
+    def peak(R, S):
+        tracemalloc.start()
+        rmse_experiment(bell_state(), povm2, canonical2, zz, R=R, S=S, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return peak
+
+    chunk = sampling.DEFAULT_CHUNK
+    # 20 repetitions of 4,096 shots already fill a batch
+    assert peak(400, 4096) <= peak(20, 4096) + 256 * 1024
+    assert peak(1, 5 * chunk) <= peak(1, chunk + 8) + 256 * 1024
+
+
+@pytest.mark.parametrize("S, message", [
+    (0, "empty dataset"),
+    (-1, "empty dataset"),
+    (sampling.RECORD_BYTES_CAP // 2 + 1, "bytes of records, above the cap"),
+])
+def test_rmse_experiment_refuses_a_bad_shot_count_before_any_work(monkeypatch, povm2, canonical2, S, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the harness prepared before checking S")
+
+    monkeypatch.setattr(estimation, "joint_probabilities", no_work)
+    monkeypatch.setattr(estimation, "SamplingPlan", no_work)
+    zz = PauliObservable.single("ZZ")
+    with pytest.raises(ValueError, match=message):
+        rmse_experiment(bell_state(), povm2, canonical2, zz, R=10, S=S, seed=5)
 
 
 def test_exact_variance_above_density_cap_fails_before_dense_build(monkeypatch):
