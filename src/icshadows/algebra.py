@@ -43,10 +43,11 @@ def hermitianize(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
-    asym = np.abs(a - a.conj().T).max() if a.size else 0.0
+    ah = np.ascontiguousarray(a.conj().T)  # one transposed read, not two
+    asym = np.abs(a - ah).max() if a.size else 0.0
     if not asym <= HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian within {HERMITICITY_TOL:g} (asymmetry {asym:g})")
-    return 0.5 * (a + a.conj().T)
+    return np.multiply(np.add(ah, a, out=ah), 0.5, out=ah)
 
 
 @functools.lru_cache(maxsize=None)

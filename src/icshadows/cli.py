@@ -186,16 +186,12 @@ def cmd_tomo(args) -> int:
     for gi, group in enumerate(part.groups):
         backend = cfg.tomography_backend(ds.d)
         result, report = reconstruct(marginal_counts(ds, group), povm, backend)
-        if hasattr(result, "matrix"):
-            payload, kind = result.matrix, "state"
-        else:
-            payload, kind = result, "probabilities"
-        np.save(f"{args.out_prefix}-group{gi}.npy", payload)
+        np.save(f"{args.out_prefix}-group{gi}.npy", result)
         rows.append(
             [
                 gi,
                 " ".join(str(q) for q in group),
-                kind,
+                "state" if result.ndim == 2 else "probabilities",
                 repr(report.residual),
                 report.iterations,
                 report.converged,
@@ -363,14 +359,14 @@ def cmd_toy(args) -> int:
     rows = []
     for q in qs:
         state = toy_mixed(q) if args.family == "mixed" else toy_pure(q)
-        rho = state.density()
+        rho = state.density().matrix
         probs = joint_probabilities(state, povm, range(2))
         singles = Partition.singletons(2)
 
         frames = {
             "canonical": canonical_global(povm, singles),
             "1lo": optimal_global(
-                singles, [reduced_density(state, [i]) for i in range(2)], povm, cfg.floor
+                singles, [reduced_density(state, [i]).matrix for i in range(2)], povm, cfg.floor
             ),
             "opt1": optimize_product_duals(probs, singles, rho)[0],
             "2lo": optimal_global(Partition.single_group(2), [rho], povm, cfg.floor),

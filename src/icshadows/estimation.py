@@ -28,7 +28,7 @@ from .frames import DUALITY_TOL, GlobalDuals
 from .observables import PAULI_MATRICES, PauliObservable
 from .povm import ProductPOVM
 from .sampling import Dataset, SamplingPlan, flat_codes, joint_probabilities, shot_uniforms
-from .states import BlockProductState, DensityMatrix, PureState, density_tensor
+from .states import density_tensor
 
 __all__ = [
     "EstimateReport",
@@ -89,7 +89,7 @@ class CoefficientCache:
         if obs not in self._layouts:
             self._layouts[obs] = []
             for frame, group in zip(self.duals.frames, self.duals.partition.groups):
-                subs, sid = np.unique([_substring(w, group) for _, w in obs.terms], return_inverse=True)
+                subs, sid = np.unique(["".join(w[q] for q in group) for _, w in obs.terms], return_inverse=True)
                 letters = np.array([["IXYZ".index(ch) for ch in sub] for sub in subs])
                 paulis = hermitian_coords(_kron_rows(letters, [_PAULIS] * len(group)))
                 self._layouts[obs].append((sid.reshape(-1), paulis @ frame.duals.T))
@@ -139,10 +139,6 @@ def _kron_rows(rows: np.ndarray, stacks) -> np.ndarray:
     return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(len(rows), a.shape[1] * b.shape[1], -1)
 
 
-def _substring(word: str, group) -> str:
-    return "".join(word[q] for q in group)
-
-
 def _omega(ds: Dataset, duals: GlobalDuals, obs: PauliObservable, cache: CoefficientCache) -> np.ndarray:
     """Single-shot estimate of every shot: a table gather up to the joint-tensor
     limit, and above it a loop over terms of products of per-group gathers."""
@@ -186,29 +182,12 @@ def estimate(ds: Dataset, duals: GlobalDuals, obs: PauliObservable) -> EstimateR
 
 
 def exact_expectation(state, obs: PauliObservable) -> float:
-    """Tr[rho O] without forming the dense observable."""
-    if not isinstance(state, (PureState, BlockProductState, DensityMatrix)):
+    """Tr[rho O] without forming the dense observable, as the state computes it."""
+    if not hasattr(state, "_expectation"):
         raise TypeError(f"unsupported state type {type(state).__name__}")
     if state.n != obs.n:
         raise ValueError(f"observable acts on {obs.n} qubits but the state has {state.n}")
-    if isinstance(state, PureState):
-        return float(np.vdot(state.amplitudes, obs.apply(state.amplitudes)).real)
-    if isinstance(state, BlockProductState):
-        total = 0.0
-        for coeff, word in obs.terms:
-            val = coeff
-            for group, block in zip(state.partition.groups, state.blocks):
-                sub = PauliObservable.single(_substring(word, group))
-                val *= exact_expectation(block, sub)
-            total += val
-        return float(total)
-    # Tr[rho O] = sum_x sum_j diag_x[j] rho[j XOR x, j], over the diagonals
-    # that apply reads; each mask's part of O is Hermitian, so its trace is real
-    rows = np.arange(2**state.n)
-    total = 0.0
-    for x, diag in obs._mask_diagonals:
-        total += np.dot(diag, state.matrix[rows ^ x, rows]).real
-    return float(total)
+    return state._expectation(obs)
 
 
 class _Moments(tuple):
@@ -229,8 +208,8 @@ def exact_moments(
     it, per term pair each group contributes the operator Σ_m effect_m
     Tr[D_m P] Tr[D_m Q] (the first moment: without Q), and the moment is
     the state's expectation of their tensor product, taken for every term
-    and pair in one pass of :func:`_split_moments`. A state other than a
-    pure one is read through its density tensor
+    and pair in one pass of :func:`_split_moments`: on its ``amplitudes``
+    when it has them, and otherwise on its density tensor
     (:func:`~icshadows.states.density_tensor`), which a block-product
     state builds from its blocks without a validated register-wide
     ``DensityMatrix``. Both read the trace
@@ -385,7 +364,7 @@ def _split_moments(state, duals: GlobalDuals, obs: PauliObservable, layout):
     order = [q for g in groups for q in g]
     n_a, n_b1, n_b2 = (sum(len(g) for g in groups[lo:hi]) for lo, hi in zip(cuts, cuts[1:]))
     da, d1, d2, db = 2**n_a, 2**n_b1, 2**n_b2, 2 ** (n_b1 + n_b2)
-    if isinstance(state, PureState):
+    if state.amplitudes is not None:
         psi = state.amplitudes.reshape((2,) * n).transpose(order).reshape(da, db)
         bra = psi.conj().T
         contract = lambda ops: bra @ ops @ psi
@@ -447,7 +426,7 @@ def rmse_experiment(
 
     Repetition r draws its shots from a child seed spawned off ``seed``,
     so the harness is reproducible and repetitions are statistically
-    independent. Its records are those of ``sample_shots(plan, povm, S,
+    independent. Its records are those of ``SamplingPlan(state, povm).draw(S,
     child)`` and its mean that of :func:`estimate` on them, bit for bit.
 
     Each input is prepared once. Up to the joint-tensor limit one Born

@@ -35,7 +35,6 @@ import numpy as np
 from .algebra import hermitianize
 from .partition import Partition
 from .povm import ProductPOVM, outcome_probabilities, pauli6_product
-from .states import DensityMatrix
 
 __all__ = [
     "DUALITY_TOL",
@@ -229,19 +228,19 @@ def optimal_duals(
     floor: float = PROBABILITY_FLOOR,
     provenance: str = "optimal",
 ) -> DualFrame:
-    """Variance-minimizing duals from a state or an outcome-probability vector.
+    """Variance-minimizing duals from a density matrix or an outcome-probability vector.
 
     Weights are inverse predicted probabilities with an absolute floor,
     so zero or negative predictions degrade variance but never validity.
-    The floor must therefore be finite and positive. A state (a 2-d
-    ``sigma``) must be a finite Hermitian matrix of the effects' dimension
+    The floor must therefore be finite and positive. A density matrix (a
+    2-d ``sigma``) must be a finite Hermitian array of the effects' dimension
     (:func:`~icshadows.algebra.hermitianize`); a probability vector must
     be finite.
     """
     if not (np.isfinite(floor) and floor > 0):
         raise ValueError(f"floor must be finite and positive, got {floor!r}")
     effects = _coordinates(effects, "effects")
-    sigma = np.asarray(sigma.matrix if isinstance(sigma, DensityMatrix) else sigma)
+    sigma = np.asarray(sigma)
     if sigma.ndim == 2:
         dim = math.isqrt(effects.shape[1])
         if sigma.shape != (dim, dim):
@@ -286,8 +285,7 @@ def state_mse(duals: GlobalDuals, probabilities, rho) -> float:
     order of the partition's groups.
     """
     probabilities = np.asarray(probabilities, dtype=float)
-    rho_mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    purity = np.einsum("ab,ba->", rho_mat, rho_mat).real
+    purity = np.einsum("ab,ba->", rho, rho).real
     tr2 = np.ones(1)
     for frame in duals.frames:
         tr2 = np.multiply.outer(tr2, _tr2(frame.duals)).reshape(-1)
@@ -321,8 +319,7 @@ def optimize_product_duals(
     if partition.n > PRODUCT_QUBIT_CAP:
         raise ValueError(f"{partition.n} qubits exceeds the optimizer cap {PRODUCT_QUBIT_CAP}")
     probabilities = np.asarray(probabilities, dtype=float)
-    rho_mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    purity = np.einsum("ab,ba->", rho_mat, rho_mat).real
+    purity = np.einsum("ab,ba->", rho, rho).real
     povm = pauli6_product(partition.n)
     groups = partition.groups
     sites = [canonical_duals(povm.group_effects(g), group=g) for g in groups]

@@ -6,8 +6,8 @@ qubit, drawn from a counter-based generator advanced to that shot's own
 block, so datasets are byte-identical whether generated serially, in
 chunks, or by several workers.
 
-Two samplers keep that contract. Up to ``JOINT_TENSOR_QUBIT_LIMIT``
-qubits (or per block of a block-product state) the joint Born tensor is
+Two samplers keep that contract. Per group of the state's ``partition``,
+up to ``JOINT_TENSOR_QUBIT_LIMIT`` qubits, the joint Born tensor is
 turned once into per-level CDF tables, and each shot walks them, one
 outcome per level, by comparing its threshold with its row. One kernel
 builds that tensor, one batched matrix product per qubit from the last
@@ -18,14 +18,14 @@ block of a block product) contracts the 4^k density tensor of its
 qubits (:func:`~icshadows.states.density_tensor`) with the vectorized
 effects. :func:`joint_probabilities` is the one public entry point to
 that kernel, for a group's marginal and for the whole register's tensor
-alike (the exact moments reshape its flat result). Pure states above
-the limit are collapsed qubit by qubit down a prefix tree: at depth q
-the shots of a batch share one branch state per distinct outcome
-prefix, so the work is about ``sum_q min(S, d^q) 2^(n-q)`` amplitudes
-instead of ``S n d 2^n``. Chunks are collapsed in fixed sub-batches of
-``_COLLAPSE_AMPLITUDES >> n`` shots, which bounds the live branch states
-by a few times ``_COLLAPSE_AMPLITUDES`` amplitudes however large S or the
-chunk is.
+alike (the exact moments reshape its flat result). A state with
+``amplitudes`` above the limit is collapsed qubit by qubit down a prefix
+tree: at depth q the shots of a batch share one branch state per
+distinct outcome prefix, so the work is about
+``sum_q min(S, d^q) 2^(n-q)`` amplitudes instead of ``S n d 2^n``.
+Chunks are collapsed in fixed sub-batches of ``_COLLAPSE_AMPLITUDES >> n``
+shots, which bounds the live branch states by a few times
+``_COLLAPSE_AMPLITUDES`` amplitudes however large S or the chunk is.
 """
 
 from __future__ import annotations
@@ -36,9 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partition import Partition
 from .povm import ProductPOVM
-from .states import BlockProductState, DensityMatrix, PureState, density_tensor
+from .states import density_tensor
 
 __all__ = [
     "Dataset",
@@ -148,7 +147,7 @@ def _born_tensor(state, povm: ProductPOVM, qubits) -> np.ndarray:
     (``E_m[c, r]`` at index ``2r + c``), and keeps the real part clipped at 0.
     """
     qubits = list(qubits)
-    if isinstance(state, PureState) and qubits == list(range(state.n)):
+    if state.amplitudes is not None and qubits == list(range(state.n)):
         factors = [_kraus_factors(povm.locals[q].effects) for q in qubits]
         if all(f.shape[1] == 1 for f in factors):
             return _contract_levels(state.amplitudes, [f[:, 0] for f in factors], squared=True)
@@ -345,21 +344,22 @@ def _collapse(amps: np.ndarray, effects, factors, u: np.ndarray) -> np.ndarray:
 class SamplingPlan:
     """Born-rule sampler of one (state, POVM) pair, planned once.
 
-    Within the joint-tensor limit, planning builds the walk's per-level
-    tables (per block for a block-product state): the prefix masses and
-    the running sums of their rows, the joint tensor's taken in place.
-    :meth:`draw` only walks them, so repeated draws from one state, as in
-    an RMSE harness, pay the planning cost once. Pure states above the
-    limit are planned as per-qubit Kraus factors ``K`` of shape
-    ``(d, r, 2)``, one per local POVM, with ``E_m = K_m^H K_m`` and ``r``
-    the largest effect rank (1 for Pauli-6); :meth:`draw` collapses them
-    down the outcome prefix tree in sub-batches of bounded memory.
+    The state's ``partition`` and ``amplitudes`` choose the plan. A single
+    group within the joint-tensor limit is walked whole, and otherwise a
+    pure state is collapsed; a group above the limit is refused, and any
+    other partition is walked group by group. A walk's planning builds its
+    per-level tables: the prefix masses and the running sums of their rows,
+    the joint tensor's taken in place. :meth:`draw` only walks them, so
+    repeated draws from one state, as in an RMSE harness, pay the planning
+    cost once. A collapse is planned as per-qubit Kraus factors ``K`` of
+    shape ``(d, r, 2)``, one per local POVM, with ``E_m = K_m^H K_m`` and
+    ``r`` the largest effect rank (1 for Pauli-6); :meth:`draw` collapses
+    them down the outcome prefix tree in sub-batches of bounded memory.
 
     ``_born``, private to :func:`~icshadows.estimation.rmse_experiment`, is
-    the register's Born tensor from :func:`joint_probabilities`, already
-    built for the exact moments. A plan that walks the whole register takes
-    its tables from it, consuming it in place; a block-product plan walks
-    its own per-block tensors and ignores it.
+    the register's Born tensor from :func:`joint_probabilities`, built for
+    the exact moments. A one-group plan takes its tables from it, consuming
+    it in place; a plan of several groups ignores it.
     """
 
     def __init__(self, state, povm: ProductPOVM, *, _born: np.ndarray | None = None):
@@ -369,25 +369,23 @@ class SamplingPlan:
         dims = povm.dims
         if any(dd != dims[0] for dd in dims):
             raise ValueError("datasets require a uniform outcome count per qubit")
-        self.povm = povm
         self.povm_id = povm.identifier
         self.n, self.d = n, dims[0]
         self._pure = None  # (amplitudes, effects, Kraus factors) above the limit
-        self._blocks = []  # (columns, walk tables) per block
-        if isinstance(state, BlockProductState):
-            for g in state.partition.groups:
-                if len(g) > JOINT_TENSOR_QUBIT_LIMIT:
-                    raise ValueError("block too large for the joint-tensor sampler")
-                self._blocks.append((list(g), _walk_tables(_born_tensor(state, povm, g))))
-        elif isinstance(state, (PureState, DensityMatrix)) and n <= JOINT_TENSOR_QUBIT_LIMIT:
+        self._blocks = []  # (columns, walk tables) per group
+        groups = state.partition.groups
+        if len(groups) == 1 and n <= JOINT_TENSOR_QUBIT_LIMIT:
             joint = _born_tensor(state, povm, range(n)) if _born is None else _born.reshape((self.d,) * n)
             self._blocks = [(slice(None), _walk_tables(joint))]
-        elif isinstance(state, PureState):
+        elif state.amplitudes is not None:
             effects = [p.effects for p in povm.locals]
-            factors = [_kraus_factors(e) for e in effects]
-            self._pure = (state.amplitudes, effects, factors)
-        else:
+            self._pure = (state.amplitudes, effects, [_kraus_factors(e) for e in effects])
+        elif len(groups) == 1:
             raise ValueError("density matrices above the joint-tensor limit are not samplable")
+        elif max(len(g) for g in groups) > JOINT_TENSOR_QUBIT_LIMIT:
+            raise ValueError("block too large for the joint-tensor sampler")
+        else:
+            self._blocks = [(list(g), _walk_tables(_born_tensor(state, povm, g))) for g in groups]
 
     def _outcomes(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write into ``out`` the outcomes of the shots whose uniforms are the
@@ -440,18 +438,10 @@ def sample_shots(
     workers: int = 1,
     chunk: int = DEFAULT_CHUNK,
 ) -> Dataset:
-    """Draw S shots from the Born distribution of the product POVM.
-
-    ``state`` may also be a :class:`SamplingPlan` built for ``povm``,
-    which skips planning.
-    """
-    if isinstance(state, SamplingPlan):
-        if state.povm != povm:
-            raise ValueError("sampling plan was built for another POVM")
-        plan = state
-    else:
-        plan = SamplingPlan(state, povm)
-    return plan.draw(S, seed, workers=workers, chunk=chunk)
+    """Draw S shots from the Born distribution of the product POVM: one
+    :class:`SamplingPlan` of ``state``, drawn once. A caller that draws
+    many times from one state plans once and calls :meth:`SamplingPlan.draw`."""
+    return SamplingPlan(state, povm).draw(S, seed, workers=workers, chunk=chunk)
 
 
 def flat_codes(ds: Dataset, group, dtype=np.int64) -> np.ndarray:

@@ -4,7 +4,8 @@ Everything here is dense and intended for desk scale. Statevectors are
 capped at 14 qubits, density matrices and ground-state solves at 12; the
 caps guard against accidental exponential blowups. Ground states come
 from one restarted Lanczos iteration in numpy at every size
-(:func:`ground_state`).
+(:func:`ground_state`). Only this module tells the kinds apart: the rest
+reads ``partition``, ``amplitudes``, :func:`density_tensor`, ``_expectation``.
 """
 
 from __future__ import annotations
@@ -62,30 +63,51 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
         self.amplitudes.setflags(write=False)
 
+    partition = property(lambda self: Partition.single_group(self.n))
+
     def density(self) -> "DensityMatrix":
         return reduced_density(self, range(self.n))
+
+    def _expectation(self, obs: PauliObservable) -> float:
+        return float(np.vdot(self.amplitudes, obs.apply(self.amplitudes)).real)
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
     n: int
     matrix: np.ndarray
+    amplitudes = None
+    partition = property(lambda self: Partition.single_group(self.n))
 
     def __post_init__(self):
-        _check_density_cap(self.n)
-        mat = hermitianize(np.asarray(self.matrix, dtype=complex))
-        if mat.shape != (2**self.n, 2**self.n):
+        self._set(self.n, self.matrix)
+        if not np.linalg.eigvalsh(self.matrix).min() >= -PSD_TOL:
+            raise ValueError("matrix is not PSD")
+
+    def _set(self, n: int, matrix) -> None:
+        """Every check but the PSD one, then ``n`` and the read-only hermitianized matrix."""
+        _check_density_cap(n)
+        mat = hermitianize(np.asarray(matrix, dtype=complex))
+        if mat.shape != (2**n, 2**n):
             raise ValueError("matrix dimension is not 2^n")
         # written so that a NaN fails the check instead of passing it
         if not abs(np.trace(mat).real - 1.0) <= NORM_TOL:
             raise ValueError("trace is not 1")
-        if not np.linalg.eigvalsh(mat).min() >= -PSD_TOL:
-            raise ValueError("matrix is not PSD")
+        mat.setflags(write=False)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "matrix", mat)
-        self.matrix.setflags(write=False)
 
     def density(self) -> "DensityMatrix":
         return self
+
+    def _expectation(self, obs: PauliObservable) -> float:
+        # Tr[rho O] = sum_x sum_j diag_x[j] rho[j XOR x, j], over the diagonals
+        # that apply reads; each mask's part of O is Hermitian, so its trace is real
+        rows = np.arange(2**self.n)
+        total = 0.0
+        for x, diag in obs._mask_diagonals:
+            total += np.dot(diag, self.matrix[rows ^ x, rows]).real
+        return float(total)
 
 
 @dataclass(frozen=True)
@@ -94,6 +116,7 @@ class BlockProductState:
 
     partition: Partition
     blocks: tuple[DensityMatrix, ...]
+    amplitudes = None
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
@@ -109,6 +132,15 @@ class BlockProductState:
 
     def density(self) -> DensityMatrix:
         return reduced_density(self, range(self.n))
+
+    def _expectation(self, obs: PauliObservable) -> float:
+        total = 0.0
+        for coeff, word in obs.terms:
+            val = coeff
+            for group, block in zip(self.partition.groups, self.blocks):
+                val *= block._expectation(PauliObservable.single("".join(word[q] for q in group)))
+            total += val
+        return float(total)
 
 
 def _check_density_cap(n: int) -> None:
@@ -163,10 +195,14 @@ def density_tensor(state, axes) -> np.ndarray:
 
 
 def reduced_density(state, group) -> DensityMatrix:
-    """Reduced density matrix on ``group`` (ascending index order)."""
+    """Reduced density matrix on ``group`` (ascending index order), checked
+    as :class:`DensityMatrix` checks it but for the eigendecomposition: the
+    reduction of a validated state is PSD."""
     group = sorted(int(q) for q in group)
     t = density_tensor(state, [(q, 0) for q in group] + [(q, 1) for q in group])
-    return DensityMatrix(len(group), t.reshape(2 ** len(group), -1))
+    rho = object.__new__(DensityMatrix)
+    rho._set(len(group), t.reshape(2 ** len(group), -1))
+    return rho
 
 
 def ground_state(obs: PauliObservable) -> tuple[float, PureState]:

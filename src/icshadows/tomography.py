@@ -110,8 +110,8 @@ def reconstruct(mt: MarginalTable, povm: ProductPOVM, backend):
     built as Kronecker products of each qubit's canonical duals (canonical
     duals of a product POVM factorize), so no group-sized frame is solved.
 
-    Returns ``(DensityMatrix, report)`` for the physical backends and
-    ``(probability_vector, report)`` for FrequencyBias.
+    Returns ``(array, report)``: the validated state's read-only matrix
+    for the physical backends, the probability vector for FrequencyBias.
     """
     group = mt.group
     if not all(0 <= q < povm.n for q in group):
@@ -145,7 +145,7 @@ def reconstruct(mt: MarginalTable, povm: ProductPOVM, backend):
         report = ReconstructionReport(
             residual=_residual(f, outcome_probabilities(effects, init)), iterations=0
         )
-        return DensityMatrix(n, init), report
+        return DensityMatrix(n, init).matrix, report
 
     if isinstance(backend, ConstrainedLAD):
         sigma = init
@@ -170,7 +170,7 @@ def reconstruct(mt: MarginalTable, povm: ProductPOVM, backend):
                     break
                 window_r = best_r
         report = ReconstructionReport(residual=best_r, iterations=it, converged=converged)
-        return DensityMatrix(n, best), report
+        return DensityMatrix(n, best).matrix, report
 
     raise TypeError(f"unknown backend {type(backend).__name__}")
 

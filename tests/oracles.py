@@ -15,12 +15,10 @@ from icshadows import (
     exact_expectation,
     marginal_counts,
     pauli6_product,
-    sample_shots,
     tomography,
 )
 from icshadows.algebra import hermitian_coords, hermitian_stack, project_to_density
 from icshadows.correlations import _mutual_information
-from icshadows.estimation import _substring
 from icshadows.frames import (
     PRODUCT_QUBIT_CAP,
     PRODUCT_SWEEPS,
@@ -30,8 +28,12 @@ from icshadows.frames import (
     canonical_duals,
 )
 from icshadows.observables import PAULI_MATRICES, mask_term
-from icshadows.states import PureState
+from icshadows.states import BlockProductState, PureState
 from icshadows.tomography import LAD_WINDOW, ReconstructionReport
+
+
+def _substring(word: str, group) -> str:
+    return "".join(word[q] for q in group)
 
 
 def kron_all(ops) -> np.ndarray:
@@ -388,7 +390,7 @@ def lad_loop(mt, effects):
             window_r = best_r
     n = int(round(np.log2(effects.shape[1])))
     report = ReconstructionReport(residual=best_r, iterations=it, converged=converged)
-    return DensityMatrix(n, best), report
+    return DensityMatrix(n, best).matrix, report
 
 
 def tensordot_joint_probabilities(rho: np.ndarray, povm, qubits) -> np.ndarray:
@@ -449,9 +451,34 @@ def rmse_loop(state, povm, duals, obs, R: int, S: int, seed: int) -> float:
     sq = 0.0
     for r in range(R):
         child = int(np.random.SeedSequence(entropy=seed, spawn_key=(r,)).generate_state(1, np.uint64)[0])
-        rep = estimate(sample_shots(plan, povm, S, child), duals, obs)
+        rep = estimate(plan.draw(S, child), duals, obs)
         sq += (rep.mean - truth) ** 2
     return float(np.sqrt(sq / R))
+
+
+def branch_exact_expectation(state, obs) -> float:
+    """Tr[rho O] by one branch per state class: a pure state's amplitudes,
+    a block product's blocks term by term, a density matrix's entries."""
+    if not isinstance(state, (PureState, BlockProductState, DensityMatrix)):
+        raise TypeError(f"unsupported state type {type(state).__name__}")
+    if state.n != obs.n:
+        raise ValueError(f"observable acts on {obs.n} qubits but the state has {state.n}")
+    if isinstance(state, PureState):
+        return float(np.vdot(state.amplitudes, obs.apply(state.amplitudes)).real)
+    if isinstance(state, BlockProductState):
+        total = 0.0
+        for coeff, word in obs.terms:
+            val = coeff
+            for group, block in zip(state.partition.groups, state.blocks):
+                sub = PauliObservable.single(_substring(word, group))
+                val *= branch_exact_expectation(block, sub)
+            total += val
+        return float(total)
+    rows = np.arange(2**state.n)
+    total = 0.0
+    for x, diag in obs._mask_diagonals:
+        total += np.dot(diag, state.matrix[rows ^ x, rows]).real
+    return float(total)
 
 
 def pair_mutual_information(ds, i: int, j: int) -> float:

@@ -75,9 +75,9 @@ def test_criterion_01_duality_bound_all_constructors():
     for group in [(0,), (1, 2), (0, 1, 2)]:
         effects = povm.group_effects(group)
         frames.append(canonical_duals(effects, group=group))
-        frames.append(optimal_duals(reduced_density(ghz, group), effects, group=group))
+        frames.append(optimal_duals(reduced_density(ghz, group).matrix, effects, group=group))
         # |000> zeroes some outcome probabilities, exercising the floor
-        frames.append(optimal_duals(reduced_density(zeros, group), effects, group=group))
+        frames.append(optimal_duals(reduced_density(zeros, group).matrix, effects, group=group))
         for backend in backends:
             est, _ = reconstruct(marginal_counts(ds, group), povm, backend)
             frames.append(optimal_duals(est, effects, group=group))
@@ -138,7 +138,7 @@ def test_criterion_03_optimal_duals_dominate():
     state = DensityMatrix(2, random_density(rng, 4))
     part = Partition.single_group(2)
 
-    opt = GlobalDuals(part, (optimal_duals(state, effects, group=(0, 1)),))
+    opt = GlobalDuals(part, (optimal_duals(state.matrix, effects, group=(0, 1)),))
     can = GlobalDuals(part, (canonical_duals(effects, group=(0, 1)),))
     randoms = [
         GlobalDuals(part, (duals_from_weights(
@@ -172,7 +172,7 @@ def test_criterion_04_h2_variance_benchmarks(h2_4q, h2_4q_ground, povm4):
     effects = povm4.group_effects(group)
     klo4 = GlobalDuals(
         Partition.single_group(4),
-        (optimal_duals(reduced_density(psi, group), effects, group=group),),
+        (optimal_duals(reduced_density(psi, group).matrix, effects, group=group),),
     )
     v_klo = exact_variance(psi, povm4, klo4, h2_4q)
     elapsed = time.perf_counter() - start
@@ -195,12 +195,12 @@ def test_criterion_05_toy_family_sweep():
     for family, make in (("mixed", toy_mixed), ("pure", toy_pure)):
         for q in qs:
             state = make(q)
-            rho = reduced_density(state, range(2))
+            rho = reduced_density(state, range(2)).matrix
             probs = joint_probabilities(state, povm, range(2))
             frames = {
                 "can": canonical_global(povm, singles),
                 "1lo": GlobalDuals(singles, tuple(
-                    optimal_duals(reduced_density(state, [i]),
+                    optimal_duals(reduced_density(state, [i]).matrix,
                                   povm.group_effects([i]), group=(i,))
                     for i in range(2)
                 )),
@@ -269,7 +269,7 @@ def test_criterion_07_rmse_calibration(h2_4q, h2_4q_ground, povm4):
     frames = {"canonical": canonical_global(povm4)}
     part = Partition(((0, 1), (2, 3)))
     frames["2lo-exact"] = GlobalDuals(part, tuple(
-        optimal_duals(reduced_density(psi, g), povm4.group_effects(g), group=g)
+        optimal_duals(reduced_density(psi, g).matrix, povm4.group_effects(g), group=g)
         for g in part.groups
     ))
     results = {}

@@ -31,6 +31,17 @@ def test_hermitianize_symmetrizes_small_drift():
     assert np.allclose(h, h.conj().T)
 
 
+def test_hermitianize_is_the_mean_with_the_adjoint_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for dim in (1, 3, 16):
+        drift = 1e-12 * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        for a in (random_density(rng, dim) + drift, np.asfortranarray(random_density(rng, dim) + drift)):
+            before = a.copy()
+            got = hermitianize(a)
+            assert got.view(np.uint8).tobytes() == (0.5 * (a + a.conj().T)).view(np.uint8).tobytes()
+            assert np.array_equal(a, before)
+
+
 def test_hermitianize_rejects_genuinely_asymmetric():
     with pytest.raises(ValueError, match="not Hermitian"):
         hermitianize(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -486,6 +486,15 @@ def test_sample_above_the_record_cap_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sample_of_a_density_matrix_above_the_limit_exits_one(tmp_path, capsys):
+    out = tmp_path / "x.icsd"
+    assert run(["sample", "max-mixed-9", "-S", 10, "--out", out]) == 1
+    assert capsys.readouterr().err == "error: density matrices above the joint-tensor limit are not samplable\n"
+    assert not out.exists()
+    # a pure state of that size has amplitudes to collapse
+    assert run(["sample", "ghz-9", "-S", 10, "--out", out]) == 0
+
+
 def test_memory_error_exits_one(tmp_path, capsys, monkeypatch):
     import icshadows.cli as cli
 

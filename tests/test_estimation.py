@@ -36,7 +36,15 @@ from icshadows.frames import GlobalDuals
 from icshadows.povm import outcome_probabilities
 
 from .conftest import grouped_product_state, random_density, random_pure, refuse_dense_builds, sic4
-from .oracles import dense_trace_vector, einsum_traces, kron_matrix, omega, pairwise_exact_moments, rmse_loop
+from .oracles import (
+    branch_exact_expectation,
+    dense_trace_vector,
+    einsum_traces,
+    kron_matrix,
+    omega,
+    pairwise_exact_moments,
+    rmse_loop,
+)
 
 
 def estimator_paths(monkeypatch):
@@ -300,6 +308,22 @@ def test_exact_expectation_routes_agree():
 
 
 @pytest.mark.parametrize("kind", ["pure", "density", "block"])
+def test_exact_expectation_equals_the_per_class_branches(kind):
+    # each state kind computes <O> itself, with the loops of the old per-class branches
+    rng = np.random.default_rng(23)
+    obs = _random_observable(rng, 5, 40)
+    state = {
+        "pure": lambda: random_pure(rng, 5),
+        "density": lambda: DensityMatrix(5, random_density(rng, 32)),
+        "block": lambda: BlockProductState(
+            Partition(((0, 3), (1,), (2, 4))),
+            tuple(DensityMatrix(k, random_density(rng, 2**k)) for k in (2, 1, 2)),
+        ),
+    }[kind]()
+    assert exact_expectation(state, obs) == branch_exact_expectation(state, obs)
+
+
+@pytest.mark.parametrize("kind", ["pure", "density", "block"])
 @pytest.mark.parametrize("state_n, obs_n", [(3, 2), (2, 3)])
 def test_exact_expectation_rejects_qubit_count_mismatch(kind, state_n, obs_n):
     make = {
@@ -553,7 +577,7 @@ def _rmse_case(name, h2_4q, h2_4q_ground):
         psi, povm = h2_4q_ground[1], pauli6_product(4)
         part = Partition(((0, 2), (1, 3)))
         duals = GlobalDuals(part, tuple(
-            optimal_duals(reduced_density(psi, g), povm.group_effects(g), group=g) for g in part.groups
+            optimal_duals(reduced_density(psi, g).matrix, povm.group_effects(g), group=g) for g in part.groups
         ))
         return psi, povm, duals, h2_4q, 20, 300
     if name == "block-product":
@@ -561,6 +585,12 @@ def _rmse_case(name, h2_4q, h2_4q_ground):
         povm = pauli6_product(4)
         obs = _random_observable(np.random.default_rng(8), 4, 10)
         return bell_pair_chain(2), povm, canonical_global(povm), obs, 10, 200
+    if name == "one-group-block-product":
+        # one group walks the whole register, from the moments' own Born tensor
+        povm = pauli6_product(3)
+        obs = _random_observable(np.random.default_rng(7), 3, 8)
+        block = DensityMatrix(3, random_density(np.random.default_rng(7), 8))
+        return BlockProductState(Partition.single_group(3), (block,)), povm, canonical_global(povm), obs, 10, 200
     if name == "pure-9q":
         # the prefix-tree collapse, in several sub-batches, and the term loop
         povm = pauli6_product(9)
@@ -576,7 +606,7 @@ def _rmse_case(name, h2_4q, h2_4q_ground):
 
 
 @pytest.mark.parametrize("name", [
-    "bell", "h2-4q-2lo", "block-product", "pure-9q", "one-repetition",
+    "bell", "h2-4q-2lo", "block-product", "one-group-block-product", "pure-9q", "one-repetition",
     "batch-not-a-multiple-of-S", "S-above-one-batch",
 ])
 def test_rmse_experiment_equals_the_per_repetition_loop(name, h2_4q, h2_4q_ground):
@@ -661,7 +691,7 @@ def test_coefficient_vectors_match_dense_traces(k):
     # the layout takes Tr[D_m P] from coordinates; the dense complex product is the reference
     group = tuple(range(k))
     rho = DensityMatrix(k, random_density(np.random.default_rng(k), 2**k))
-    frame = optimal_duals(rho, pauli6_product(k).group_effects(group), group=group)
+    frame = optimal_duals(rho.matrix, pauli6_product(k).group_effects(group), group=group)
     words = ["".join(letters) for letters in itertools.product("IXYZ", repeat=k)]
     obs = PauliObservable.from_terms([(1.0, word) for word in words])
     [(sid, vec)] = CoefficientCache(GlobalDuals(Partition((group,)), (frame,))).layout(obs)

@@ -128,20 +128,18 @@ def test_duals_reject_ill_conditioned_weights():
 def test_optimal_equals_canonical_for_maximally_mixed():
     effects = pauli6_product(1).group_effects((0,))
     can = canonical_duals(effects, (0,))
-    opt = optimal_duals(maximally_mixed(1), effects, (0,))
+    opt = optimal_duals(maximally_mixed(1).matrix, effects, (0,))
     assert np.allclose(can.duals, opt.duals, atol=1e-10)
     assert opt.provenance == "optimal"
 
 
 def test_optimal_duals_input_routes_agree():
     effects = pauli6_product(2).group_effects((0, 1))
-    rho = toy_mixed(0.3)
-    by_state = optimal_duals(rho, effects, group=(0, 1))
-    by_matrix = optimal_duals(rho.matrix, effects, group=(0, 1))
-    probs = np.einsum("mab,ba->m", hermitian_stack(effects), rho.matrix).real
+    rho = toy_mixed(0.3).matrix
+    by_matrix = optimal_duals(rho, effects, group=(0, 1))
+    probs = np.einsum("mab,ba->m", hermitian_stack(effects), rho).real
     by_probs = optimal_duals(probs, effects, group=(0, 1))
-    assert np.allclose(by_state.duals, by_matrix.duals)
-    assert np.allclose(by_state.duals, by_probs.duals)
+    assert np.allclose(by_matrix.duals, by_probs.duals)
     with pytest.raises(ValueError, match="length"):
         optimal_duals(np.ones(5) / 5, effects, group=(0, 1))
 
@@ -223,11 +221,11 @@ def test_weighted_duals_always_satisfy_duality(ws):
 def test_state_mse_canonical_on_maximally_mixed():
     frame = canonical_global(pauli6_product(1))
     probs = np.full(6, 1 / 6)
-    assert state_mse(frame, probs, maximally_mixed(1)) == pytest.approx(4.5)
+    assert state_mse(frame, probs, maximally_mixed(1).matrix) == pytest.approx(4.5)
 
 
 def test_state_mse_global_duals_reordered_partition():
-    rho = maximally_mixed(2)
+    rho = maximally_mixed(2).matrix
     povm = pauli6_product(2)
     probs = np.full(36, 1 / 36)
     straight = canonical_global(povm, Partition(((0,), (1,))))
@@ -257,7 +255,7 @@ def test_global_duals_validates_frame_groups():
 def test_global_duals_mixed_provenance_label():
     povm = pauli6_product(2)
     f0 = canonical_duals(povm.group_effects((0,)), group=(0,))
-    f1 = optimal_duals(maximally_mixed(1), povm.group_effects((1,)), group=(1,))
+    f1 = optimal_duals(maximally_mixed(1).matrix, povm.group_effects((1,)), group=(1,))
     gd = GlobalDuals(Partition(((0,), (1,))), (f0, f1))
     assert gd.provenance == "mixed"
 
@@ -299,9 +297,9 @@ def test_klo_duals_requires_known_povm():
 
 
 def test_optimize_product_duals_beats_canonical():
-    rho = toy_mixed(0.3)
+    rho = toy_mixed(0.3).matrix
     povm = pauli6_product(2)
-    probs = np.einsum("mab,ba->m", hermitian_stack(povm.group_effects((0, 1))), rho.matrix).real
+    probs = np.einsum("mab,ba->m", hermitian_stack(povm.group_effects((0, 1))), rho).real
     part = Partition.singletons(2)
     gd, mse, sweeps = optimize_product_duals(probs, part, rho)
     base = state_mse(canonical_global(povm, part), probs, rho)
@@ -313,7 +311,7 @@ def test_optimize_product_duals_beats_canonical():
 
 def test_optimize_product_duals_respects_cap():
     with pytest.raises(ValueError, match="cap"):
-        optimize_product_duals(np.zeros(6**5), Partition.singletons(5), maximally_mixed(5))
+        optimize_product_duals(np.zeros(6**5), Partition.singletons(5), maximally_mixed(5).matrix)
 
 
 def test_duality_residual_detects_non_duals():
@@ -351,7 +349,7 @@ def _assert_matches_null_space_oracle(state, groups):
     same MSE to 1e-12 relative, same sweep count, duals within 1e-9."""
     n = state.n
     probs = joint_probabilities(state, pauli6_product(n), range(n))
-    rho = reduced_density(state, range(n))
+    rho = reduced_density(state, range(n)).matrix
     part = Partition(groups)
     got, mse, sweeps = optimize_product_duals(probs, part, rho)
     want, want_mse, want_sweeps = null_space_product_duals(probs, part, rho)
@@ -398,7 +396,7 @@ def test_product_dual_optimizer_finishes_groups_of_three_and_four_qubits(groups)
     state = random_pure(np.random.default_rng(11), 4)
     povm = pauli6_product(4)
     probs = joint_probabilities(state, povm, range(4))
-    rho = reduced_density(state, range(4))
+    rho = reduced_density(state, range(4)).matrix
     start = time.perf_counter()
     gd, mse, sweeps = optimize_product_duals(probs, Partition(groups), rho)
     assert time.perf_counter() - start < 5.0
@@ -422,7 +420,7 @@ def test_product_dual_optimizer_rejects_a_step_that_raises_the_mse(monkeypatch):
     rho = toy_mixed(0.3)
     probs = joint_probabilities(rho, pauli6_product(2), range(2))
     with pytest.raises(AssertionError, match="objective increased"):
-        optimize_product_duals(probs, Partition.singletons(2), rho)
+        optimize_product_duals(probs, Partition.singletons(2), rho.matrix)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 4, 16])

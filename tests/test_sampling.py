@@ -90,10 +90,6 @@ def test_sampling_plan_draw_matches_sample_shots(kind, monkeypatch):
         want = sample_shots(state, povm, 1000, seed=8, workers=workers, chunk=chunk)
         got = plan.draw(1000, seed=8, workers=workers, chunk=chunk)
         assert got.records.tobytes() == want.records.tobytes()
-        again = sample_shots(plan, povm, 1000, seed=8, workers=workers, chunk=chunk)
-        assert again.records.tobytes() == want.records.tobytes()
-    with pytest.raises(ValueError, match="another POVM"):
-        sample_shots(plan, pauli6_product(5), 10, seed=8)
 
 
 def test_sample_shots_pure_and_density_agree():
@@ -544,7 +540,7 @@ def test_draw_rejects_records_above_the_cap_before_allocating(monkeypatch):
         with pytest.raises(ValueError, match="cap"):
             plan.draw(S, seed=0)
     with pytest.raises(ValueError, match="cap"):
-        sample_shots(plan, povm, 10**15, seed=0, workers=10**15)
+        plan.draw(10**15, seed=0, workers=10**15)
 
 
 @pytest.mark.parametrize(
@@ -618,8 +614,21 @@ def test_sampling_plan_rejects_what_it_cannot_sample():
     with pytest.raises(ValueError, match="uniform outcome count per qubit"):
         SamplingPlan(bell_state(), ProductPOVM((pauli6(), sic4())))
     nine = maximally_mixed(9)
-    chain = BlockProductState(Partition((tuple(range(9)),)), (nine,))
+    chain = BlockProductState(Partition((tuple(range(9)), (9,))), (nine, maximally_mixed(1)))
     with pytest.raises(ValueError, match="block too large for the joint-tensor sampler"):
-        SamplingPlan(chain, pauli6_product(9))
-    with pytest.raises(ValueError, match="density matrices above the joint-tensor limit"):
-        SamplingPlan(nine, pauli6_product(9))
+        SamplingPlan(chain, pauli6_product(10))
+    # one group is refused as its block is
+    for state in (nine, BlockProductState(Partition.single_group(9), (nine,))):
+        with pytest.raises(ValueError, match="density matrices above the joint-tensor limit"):
+            SamplingPlan(state, pauli6_product(9))
+
+
+def test_one_group_block_product_draws_the_records_of_its_block():
+    # one group is one plan, whatever the state kind: the whole-register walk
+    block = DensityMatrix(3, random_density(np.random.default_rng(29), 8))
+    one = BlockProductState(Partition.single_group(3), (block,))
+    povm = pauli6_product(3)
+    for workers, chunk in ((1, 65536), (2, 700)):
+        want = sample_shots(block, povm, 3000, seed=12, workers=workers, chunk=chunk)
+        got = sample_shots(one, povm, 3000, seed=12, workers=workers, chunk=chunk)
+        assert got.records.tobytes() == want.records.tobytes()

@@ -135,6 +135,43 @@ def test_block_product_density_respects_qubit_labels():
     assert np.allclose(partial_trace(full, [0, 2]), b02.matrix, atol=1e-12)
 
 
+def test_each_state_kind_gives_its_partition_and_amplitudes():
+    psi, rho, chain = ghz_state(3), maximally_mixed(3), bell_pair_chain(2)
+    assert psi.partition == rho.partition == Partition.single_group(3)
+    assert chain.partition == Partition(((0, 1), (2, 3)))
+    assert psi.amplitudes is not None
+    assert rho.amplitudes is None and chain.amplitudes is None
+
+
+def test_densities_derived_from_a_validated_state_skip_the_psd_check(monkeypatch):
+    rng = np.random.default_rng(17)
+    psi = random_pure(rng, 3)
+    rho = DensityMatrix(3, random_density(rng, 8))
+    blocks = (DensityMatrix(2, random_density(rng, 4)), DensityMatrix(1, random_density(rng, 2)))
+    chain = BlockProductState(Partition(((0, 2), (1,))), blocks)
+    cases = [(psi, [0, 1, 2]), (chain, [0, 1]), (chain, [0, 1, 2]), (rho, [0, 2])]
+    # each reduction validated as caller input, every check included
+    want = [
+        DensityMatrix(len(g), density_tensor(s, [(q, 0) for q in g] + [(q, 1) for q in g]).reshape(2 ** len(g), -1))
+        for s, g in cases
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    got = [psi.density()] + [reduced_density(s, g) for s, g in cases[1:]]
+    for g, w in zip(got, want):
+        assert type(g) is DensityMatrix and g.n == w.n
+        assert np.array_equal(g.matrix, w.matrix) and not g.matrix.flags.writeable
+    # a matrix from the caller is still eigendecomposed
+    with pytest.raises(AssertionError, match="eigvalsh called"):
+        DensityMatrix(1, np.eye(2) / 2)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="not PSD"):
+        DensityMatrix(2, np.diag([0.7, 0.5, 0.3, -0.5]).astype(complex))
+
+
 def test_density_tensor_axes_follow_the_listed_order():
     for state, full in _state_kinds(np.random.default_rng(15)):
         keep = [1, 3, 4]
