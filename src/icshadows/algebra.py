@@ -36,15 +36,19 @@ __all__ = [
 
 # asymmetry beyond this is a bug in the caller, not float drift
 HERMITICITY_TOL = 1e-9
+_ASYMMETRY_BYTES = 1 << 22  # most bytes of hermitianize's row blocks of |A - A^dag|
 
 
 def hermitianize(a: np.ndarray) -> np.ndarray:
     """Return (A + A^dag)/2, rejecting matrices that are not nearly Hermitian."""
-    a = np.asarray(a, dtype=complex)
+    a = np.atleast_1d(np.asarray(a, dtype=complex))  # a scalar too has rows
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
-    ah = np.ascontiguousarray(a.conj().T)  # one transposed read, not two
-    asym = np.abs(a - ah).max() if a.size else 0.0
+    ah = np.conjugate(a.T, order="C")  # the result's buffer
+    step = _ASYMMETRY_BYTES // (24 * len(a) + 24) or 1  # rows of a complex and a real block
+    asym = 0.0
+    for r in range(0, len(a), step):
+        asym = max(asym, np.abs(a[r : r + step] - ah[r : r + step]).max())
     if not asym <= HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian within {HERMITICITY_TOL:g} (asymmetry {asym:g})")
     return np.multiply(np.add(ah, a, out=ah), 0.5, out=ah)

@@ -128,8 +128,12 @@ def _config(args, **overrides) -> RunConfig:
     return RunConfig(**{**fields, **overrides})
 
 
-def _maybe_drop_identity(obs: PauliObservable, cfg: RunConfig) -> PauliObservable:
-    return obs.without_identity() if cfg.drop_identity else obs
+def _state_and_observable(args, cfg: RunConfig):
+    """The state and the estimated Hamiltonian, parsed once if the state is its ground state."""
+    own = args.state == "ground-state-of:" + args.hamiltonian
+    state = None if own else parse_state_spec(args.state)
+    obs = load_hamiltonian(args.hamiltonian)
+    return (ground_state(obs)[1] if own else state), (obs.without_identity() if cfg.drop_identity else obs)
 
 
 def _load_duals(args, n: int):
@@ -248,7 +252,8 @@ def cmd_duals(args) -> int:
 def cmd_estimate(args) -> int:
     ds = read_dataset(args.dataset)
     cfg = _config(args, seed=ds.seed, S=ds.S)
-    obs = _maybe_drop_identity(load_hamiltonian(args.hamiltonian), cfg)
+    obs = load_hamiltonian(args.hamiltonian)
+    obs = obs.without_identity() if cfg.drop_identity else obs
     duals = _load_duals(args, ds.n)
     report = estimate(ds, duals, obs)
     write_csv(
@@ -272,8 +277,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_exact_variance(args) -> int:
     cfg = _config(args)
-    state = parse_state_spec(args.state)
-    obs = _maybe_drop_identity(load_hamiltonian(args.hamiltonian), cfg)
+    state, obs = _state_and_observable(args, cfg)
     duals = _load_duals(args, state.n)
     povm = pauli6_product(state.n)
     print(repr(exact_variance(state, povm, duals, obs)))
@@ -324,8 +328,7 @@ def cmd_benchmark(args) -> int:
 
 def cmd_rmse(args) -> int:
     cfg = _config(args)
-    state = parse_state_spec(args.state)
-    obs = _maybe_drop_identity(load_hamiltonian(args.hamiltonian), cfg)
+    state, obs = _state_and_observable(args, cfg)
     duals = _load_duals(args, state.n)
     povm = pauli6_product(state.n)
     # the harness takes the exact variance before its first shot, so it fails fast

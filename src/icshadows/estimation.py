@@ -5,8 +5,9 @@ products over partition groups of dual-operator traces Tr[D_m P]; means
 over shots are unbiased whenever the dual frames pass the duality check.
 Every path reads them from one layout (:meth:`CoefficientCache.layout`).
 Up to ``sampling.JOINT_TENSOR_QUBIT_LIMIT`` qubits the estimator is
-tabulated once over every joint outcome (:meth:`CoefficientCache.table`):
-shots are table lookups, and the exact moments are sums of the table
+tabulated once over every joint outcome, through the terms' distinct
+tuples on two halves (:meth:`CoefficientCache.table`): shots are table
+lookups, and the exact moments are sums of the table
 against :func:`~icshadows.sampling.joint_probabilities` over the whole
 register. Above the limit the table would not fit, so shots are scored
 term by term and the exact moments split the groups
@@ -95,32 +96,42 @@ class CoefficientCache:
                 self._layouts[obs].append((sid.reshape(-1), paulis @ frame.duals.T))
         return self._layouts[obs]
 
-    def _block_matrix(self, group_indices, obs: PauliObservable) -> np.ndarray:
-        """V with column t the Kronecker product of the listed groups' vectors."""
-        V = np.ones((1, len(obs.terms)))
-        for gi in group_indices:
-            sid, vec = self.layout(obs)[gi]
-            V = (V[:, None, :] * vec[sid].T[None, :, :]).reshape(-1, V.shape[1])
-        return V
-
     def table(self, obs: PauliObservable) -> tuple[np.ndarray, list[int]]:
         """Single-shot estimate of ``obs`` at every joint outcome.
 
         The groups are split, in order, into two blocks A and B whose
-        outcome spaces are as close in size as possible, and the table
-        is ``W = (V_A diag c) V_B^T``. Returns W, shape
-        ``(d^|A|, d^|B|)``, and the qubit order of its row-major flat
-        index (A's qubits, then B's, each group in listed order).
+        outcome spaces are as close in size as possible, and the table is
+        ``W = (V_A C) V_B^T``: V_A has a column per distinct A tuple of the
+        terms (:func:`_block_matrix`) and C[a, b] is the coefficient of the
+        term of tuples a, b, else 0. Returns W, shape ``(d^|A|, d^|B|)``, and
+        the qubit order of its row-major flat index (A's qubits, then B's).
         """
         if obs not in self._tables:
-            groups = self.duals.partition.groups
+            groups, layout = self.duals.partition.groups, self.layout(obs)
             split = _split_index(groups)
-            coeffs = np.array([c for c, _ in obs.terms])
-            va = self._block_matrix(range(split), obs) * coeffs
-            vb = self._block_matrix(range(split, len(groups)), obs)
+            (ta, va), (tb, vb) = (_block_matrix(part, len(obs.terms)) for part in (layout[:split], layout[split:]))
+            c = np.zeros((va.shape[1], vb.shape[1]))
+            c[ta, tb] = [coeff for coeff, _ in obs.terms]  # words are distinct: one term per (a, b)
             order = [q for g in groups for q in g]
-            self._tables[obs] = (va @ vb.T, order)
+            self._tables[obs] = ((va @ c) @ vb.T, order)
         return self._tables[obs]
+
+
+def _term_tuples(part, n_terms: int):
+    """Each term's tuple id on a part of the layout (its substring ids there), and a term of each."""
+    tuples = np.zeros(n_terms, dtype=np.intp)
+    for sid, vec in part:
+        tuples = np.unique(tuples * len(vec) + sid, return_inverse=True)[1].reshape(-1)
+    return tuples, np.unique(tuples, return_index=True)[1]
+
+
+def _block_matrix(part, n_terms: int):
+    """The terms' :func:`_term_tuples` ids, and V with column u the Kronecker product of tuple u's vectors."""
+    tuples, rep = _term_tuples(part, n_terms)
+    V = np.ones((1, len(rep)))
+    for sid, vec in part:
+        V = (V[:, None, :] * vec[sid[rep]].T[None, :, :]).reshape(-1, len(rep))
+    return tuples, V
 
 
 def _split_index(groups) -> int:
@@ -284,15 +295,11 @@ def _pair_keys(x, y, u: int):
 
 
 def _part_keys(part, frames, n_terms: int):
-    """Each term's tuple id on a part of the groups (its substring ids there,
-    ``part`` being that slice of the layout), the number U of tuples, each
+    """The :func:`_term_tuples` ids of a part's terms, the number U of tuples, each
     group's operators Σ_m effect_m Tr[D_m P] Tr[D_m Q] under the
     :func:`_pair_keys` of its substrings, and the group operator keys of
     each of the U + U(U+1)/2 tuple keys (every pair of tuples meets)."""
-    tuples = np.zeros(n_terms, dtype=np.intp)
-    for sid, vec in part:
-        tuples = np.unique(tuples * len(vec) + sid, return_inverse=True)[1].reshape(-1)
-    rep = np.unique(tuples, return_index=True)[1]  # a term of each tuple
+    tuples, rep = _term_tuples(part, n_terms)
     u = len(rep)
     lo, hi = np.triu_indices(u)
     stacks, index = [], np.empty((u + len(lo), len(part)), dtype=np.int32)

@@ -211,11 +211,10 @@ def joint_probabilities(state, povm: ProductPOVM, group) -> np.ndarray:
 def _walk_chunk(tables, u: np.ndarray) -> np.ndarray:
     """Ascending conditional inverse-CDF walk for a chunk of shots.
 
-    At level i a shot on prefix ``code`` draws the count of entries of its
-    CDF row ``cdf[code * d : code * d + d - 1]`` at or below ``u * totals[code]``.
-    A CDF row never decreases (the tensor is clipped at zero), so the last
-    column can be skipped: when it passes, every earlier one does too, and
-    the count is capped at ``d - 1`` either way.
+    At level i a shot on prefix ``code`` draws the count of entries of its CDF
+    row ``cdf[code * d : code * d + d - 1]`` at or below ``u`` times the row's
+    last entry, the prefix's mass. A row never decreases (the tensor is clipped
+    at zero), so the last entry is skipped and the count capped at ``d - 1``.
     """
     cnt = u.shape[0]
     out = np.empty((cnt, len(tables)), dtype=np.uint8)
@@ -224,11 +223,11 @@ def _walk_chunk(tables, u: np.ndarray) -> np.ndarray:
     entry = np.empty(cnt)
     passed = np.empty(cnt, dtype=bool)
     m = np.empty(cnt, dtype=np.uint8)
-    for i, (totals, cdf, d) in enumerate(tables):
-        # "clip": every index is in range, and it skips take's checking copy
-        np.take(totals, code, out=thr, mode="clip")
-        thr *= u[:, i]
+    for i, (cdf, d) in enumerate(tables):
         code *= d
+        # "clip": every index is in range, and it skips take's checking copy
+        np.take(cdf[d - 1 :], code, out=thr, mode="clip")
+        thr *= u[:, i]
         m[:] = 0
         for j in range(d - 1):
             np.take(cdf[j:], code, out=entry, mode="clip")
@@ -239,30 +238,27 @@ def _walk_chunk(tables, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _walk_tables(joint: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """Per-level ``(totals, cdf, d)`` tables of the walk over a joint tensor.
+def _walk_tables(joint: np.ndarray) -> list[tuple[np.ndarray, int]]:
+    """Per-level ``(cdf, d)`` tables of the walk over a joint tensor.
 
-    Level i's ``totals`` are the masses of the outcome prefixes over the
-    first i axes and ``cdf`` the running sums, along the last axis, of the
-    masses over the first i+1, both flat. The joint tensor's running sums
-    are taken in place, so its CDF replaces it and only the smaller levels
-    are held twice.
+    Level i's ``cdf`` holds the running sums, along the last axis, of the
+    masses of the outcome prefixes over the first i+1 axes, flat, so a row's
+    last entry is its prefix's mass. The sums are taken in place from the
+    last axis to the first: the joint tensor's CDF replaces it, and each
+    level after starts from a copy of the level before's last column, which
+    up to 7 outcomes per qubit holds the bits of ``sum(axis=-1)``.
     """
-    prefixes = [np.ascontiguousarray(joint)]
+    tables, level = [], np.ascontiguousarray(joint)
     for _ in range(joint.ndim):
-        prefixes.append(prefixes[-1].sum(axis=-1))
-    prefixes.reverse()
-    if prefixes[0] <= 0:
-        raise ValueError("state has no outcome mass (numerically invalid)")
-    tables = []
-    for i in range(joint.ndim):
-        cdf = prefixes[i + 1] if i == joint.ndim - 1 else prefixes[i + 1].copy()
-        d = cdf.shape[-1]
+        d = level.shape[-1]
         # the additions np.cumsum makes, without its copy of an aliased input
         for j in range(1, d):
-            cdf[..., j] += cdf[..., j - 1]
-        tables.append((prefixes[i].reshape(-1), cdf.reshape(-1), d))
-    return tables
+            level[..., j] += level[..., j - 1]
+        tables.append((level.reshape(-1), d))
+        level = np.ascontiguousarray(level[..., -1])
+    if not level > 0:
+        raise ValueError("state has no outcome mass (numerically invalid)")
+    return tables[::-1]
 
 
 def _kraus_factors(effects: np.ndarray) -> np.ndarray:
@@ -348,8 +344,8 @@ class SamplingPlan:
     group within the joint-tensor limit is walked whole, and otherwise a
     pure state is collapsed; a group above the limit is refused, and any
     other partition is walked group by group. A walk's planning builds its
-    per-level tables: the prefix masses and the running sums of their rows,
-    the joint tensor's taken in place. :meth:`draw` only walks them, so
+    per-level tables, the running sums of each level's rows, in one pass
+    from the joint tensor's, taken in place. :meth:`draw` only walks them, so
     repeated draws from one state, as in an RMSE harness, pay the planning
     cost once. A collapse is planned as per-qubit Kraus factors ``K`` of
     shape ``(d, r, 2)``, one per local POVM, with ``E_m = K_m^H K_m`` and

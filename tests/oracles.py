@@ -12,6 +12,7 @@ from icshadows import (
     PauliObservable,
     SamplingPlan,
     estimate,
+    estimation,
     exact_expectation,
     marginal_counts,
     pauli6_product,
@@ -418,6 +419,23 @@ def prefix_tensors(joint) -> list:
     return prefixes
 
 
+def two_pass_walk_tables(joint) -> list:
+    """Per-level ``(totals, cdf, d)`` walk tables in two passes: every level's
+    prefix masses by ``sum(axis=-1)``, then the running sums of each level's
+    rows, in place on the joint tensor and on copies of the smaller levels."""
+    prefixes = prefix_tensors(np.ascontiguousarray(joint))
+    if prefixes[0] <= 0:
+        raise ValueError("state has no outcome mass (numerically invalid)")
+    tables = []
+    for i in range(joint.ndim):
+        cdf = prefixes[i + 1] if i == joint.ndim - 1 else prefixes[i + 1].copy()
+        d = cdf.shape[-1]
+        for j in range(1, d):
+            cdf[..., j] += cdf[..., j - 1]
+        tables.append((prefixes[i].reshape(-1), cdf.reshape(-1), d))
+    return tables
+
+
 def walk_chunk(prefixes, u) -> np.ndarray:
     """Ascending conditional inverse-CDF walk over gathered prefix rows.
 
@@ -438,6 +456,23 @@ def walk_chunk(prefixes, u) -> np.ndarray:
         out[:, i] = m
         code = code * d + m
     return out
+
+
+def per_term_table(cache, obs) -> np.ndarray:
+    """The estimator table with one column per term: ``(V_A diag c) V_B^T``,
+    with V_A and V_B the Kronecker products of each term's trace vectors on
+    the two halves of the groups that the cache's table splits them into."""
+    layout = cache.layout(obs)
+    split = estimation._split_index(cache.duals.partition.groups)
+
+    def block(part):
+        V = np.ones((1, len(obs.terms)))
+        for sid, vec in part:
+            V = (V[:, None, :] * vec[sid].T[None, :, :]).reshape(-1, V.shape[1])
+        return V
+
+    coeffs = np.array([c for c, _ in obs.terms])
+    return (block(layout[:split]) * coeffs) @ block(layout[split:]).T
 
 
 def rmse_loop(state, povm, duals, obs, R: int, S: int, seed: int) -> float:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icshadows import algebra
 from icshadows.algebra import (
     hermitian_coords,
     hermitian_stack,
@@ -40,6 +41,29 @@ def test_hermitianize_is_the_mean_with_the_adjoint_bit_for_bit():
             got = hermitianize(a)
             assert got.view(np.uint8).tobytes() == (0.5 * (a + a.conj().T)).view(np.uint8).tobytes()
             assert np.array_equal(a, before)
+
+
+def test_hermitianize_holds_no_more_than_its_block_budget_beyond_the_result():
+    import tracemalloc
+
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(1024, 1024)) + 1j * rng.normal(size=(1024, 1024))
+    a += a.conj().T
+    hermitianize(np.eye(2))  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = hermitianize(a)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the matrix takes several blocks, and the result keeps the bits of the mean
+    assert a.nbytes > algebra._ASYMMETRY_BYTES
+    assert peak - got.nbytes <= algebra._ASYMMETRY_BYTES + 64 * 1024  # array headers
+    assert got.tobytes() == (0.5 * (a + a.conj().T)).tobytes()
+    a[-1, 0] += 1e-6  # an asymmetry in the last block
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitianize(a)
 
 
 def test_hermitianize_rejects_genuinely_asymmetric():

@@ -11,13 +11,16 @@ from icshadows import (
     PureState,
     RunConfig,
     canonical_global,
+    exact_variance,
     pauli6_product,
     read_dataset,
     read_duals,
     read_partition,
+    rmse_experiment,
     write_duals,
     write_partition,
 )
+from icshadows import cli
 from icshadows.cli import _config, build_parser, main, parse_state_spec
 
 from .conftest import refuse_dense_builds
@@ -314,6 +317,41 @@ def test_rmse_command(tmp_path):
     assert float(row["predicted_rmse"]) == pytest.approx(np.sqrt(8.0 / 100), abs=1e-9)
     assert 0.5 < float(row["ratio"]) < 1.5
     assert row["duals"] == "canonical"
+
+
+H2_4Q = "bundled:h2_sto3g_4q.txt"
+
+
+def _ground_state_run(command, tmp_path, *flags):
+    """Argv of ``command`` on the ground state of the 4-qubit H2, estimating it."""
+    rmse = ["-R", 20, "-S", 200, "--seed", 3, "--out", tmp_path / "rmse.csv"] if command == "rmse" else []
+    return [command, f"ground-state-of:{H2_4Q}", "--hamiltonian", H2_4Q, *rmse, *flags]
+
+
+@pytest.mark.parametrize("command", ["exact-variance", "rmse"])
+def test_the_ground_state_of_the_estimated_hamiltonian_parses_it_once(tmp_path, monkeypatch, command):
+    calls = []
+    load = cli.load_hamiltonian
+    monkeypatch.setattr(cli, "load_hamiltonian", lambda spec: calls.append(spec) or load(spec))
+    assert run(_ground_state_run(command, tmp_path)) == 0
+    assert calls == [H2_4Q]
+
+
+@pytest.mark.parametrize("command", ["exact-variance", "rmse"])
+def test_drop_identity_leaves_the_ground_state_of_the_full_hamiltonian(tmp_path, capsys, command):
+    # the state from its own parse, the estimated observable from another
+    state = parse_state_spec(f"ground-state-of:{H2_4Q}")
+    obs = cli.load_hamiltonian(H2_4Q).without_identity()
+    povm = pauli6_product(state.n)
+    assert run(_ground_state_run(command, tmp_path, "--drop-identity")) == 0
+    if command == "exact-variance":
+        want = exact_variance(state, povm, canonical_global(povm), obs)
+        assert capsys.readouterr().out.strip() == repr(want)
+    else:
+        want = rmse_experiment(state, povm, canonical_global(povm), obs, R=20, S=200, seed=3)
+        row = read_rows(tmp_path / "rmse.csv")[0]
+        assert row["rmse"] == repr(float(want))
+        assert row["predicted_rmse"] == repr(float(np.sqrt(want.variance / 200)))
 
 
 @pytest.mark.parametrize("repetitions", [0, -1])

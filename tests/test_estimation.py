@@ -43,6 +43,7 @@ from .oracles import (
     kron_matrix,
     omega,
     pairwise_exact_moments,
+    per_term_table,
     rmse_loop,
 )
 
@@ -699,3 +700,35 @@ def test_coefficient_vectors_match_dense_traces(k):
     for t, word in enumerate(words):
         want = dense_trace_vector(frame, word)
         assert np.abs(vec[sid[t]] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _tuple_table_case(label):
+    """Duals and an observable: the 8-qubit H2 on canonical singletons and on
+    4-qubit optimal duals, and a 6-qubit sum of every product of three A and
+    four B substrings, where a word of them and a word of a fifth B substring
+    merge to zero coefficients."""
+    if label == "shared-cancelling":
+        rng = np.random.default_rng(8)
+        words = [a + b for a in ("XZ", "YY", "IZ") for b in ("ZIXX", "XXII", "IIII", "YZZX")]
+        terms = list(zip(rng.normal(size=len(words)), words))
+        terms += [(-terms[5][0], words[5]), (0.375, "YYIZZI"), (-0.375, "YYIZZI")]
+        obs = PauliObservable.from_terms(terms)
+        assert (0.0, words[5]) in obs.terms and (0.0, "YYIZZI") in obs.terms
+        povm = pauli6_product(6)
+        return canonical_global(povm, Partition(((0, 1), (2, 3), (4, 5)))), obs
+    obs = bundled_hamiltonian("h2_631g_8q.txt")
+    if label == "canonical-singletons":
+        return canonical_global(pauli6_product(8)), obs
+    state = random_pure(np.random.default_rng(4), 8)
+    return _optimal_global(state, Partition(((0, 2, 4, 6), (1, 3, 5, 7)))), obs
+
+
+@pytest.mark.parametrize("label", ["canonical-singletons", "4lo-groups-of-4", "shared-cancelling"])
+def test_tuple_table_matches_the_per_term_table(label):
+    duals, obs = _tuple_table_case(label)
+    cache = CoefficientCache(duals)
+    got, order = cache.table(obs)
+    want = per_term_table(cache, obs)
+    assert order == [q for g in duals.partition.groups for q in g]
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

@@ -31,7 +31,13 @@ from icshadows.sampling import flat_codes
 from icshadows.states import PureState
 
 from .conftest import random_density, random_pure, sic4
-from .oracles import prefix_tensors, same_bits, tensordot_joint_probabilities, walk_chunk
+from .oracles import (
+    prefix_tensors,
+    same_bits,
+    tensordot_joint_probabilities,
+    two_pass_walk_tables,
+    walk_chunk,
+)
 
 
 def test_shot_uniforms_chunk_splittable():
@@ -378,6 +384,17 @@ def walk_cases(draw):
     return joint, u
 
 
+def assert_walk_tables_are_the_two_pass_ones(joint):
+    """Each level's CDF has the bytes of the two-pass tables' CDF, and its
+    rows' last entries the bytes of their prefix totals."""
+    got, want = sampling._walk_tables(joint.copy()), two_pass_walk_tables(joint.copy())
+    assert len(got) == len(want)
+    for (cdf, d), (totals, want_cdf, want_d) in zip(got, want):
+        assert d == want_d
+        assert cdf.tobytes() == want_cdf.tobytes()
+        assert cdf[d - 1 :: d].tobytes() == totals.tobytes()
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=walk_cases())
 def test_cdf_table_walk_matches_prefix_row_walk(case):
@@ -386,6 +403,25 @@ def test_cdf_table_walk_matches_prefix_row_walk(case):
     # the tables take the joint's running sums in place, so hand them a copy
     got = sampling._walk_chunk(sampling._walk_tables(joint.copy()), u)
     assert got.tobytes() == want.tobytes()
+    assert_walk_tables_are_the_two_pass_ones(joint)
+
+
+def test_eight_qubit_h2_walk_tables_are_the_two_pass_ones():
+    psi = ground_state(bundled_hamiltonian("h2_631g_8q.txt"))[1]
+    joint = joint_probabilities(psi, pauli6_product(8), range(8)).reshape((6,) * 8)
+    assert_walk_tables_are_the_two_pass_ones(joint)
+
+
+@pytest.mark.parametrize("where", ["entry", "all"])
+def test_walk_tables_refuse_a_nan_mass(where):
+    # NaN <= 0 is False: a NaN mass once passed and walked to all-zero records
+    joint = np.full((6, 6, 6), 1 / 216)
+    if where == "entry":
+        joint[3, 1, 4] = np.nan
+    else:
+        joint[:] = np.nan
+    with pytest.raises(ValueError, match="no outcome mass"):
+        sampling._walk_tables(joint)
 
 
 def oracle_draw(state, povm, S, seed):
